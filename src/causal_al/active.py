@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import WeightedDag, discover_lingam
-from .dataio import FeatureTable
+# The loop calls the plain-array kernel. `discover_lingam` and `FeatureTable`
+# stay module attributes because perfbench/spans.py wraps them by these names.
+from .causal import WeightedDag, _check_fit_rows, _discover, discover_lingam  # noqa: F401
+from .dataio import FeatureTable  # noqa: F401
 from .errors import (
     ConfigError,
+    DegenerateFeature,
     DuplicateRowId,
     InsufficientData,
     MissingColumn,
@@ -101,6 +104,7 @@ def _run(
         raise DuplicateRowId("row ids must be unique across subsets")
 
     n_subsets = len(subsets)
+    t_idx = features.index(target)
     mats = [sub.matrix(features) for sub in subsets]
     ids = [sub.row_ids for sub in subsets]
     pools = [np.arange(sub.n_rows) for sub in subsets]
@@ -118,21 +122,12 @@ def _run(
 
         def evaluate(k: int) -> float:
             rows = np.vstack([acc_rows, mats[k][picks[k]]])
-            cand_ids = acc_ids + [ids[k][i] for i in picks[k]]
-            table = FeatureTable(
-                row_ids=tuple(cand_ids),
-                feature_names=features,
-                values=rows,
-                target_names=(target,),
-            )
             try:
-                graph = discover_lingam(
-                    table, target, prune_threshold=prune_threshold,
-                    destandardize=destandardize,
-                )
-            except InsufficientData:
+                _check_fit_rows(rows, features)
+            except (InsufficientData, DegenerateFeature):
                 return float("inf")
-            return spectral_distance(graph, global_graph, n=top_n)
+            b, order, *_ = _discover(rows, t_idx, prune_threshold, destandardize)
+            return spectral_distance(WeightedDag(features, b, order), global_graph, n=top_n)
 
         losses = tuple(parallel_map(evaluate, range(n_subsets), jobs=jobs))
         if mode == "active":

@@ -4,10 +4,16 @@ Discovery follows the direct iterative-root-selection scheme: at each step
 the most exogenous remaining variable is identified with a pairwise
 likelihood-ratio measure built from a differential-entropy approximation
 (log-cosh and Gaussian-moment terms), appended to the causal order, and
-regressed out of the remaining columns. The designated target is withheld
-from root selection until every feature is ordered, which forces it to be
-a sink by construction. Edge weights then come from sequential least
-squares over causal-order predecessors, followed by magnitude pruning.
+regressed out of the remaining columns. Each step standardizes the
+remaining columns once and scores all pairs together: covariances,
+regression coefficients and pairwise residuals are formed as arrays in
+blocks of at most `_BLOCK_SAMPLES` residual values (one regressand at
+least), so memory stays bounded whatever the row count. The designated
+target is withheld from root selection until every feature is ordered,
+which forces it to be a sink by construction. Edge weights then come from
+sequential least squares over causal-order predecessors, followed by
+magnitude pruning. Total effects (I - B)^-1 - I of a weighted DAG, used
+for ranking here and for interventions downstream, are computed here too.
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ DEFAULT_PRUNE_THRESHOLD = 0.05
 _K1 = 79.047
 _K2 = 7.4129
 _GAMMA = 0.37457
+
+# Residual values (regressand rows x samples) the root search holds per
+# block; a block always takes at least one regressand against all others.
+_BLOCK_SAMPLES = 16_384
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,23 @@ class WeightedDag:
 
 
 @dataclass(frozen=True)
+class EffectMatrix:
+    """T[i, j] = total causal effect of node j on node i (self effect 0)."""
+
+    node_names: tuple[str, ...]
+    T: np.ndarray
+
+    def index(self, name: str) -> int:
+        try:
+            return self.node_names.index(name)
+        except ValueError:
+            raise NodeMismatch(f"no node named {name!r}") from None
+
+    def effect(self, source: str, sink: str) -> float:
+        return float(self.T[self.index(sink), self.index(source)])
+
+
+@dataclass(frozen=True)
 class FeatureRanking:
     """Features ordered by descending causal strength toward a target."""
 
@@ -135,54 +162,121 @@ def _log_cosh(u: np.ndarray) -> np.ndarray:
     return a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
 
 
-def _entropy(u: np.ndarray) -> float:
-    """Approximate differential entropy of a standardized sample."""
+def _entropy(u: np.ndarray) -> np.ndarray:
+    """Approximate differential entropy of each standardized row of `u`."""
     return (
         (1.0 + np.log(2.0 * np.pi)) / 2.0
-        - _K1 * (np.mean(_log_cosh(u)) - _GAMMA) ** 2
-        - _K2 * np.mean(u * np.exp(-(u**2) / 2.0)) ** 2
+        - _K1 * (np.mean(_log_cosh(u), axis=-1) - _GAMMA) ** 2
+        - _K2 * np.mean(u * np.exp(-(u**2) / 2.0), axis=-1) ** 2
     )
 
 
 def _standardize(u: np.ndarray) -> np.ndarray:
-    sd = u.std()
-    if sd < 1e-15:
-        return np.zeros_like(u)
-    return (u - u.mean()) / sd
+    """Each row of `u` to zero mean and unit variance; near-constant rows to 0."""
+    sd = u.std(axis=-1, keepdims=True)
+    flat = sd < 1e-15
+    return np.where(flat, 0.0, (u - u.mean(axis=-1, keepdims=True)) / np.where(flat, 1.0, sd))
 
 
-def _residual(xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
-    """Residual of xi regressed on xj (population covariance)."""
-    var_j = xj.var()
-    if var_j < 1e-30:
-        return xi - xi.mean()
-    cov = np.mean(xi * xj) - xi.mean() * xj.mean()
-    return xi - (cov / var_j) * xj
-
-
-def _most_exogenous(xw: np.ndarray, remaining: list[int], candidates: list[int]) -> int:
-    """Pick the candidate most plausibly exogenous among the remaining columns.
+def _most_exogenous(w: np.ndarray, remaining: list[int], candidates: list[int]) -> int:
+    """Pick the candidate most plausibly exogenous among the remaining rows of `w`.
 
     For candidate i the score accumulates min(0, LR(i, j))^2 over the other
     remaining variables j, where LR compares the entropies of the two
     competing regression directions; the least-penalized candidate wins,
-    lowest column index on ties.
+    lowest column index on ties. All m^2 pairwise residuals of a step are
+    formed as arrays, a block of regressands i at a time. Every reduction
+    runs along a row, so each LR(i, j) equals the one-pair-at-a-time
+    formula bit for bit.
     """
-    cols = {i: _standardize(xw[:, i]) for i in remaining}
-    ent = {i: _entropy(cols[i]) for i in remaining}
-    best_i, best_score = candidates[0], -np.inf
-    for i in candidates:
-        penalty = 0.0
-        for j in remaining:
-            if j == i:
-                continue
-            r_ij = _standardize(_residual(cols[i], cols[j]))
-            r_ji = _standardize(_residual(cols[j], cols[i]))
-            lr = (ent[j] + _entropy(r_ij)) - (ent[i] + _entropy(r_ji))
-            penalty += min(0.0, lr) ** 2
-        if -penalty > best_score:
-            best_i, best_score = i, -penalty
-    return best_i
+    c = _standardize(w[remaining])
+    m, n = c.shape
+    ent = _entropy(c)
+    mean = c.mean(axis=1)
+    var = c.var(axis=1)
+    # r_ij = c_i - (cov_ij / var_j) c_j, or c_i - mean_i when c_j has no variance
+    flat = var < 1e-30
+    safe_var = np.where(flat, 1.0, var)
+    shift = np.where(flat, mean[:, None], 0.0)
+    h = np.empty((m, m))  # h[i, j] = entropy of the standardized r_ij
+    step = max(1, _BLOCK_SAMPLES // (m * n))
+    for lo in range(0, m, step):
+        blk = slice(lo, lo + step)
+        r = c[blk, None, :] * c
+        cov = r.mean(axis=-1) - mean[blk, None] * mean
+        np.multiply(np.where(flat, 0.0, cov / safe_var)[:, :, None], c, out=r)
+        np.subtract(c[blk, None, :], r, out=r)
+        r -= shift[blk, :, None]
+        h[blk] = _entropy(_standardize(r))
+    lr = (ent[None, :] + h) - (ent[:, None] + h.T)  # zero on the diagonal
+    penalty = np.sum(np.minimum(0.0, lr) ** 2, axis=1)
+    pos = [remaining.index(i) for i in candidates]
+    return candidates[int(np.argmin(penalty[pos]))]
+
+
+def _residualize(w: np.ndarray, rows: list[int], root: int) -> None:
+    """Replace each of `rows` of `w` by its residual on row `root`, in place."""
+    x = w[rows]
+    xr = w[root]
+    var_r = xr.var()
+    if var_r < 1e-30:
+        w[rows] = x - x.mean(axis=1, keepdims=True)
+        return
+    cov = np.mean(x * xr, axis=1) - x.mean(axis=1) * xr.mean()
+    w[rows] = x - (cov / var_r)[:, None] * xr
+
+
+def _check_fit_rows(x: np.ndarray, names) -> None:
+    """Raise unless `x` supports discovery: d + 10 rows, no constant column."""
+    n, d = x.shape
+    if n < d + 10:
+        raise InsufficientData(f"need at least {d + 10} rows for {d} columns, got {n}")
+    for name, s in zip(names, x.std(axis=0, ddof=1)):
+        if s == 0.0:
+            raise DegenerateFeature(name)
+
+
+def _discover(
+    x: np.ndarray, target_idx: int, prune_threshold: float, destandardize: bool
+) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Plain-array discovery kernel over the columns of `x` (rows x columns).
+
+    The caller has checked `x` with `_check_fit_rows`. Returns the pruned
+    adjacency B, the causal order, the column means and sample standard
+    deviations, and the residual variance of each node.
+    """
+    d = x.shape[1]
+    mean = x.mean(axis=0)
+    std = x.std(axis=0, ddof=1)
+    z = (x - mean) / std
+
+    w = z.T.copy()  # one row per variable, residualized as roots are taken
+    remaining = list(range(d))
+    order: list[int] = []
+    while remaining:
+        candidates = [i for i in remaining if i != target_idx] or remaining
+        root = candidates[0] if len(candidates) == 1 else _most_exogenous(w, remaining, candidates)
+        order.append(root)
+        remaining.remove(root)
+        _residualize(w, remaining, root)
+
+    b = np.zeros((d, d))
+    resid_var = np.ones(d)
+    for pos, node in enumerate(order):
+        preds = order[:pos]
+        if not preds:
+            resid_var[node] = np.var(z[:, node], ddof=1)
+            continue
+        coef, *_ = np.linalg.lstsq(z[:, preds], z[:, node], rcond=None)
+        b[node, preds] = coef
+        resid = z[:, node] - z[:, preds] @ coef
+        resid_var[node] = np.var(resid, ddof=1)
+
+    b[np.abs(b) < prune_threshold] = 0.0
+    if destandardize:
+        b = b * std[:, None] / std[None, :]
+        resid_var = resid_var * std**2
+    return b, order, mean, std, resid_var
 
 
 def discover_lingam(
@@ -200,50 +294,10 @@ def discover_lingam(
     names = table.feature_names
     if target not in names:
         raise MissingColumn(f"target {target!r} not in table")
-    d = len(names)
-    n = table.n_rows
-    if n < d + 10:
-        raise InsufficientData(f"need at least {d + 10} rows for {d} columns, got {n}")
-
-    x = table.values.astype(np.float64)
-    mean = x.mean(axis=0)
-    std = x.std(axis=0, ddof=1)
-    for name, s in zip(names, std):
-        if s == 0.0:
-            raise DegenerateFeature(name)
-    z = (x - mean) / std
-
-    t_idx = names.index(target)
-    remaining = list(range(d))
-    order: list[int] = []
-    z_work = z.copy()
-    while remaining:
-        candidates = [i for i in remaining if i != t_idx] or remaining
-        root = candidates[0] if len(candidates) == 1 else _most_exogenous(z_work, remaining, candidates)
-        order.append(root)
-        remaining.remove(root)
-        for j in remaining:
-            z_work[:, j] = _residual(z_work[:, j], z_work[:, root])
-
-    b = np.zeros((d, d))
-    resid_var = np.ones(d)
-    for pos, node in enumerate(order):
-        preds = order[:pos]
-        if not preds:
-            resid_var[node] = np.var(z[:, node], ddof=1)
-            continue
-        coef, *_ = np.linalg.lstsq(z[:, preds], z[:, node], rcond=None)
-        b[node, preds] = coef
-        resid = z[:, node] - z[:, preds] @ coef
-        resid_var[node] = np.var(resid, ddof=1)
-
-    b[np.abs(b) < prune_threshold] = 0.0
-    standardized = True
-    if destandardize:
-        b = b * std[:, None] / std[None, :]
-        resid_var = resid_var * std**2
-        standardized = False
-
+    _check_fit_rows(table.values, names)
+    b, order, mean, std, resid_var = _discover(
+        table.values, names.index(target), prune_threshold, destandardize
+    )
     return WeightedDag(
         node_names=names,
         B=b,
@@ -251,7 +305,7 @@ def discover_lingam(
         target=target,
         node_means=mean,
         node_stds=std,
-        standardized=standardized,
+        standardized=not destandardize,
         residual_variances=resid_var,
     )
 
@@ -312,11 +366,13 @@ def fit_sem_weights(table: FeatureTable, structure: WeightedDag) -> WeightedDag:
 # ---------------------------------------------------------------------------
 
 
-def _total_effect_matrix(dag: WeightedDag) -> np.ndarray:
+def total_effects(dag: WeightedDag) -> EffectMatrix:
+    """Total effects (I - B)^-1 - I of an acyclic weighted adjacency."""
     dag.validate()
     d = dag.n_nodes
     eye = np.eye(d)
-    return np.linalg.solve(eye - dag.B, eye) - eye
+    t = np.linalg.solve(eye - dag.B, eye) - eye
+    return EffectMatrix(node_names=dag.node_names, T=t)
 
 
 def rank_features(dag: WeightedDag, target: str, mode: str = "total") -> FeatureRanking:
@@ -328,7 +384,7 @@ def rank_features(dag: WeightedDag, target: str, mode: str = "total") -> Feature
     if mode not in ("total", "direct"):
         raise ConfigError(f"unknown ranking mode {mode!r}")
     t = dag.index(target)
-    row = _total_effect_matrix(dag)[t, :] if mode == "total" else dag.B[t, :]
+    row = total_effects(dag).T[t, :] if mode == "total" else dag.B[t, :]
     items = [
         (name, abs(float(row[i])))
         for i, name in enumerate(dag.node_names)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import WeightedDag
+from .causal import EffectMatrix, WeightedDag, total_effects
 from .dataio import FeatureTable
 from .errors import ConfigError, NoCausalLever, NodeMismatch, SchemaError
 from .util import fmt
@@ -22,23 +22,6 @@ from .util import fmt
 DEFAULT_GOAL = 3.0  # target shift goal in the target's own units
 
 INTERVENED_SUFFIX = "::do"
-
-
-@dataclass(frozen=True)
-class EffectMatrix:
-    """T[i, j] = total causal effect of node j on node i (self effect 0)."""
-
-    node_names: tuple[str, ...]
-    T: np.ndarray
-
-    def index(self, name: str) -> int:
-        try:
-            return self.node_names.index(name)
-        except ValueError:
-            raise NodeMismatch(f"no node named {name!r}") from None
-
-    def effect(self, source: str, sink: str) -> float:
-        return float(self.T[self.index(sink), self.index(source)])
 
 
 @dataclass(frozen=True)
@@ -52,15 +35,6 @@ class InterventionPlan:
     target_goal: float
     effect: float  # total effect of the chosen feature on the target, raw scale
     clamped: bool = False
-
-
-def total_effects(dag: WeightedDag) -> EffectMatrix:
-    """Total effects (I - B)^-1 - I of an acyclic weighted adjacency."""
-    dag.validate()
-    d = dag.n_nodes
-    eye = np.eye(d)
-    t = np.linalg.solve(eye - dag.B, eye) - eye
-    return EffectMatrix(node_names=dag.node_names, T=t)
 
 
 def _row_vector(dag: WeightedDag, row) -> np.ndarray:

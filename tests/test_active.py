@@ -8,6 +8,7 @@ from causal_al.active import (
     selection_counts,
     summarize_runs,
 )
+from causal_al.dataio import FeatureTable
 from causal_al.errors import ConfigError, DuplicateRowId, InsufficientData, MissingColumn
 from causal_al.synth import SemSpec, make_heterogeneous_world
 
@@ -55,6 +56,21 @@ def test_missing_feature():
     subsets, _, dag = small_world()
     with pytest.raises(MissingColumn):
         active_learn(subsets, dag, "y", features=("f1", "ghost", "y"), m=20, n_iter=2)
+
+
+def test_constant_column_subset_scores_inf_without_aborting():
+    # subset 2 holds f1 constant, so its first candidate has a zero-variance column
+    subsets, _, dag = small_world()
+    sub = subsets[2]
+    values = sub.values.copy()
+    values[:, sub.index("f1")] = 1.5
+    subsets[2] = FeatureTable(sub.row_ids, sub.feature_names, values, sub.target_names)
+    run = active_learn(subsets, dag, "y", m=30, n_iter=3, seed=4)
+    first = run.records[0]
+    assert first.losses[2] == float("inf")
+    assert np.isfinite(first.losses[:2]).all()
+    assert first.chosen != 2
+    assert len(run.records) == 3
 
 
 def test_duplicate_ids_across_subsets_rejected():
