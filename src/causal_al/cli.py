@@ -413,8 +413,11 @@ def cmd_report(cfg: Config) -> None:
     outdir = _outdir(cfg)
     schema = dataio.read_schema(cfg.existing_path("schema"))
     target = _main_target(schema)
-    goal = cfg.float("goal")
-    plans = intervene.load_plans(outdir / "plans.csv", goal_value=goal)
+    plans = intervene.load_plans(outdir / "plans.csv")
+    goals = {p.target_goal for p in plans}
+    if len(goals) != 1:
+        raise SchemaError(f"plans.csv must hold one goal, found {len(goals)}")
+    goal = goals.pop()
     neighbors = match.load_neighbors(outdir / "neighbors.csv")
     ref_path, reference = _reference_table(cfg, schema)
     if target not in reference.feature_names:

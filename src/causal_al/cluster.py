@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dataio import FeatureTable, fit_normalizer
 from .errors import (
@@ -44,6 +43,25 @@ class GmmModel:
     @property
     def n_components(self) -> int:
         return len(self.weights)
+
+
+def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(a))) along `axis`, without overflow.
+
+    Every entry equal to the maximum is taken out of the sum and counted:
+    with m maxima and s the sum of exp(a - max) over the other entries, the
+    result is log1p(s / m) + log(m) + max. Where that is not finite (an
+    infinite or NaN maximum) the direct log(sum(exp(a))) is returned.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    is_max = a == a_max
+    m = np.sum(is_max, axis=axis, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+    return np.squeeze(np.where(np.isfinite(out), out, direct), axis=axis)
 
 
 def _log_gauss(z: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:

@@ -43,7 +43,8 @@ class FeatureTable:
                 f"value matrix shape {values.shape} does not match "
                 f"{len(self.row_ids)} rows x {len(self.feature_names)} features"
             )
-        if len(set(self.row_ids)) != len(self.row_ids):
+        row_pos = {rid: i for i, rid in enumerate(self.row_ids)}
+        if len(row_pos) != len(self.row_ids):
             raise DuplicateRowId("row ids are not unique")
         missing = [t for t in self.target_names if t not in self.feature_names]
         if missing:
@@ -56,6 +57,7 @@ class FeatureTable:
         object.__setattr__(self, "row_ids", tuple(self.row_ids))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "target_names", tuple(self.target_names))
+        object.__setattr__(self, "_row_pos", row_pos)  # row id -> row index
 
     @property
     def n_rows(self) -> int:
@@ -81,8 +83,8 @@ class FeatureTable:
 
     def row_index(self, row_id: str) -> int:
         try:
-            return self.row_ids.index(row_id)
-        except ValueError:
+            return self._row_pos[row_id]
+        except KeyError:
             raise SchemaError(f"no row with id {row_id!r}") from None
 
     def select_rows(self, indices) -> "FeatureTable":
@@ -95,9 +97,8 @@ class FeatureTable:
         )
 
     def select_by_ids(self, ids) -> "FeatureTable":
-        pos = {rid: i for i, rid in enumerate(self.row_ids)}
         try:
-            indices = [pos[r] for r in ids]
+            indices = [self._row_pos[r] for r in ids]
         except KeyError as exc:
             raise SchemaError(f"no row with id {exc.args[0]!r}") from None
         return self.select_rows(indices)
@@ -348,12 +349,14 @@ class FingerprintTable:
             raise SchemaError("fingerprint matrix shape does not match row ids")
         if bits.size and bits.max() > 1:
             raise SchemaError("fingerprint bits must be 0/1")
-        if len(set(self.row_ids)) != len(self.row_ids):
+        row_pos = {rid: i for i, rid in enumerate(self.row_ids)}
+        if len(row_pos) != len(self.row_ids):
             raise DuplicateRowId("fingerprint row ids are not unique")
         bits = bits.copy()
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "row_ids", tuple(self.row_ids))
+        object.__setattr__(self, "_row_pos", row_pos)  # row id -> row index
 
     @property
     def width(self) -> int:
@@ -361,8 +364,8 @@ class FingerprintTable:
 
     def row(self, row_id: str) -> np.ndarray:
         try:
-            return self.bits[self.row_ids.index(row_id)]
-        except ValueError:
+            return self.bits[self._row_pos[row_id]]
+        except KeyError:
             raise SchemaError(f"no fingerprint for id {row_id!r}") from None
 
 

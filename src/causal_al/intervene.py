@@ -214,28 +214,32 @@ def original_id(intervened_id: str) -> str:
     return intervened_id
 
 
+PLANS_HEADER = "id,feature,old,new,pred_before,pred_after,clamped,goal"
+
+
 def save_plans(path, plans) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,feature,old,new,pred_before,pred_after,clamped\n")
+        fh.write(PLANS_HEADER + "\n")
         for p in plans:
             fh.write(
                 f"{p.row_id},{p.chosen_feature},{fmt(p.original_value)},"
                 f"{fmt(p.intervened_value)},{fmt(p.predicted_target_before)},"
-                f"{fmt(p.predicted_target_after)},{int(p.clamped)}\n"
+                f"{fmt(p.predicted_target_after)},{int(p.clamped)},{fmt(p.target_goal)}\n"
             )
 
 
-def load_plans(path, goal_value: float = DEFAULT_GOAL) -> list[InterventionPlan]:
+def load_plans(path) -> list[InterventionPlan]:
+    """Plans as saved, each with the goal it was planned for."""
     plans = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "id,feature,old,new,pred_before,pred_after,clamped":
+        if header != PLANS_HEADER:
             raise SchemaError(f"{path}: unexpected plans header")
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            rid, feat, old, new, before, after, clamped = line.split(",")
+            rid, feat, old, new, before, after, clamped, goal = line.split(",")
             old_f, new_f = float(old), float(new)
             before_f, after_f = float(before), float(after)
             delta = new_f - old_f
@@ -248,7 +252,7 @@ def load_plans(path, goal_value: float = DEFAULT_GOAL) -> list[InterventionPlan]
                     intervened_value=new_f,
                     predicted_target_before=before_f,
                     predicted_target_after=after_f,
-                    target_goal=goal_value,
+                    target_goal=float(goal),
                     effect=eff,
                     clamped=bool(int(clamped)),
                 )

@@ -3,9 +3,12 @@
 Matching is exact k-nearest-neighbor search under Euclidean distance in a
 normalized feature space; normalization statistics come from the
 intervened population itself (pooled statistics are available behind a
-flag). Structural similarity is reported through Tanimoto scores over
-ingested fingerprints, and fingerprint populations can be projected onto
-their top two principal components for trajectory plots.
+flag). Distances are computed for blocks of query rows of at most
+`_BLOCK_DISTANCES` values (one query row at least), so memory stays
+bounded whatever the query count. Structural similarity is reported
+through Tanimoto scores over ingested fingerprints, and fingerprint
+populations can be projected onto their top two principal components for
+trajectory plots.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataio import FeatureTable, FingerprintTable
 from .errors import (
@@ -26,6 +28,11 @@ from .errors import (
 )
 from .intervene import original_id
 from .util import fmt, parallel_map
+
+# Query x reference distance values held per block (256 KiB of float64, so a
+# block's buffers stay in a core's L2 cache); a block always takes at least
+# one query row against the whole reference table.
+_BLOCK_DISTANCES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -87,27 +94,53 @@ def nearest_in_reference(
 
     k_eff = min(k, reference.n_rows)
     targets = reference.column(ref_target) if ref_target is not None else None
-
-    def query_block(block: np.ndarray) -> np.ndarray:
-        return cdist(block, zr)
-
-    n_chunks = max(1, min(jobs, zq.shape[0]))
-    chunks = np.array_split(zq, n_chunks)
-    dists = np.vstack(parallel_map(query_block, chunks, jobs=jobs))
+    step = max(1, _BLOCK_DISTANCES // reference.n_rows)
+    zr_cols = np.ascontiguousarray(zr.T)
+    blocks = parallel_map(
+        lambda lo: _top_k(zq[lo:lo + step], zr_cols, k_eff),
+        range(0, zq.shape[0], step),
+        jobs=jobs,
+    )
+    order, dists = (np.vstack(part) for part in zip(*blocks))
 
     results: list[NeighborResult] = []
-    ref_idx = np.arange(reference.n_rows)
-    for qi, qid in enumerate(intervened.row_ids):
-        order = np.lexsort((ref_idx, dists[qi]))[:k_eff]
+    for qid, idx, dist in zip(intervened.row_ids, order.tolist(), dists.tolist()):
         results.append(
             NeighborResult(
                 query_id=qid,
-                neighbor_ids=tuple(reference.row_ids[j] for j in order),
-                distances=tuple(float(dists[qi, j]) for j in order),
-                ref_targets=tuple(float(targets[j]) for j in order) if targets is not None else None,
+                neighbor_ids=tuple(reference.row_ids[j] for j in idx),
+                distances=tuple(dist),
+                ref_targets=tuple(float(targets[j]) for j in idx) if targets is not None else None,
             )
         )
     return results
+
+
+def _top_k(zq: np.ndarray, zr_cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of each query row's k nearest references.
+
+    `zr_cols` holds the reference rows as columns (features x references).
+    Squared differences are summed one feature at a time in column order,
+    then rooted: the sequential sum of a scalar loop, bit for bit. Rows come
+    out ordered by (distance, reference index), so ties go to the earlier
+    reference row, at the k-th place too.
+    """
+    d = np.subtract.outer(zq[:, 0], zr_cols[0])
+    d *= d
+    diff = np.empty_like(d)
+    for j in range(1, zr_cols.shape[0]):
+        np.subtract.outer(zq[:, j], zr_cols[j], out=diff)
+        diff *= diff
+        d += diff
+    del diff  # freed before the partition copies `d`
+    np.sqrt(d, out=d)
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(d <= kth)
+    vals = d[rows, cols]
+    order = np.lexsort((cols, vals, rows))
+    starts = np.searchsorted(rows, np.arange(d.shape[0]))
+    pick = order[starts[:, None] + np.arange(k)]
+    return cols[pick], vals[pick]
 
 
 def tanimoto(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,9 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from causal_al import cli
+from causal_al import cli, intervene
 from causal_al.cli import run_cli
 
 # sized so every GMM-derived subset stays well above m_per_iter * n_iter rows
@@ -165,3 +167,24 @@ def test_manifest_records_inputs_and_params(tmp_path):
     assert "input = features.csv sha256=" in text
     assert "param n_components = 3" in text
     assert "duration_s = " in text
+
+
+def test_report_takes_goal_from_plans_not_config(tmp_path):
+    work = tmp_path / "w"
+    run_pipeline(work, seed=3)
+    assert "goal = 3.0" in (work / "pipeline.cfg").read_text()
+    outputs = ("report_summary.txt", "report_values.csv", "report_pairs.csv")
+    before = {name: (work / name).read_bytes() for name in outputs}
+    assert run_cli(["report", "-c", str(work / "pipeline.cfg"), "--set", "goal=1.0"]) == 0
+    assert {p.target_goal for p in intervene.load_plans(work / "plans.csv")} == {3.0}
+    assert (work / "report_summary.txt").read_text().startswith("threshold = 3\n")
+    for name in outputs:
+        assert (work / name).read_bytes() == before[name], name
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, causal_al.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -148,3 +148,34 @@ def test_labels_round_trip(tmp_path):
     p = tmp_path / "subsets.csv"
     cluster.write_labels(p, ("a", "b", "c"), [0, 2, 1])
     assert cluster.read_labels(p) == {"a": 0, "b": 2, "c": 1}
+
+
+def test_logsumexp_bit_identical_to_scipy():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(0)
+    plain = rng.normal(scale=30.0, size=(200, 5))
+    tied = rng.normal(size=(60, 4))
+    tied[:, 2] = tied.max(axis=1)  # two maxima per row
+    tied[:10] = 1.5                # every entry a maximum
+    with_inf = rng.normal(size=(60, 6))
+    with_inf[rng.random(with_inf.shape) < 0.4] = -np.inf
+    with_inf[0] = -np.inf          # nothing but -inf
+    for a in (plain, tied, with_inf):
+        for axis in (1, 0):
+            got = cluster.logsumexp(a, axis=axis)
+            assert got.tobytes() == special.logsumexp(a, axis=axis).tobytes()
+
+
+def test_fixed_fit_log_likelihood_trajectory_unchanged():
+    # recorded from the same fit with scipy.special.logsumexp
+    rng = np.random.default_rng(5)
+    mix = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
+    x = np.concatenate([rng.normal(m, 1.0, (80, 3)) for m in (-3.0, 0.0, 4.0)]) @ mix
+    model = fit_gmm(make_table(x, ("a", "b", "c")), ("a", "b", "c"),
+                    n_components=3, seed=2, max_iter=12)
+    assert [v.hex() for v in model.log_likelihoods] == [
+        "-0x1.f883b3b0c014bp+8", "-0x1.bbd99414bb0b8p+8", "-0x1.b6641d053a620p+8",
+        "-0x1.b3e66855014b2p+8", "-0x1.b2a585efcd7d5p+8", "-0x1.b1b95d9401790p+8",
+        "-0x1.b0a288c83829ap+8", "-0x1.aee73f28ad6b9p+8", "-0x1.ab99cf193b99bp+8",
+        "-0x1.a43febe1ba9e2p+8", "-0x1.92be7ef9a628ep+8", "-0x1.81e41d885152dp+8",
+    ]

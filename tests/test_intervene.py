@@ -326,8 +326,9 @@ def test_plans_round_trip(tmp_path):
     plans = plan_interventions(table, dag, goal_value=3.0)
     p = tmp_path / "plans.csv"
     intervene.save_plans(p, plans)
-    loaded = intervene.load_plans(p, goal_value=3.0)
+    loaded = intervene.load_plans(p)
     assert loaded[0].row_id == plans[0].row_id
+    assert loaded[0].target_goal == 3.0
     assert loaded[0].chosen_feature == "x"
     assert loaded[0].intervened_value == plans[0].intervened_value
     assert loaded[0].effect == pytest.approx(plans[0].effect, abs=1e-9)

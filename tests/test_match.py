@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,110 @@ def test_tie_breaks_toward_earlier_reference_row():
     res = nearest_in_reference(q, dup, k=2)[0]
     assert res.neighbor_ids == ("ref0", "ref1")
     assert res.distances[0] == res.distances[1]
+
+
+def sequential_distances(q, r):
+    """Scalar reference: per row pair, sqrt of a left-to-right sum of squares.
+
+    Normalization mirrors the implementation (query-population statistics).
+    """
+    mean = q.values.mean(axis=0)
+    std = q.values.std(axis=0, ddof=1)
+    zq = ((q.values - mean) / std).tolist()
+    zr = ((r.values - mean) / std).tolist()
+    out = []
+    for a in zq:
+        row = []
+        for b in zr:
+            total = 0.0
+            for x, y in zip(a, b):
+                diff = x - y
+                total += diff * diff
+            row.append(math.sqrt(total))
+        out.append(row)
+    return out
+
+
+def duplicated_world(seed=4, n_q=9, n_base=30, d=12):
+    """Random rows plus exact copies of reference rows 3 and 8, so distances tie."""
+    rng = np.random.default_rng(seed)
+    names = tuple(f"f{j}" for j in range(d))
+    base = rng.normal(size=(n_base, d))
+    ref_vals = np.vstack([base, base[[3, 8, 3]]])
+    q_vals = np.vstack([base[[3, 8]], rng.normal(size=(n_q - 2, d))])
+    return make_table(q_vals, names, prefix="q"), make_table(ref_vals, names, prefix="ref")
+
+
+def test_knn_distances_bit_equal_to_sequential_sum():
+    # 12 features: a pairwise (numpy `sum`) reduction would round differently
+    q, r = duplicated_world()
+    results = nearest_in_reference(q, r, k=6)
+    for res, dists in zip(results, sequential_distances(q, r)):
+        ranked = sorted(range(len(dists)), key=lambda j: (dists[j], j))[:6]
+        assert res.neighbor_ids == tuple(f"ref{j}" for j in ranked)
+        assert res.distances == tuple(dists[j] for j in ranked)
+    # query 0 copies reference row 3, which rows 30 and 32 duplicate
+    assert results[0].neighbor_ids[:3] == ("ref3", "ref30", "ref32")
+    assert results[0].distances[:3] == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("block", [1, 2 * 33, 1 << 40])  # 33 reference rows
+def test_knn_invariant_to_block_size(monkeypatch, block):
+    q, r = duplicated_world()
+    want = nearest_in_reference(q, r, k=5)
+    monkeypatch.setattr(match, "_BLOCK_DISTANCES", block)
+    assert nearest_in_reference(q, r, k=5) == want
+
+
+@pytest.mark.parametrize("block", [None, 7, 14])
+def test_duplicate_rows_tie_across_block_edges_and_at_kth_place(monkeypatch, block):
+    # ref0/ref4 sit on the query, ref1/ref3/ref5 share the next distance;
+    # with one or two query rows per block the copies of [0, 0] land in
+    # different blocks and k=3 cuts the second tie group after its first row
+    if block is not None:
+        monkeypatch.setattr(match, "_BLOCK_DISTANCES", block)
+    ref = make_table(
+        [[0, 0], [1, 0], [5, 5], [1, 0], [0, 0], [1, 0], [9, 1]], ("a", "b"), prefix="ref")
+    q = make_table([[0, 0], [9, 1], [0, 0], [9, 1], [0, 0]], ("a", "b"), prefix="q")
+    results = nearest_in_reference(q, ref, k=3)
+    for res in results[0::2]:
+        assert res.neighbor_ids == ("ref0", "ref4", "ref1")
+        assert res.distances[:2] == (0.0, 0.0)
+        assert res.distances[2] == results[0].distances[2] > 0.0
+    assert results[1].neighbor_ids == results[3].neighbor_ids
+    assert results[1].distances == results[3].distances
+    four = nearest_in_reference(q, ref, k=4)[0]
+    assert four.neighbor_ids == ("ref0", "ref4", "ref1", "ref3")
+
+
+@pytest.mark.parametrize("k", [33, 34, 100])
+def test_k_at_or_above_reference_size_ranks_every_row(k):
+    q, r = duplicated_world()
+    for res, dists in zip(nearest_in_reference(q, r, k=k), sequential_distances(q, r)):
+        ranked = sorted(range(r.n_rows), key=lambda j: (dists[j], j))
+        assert res.neighbor_ids == tuple(f"ref{j}" for j in ranked)
+
+
+def test_knn_jobs_do_not_change_results(monkeypatch):
+    monkeypatch.setattr(match, "_BLOCK_DISTANCES", 2 * 33)  # two query rows per block
+    q, r = duplicated_world()
+    assert nearest_in_reference(q, r, k=4, jobs=2) == nearest_in_reference(q, r, k=4, jobs=1)
+
+
+def test_knn_peak_memory_bounded_at_reference_scale():
+    rng = np.random.default_rng(11)
+    names = tuple(f"f{j}" for j in range(9))
+    q = make_table(rng.normal(size=(1000, 9)), names, prefix="q")
+    r = make_table(rng.normal(size=(20_000, 9)), names, prefix="ref")
+    tracemalloc.start()
+    try:
+        results = nearest_in_reference(q, r, k=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 1000
+    # the full 1000 x 20 000 float64 distance matrix alone would be 153 MiB
+    assert peak < 40 * 2**20
 
 
 # ---------------------------------------------------------------------------
