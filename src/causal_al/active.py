@@ -95,13 +95,16 @@ def _run(
         for f in features:
             if f not in sub.feature_names:
                 raise MissingColumn(f"feature {f!r} missing from subset {k}")
-        if sub.n_rows < m * n_iter:
-            raise InsufficientData(
-                f"subset {k} has {sub.n_rows} rows, needs at least {m * n_iter}"
-            )
     all_ids = [rid for sub in subsets for rid in sub.row_ids]
     if len(set(all_ids)) != len(all_ids):
         raise DuplicateRowId("row ids must be unique across subsets")
+    # Each iteration takes m rows from one subset that still holds m, so some
+    # subset is eligible at every iteration exactly when this many batches exist.
+    batches = sum(sub.n_rows // m for sub in subsets)
+    if batches < n_iter:
+        raise InsufficientData(
+            f"subsets hold {batches} batches of {m} rows, {n_iter} iterations need {n_iter}"
+        )
 
     n_subsets = len(subsets)
     t_idx = features.index(target)
@@ -114,13 +117,17 @@ def _run(
     records: list[IterationRecord] = []
 
     for it in range(n_iter):
-        picks = []
-        for k in range(n_subsets):
+        # a subset whose pool holds fewer than m rows is not sampled and scores +inf
+        eligible = [k for k in range(n_subsets) if pools[k].size >= m]
+        picks = {}
+        for k in eligible:
             rng = _substream(seed, it, k)
             sel = rng.choice(pools[k].size, size=m, replace=False)
-            picks.append(pools[k][np.sort(sel)])
+            picks[k] = pools[k][np.sort(sel)]
 
         def evaluate(k: int) -> float:
+            if k not in picks:
+                return float("inf")
             rows = np.vstack([acc_rows, mats[k][picks[k]]])
             try:
                 _check_fit_rows(rows, features)
@@ -131,9 +138,11 @@ def _run(
 
         losses = tuple(parallel_map(evaluate, range(n_subsets), jobs=jobs))
         if mode == "active":
-            chosen = int(np.argmin(losses))  # first minimum = lowest index
+            # first minimum = lowest index
+            chosen = eligible[int(np.argmin([losses[k] for k in eligible]))]
         else:
-            chosen = int(_substream(seed, it, n_subsets).integers(n_subsets))
+            # with every subset eligible this is integers(n_subsets), as before
+            chosen = eligible[int(_substream(seed, it, n_subsets).integers(len(eligible)))]
 
         acc_rows = np.vstack([acc_rows, mats[chosen][picks[chosen]]])
         acc_ids.extend(ids[chosen][i] for i in picks[chosen])
@@ -197,6 +206,20 @@ def random_baseline(
         subsets, global_graph, target, features, m, n_iter, seed,
         prune_threshold, top_n, destandardize, jobs, mode="random",
     )
+
+
+def exhausted_candidates(run: ActiveLearningRun, subset_sizes) -> int:
+    """Candidate slots skipped because the subset's pool held fewer than M rows.
+
+    Replays the pool sizes from the committed choices, so it also works on a
+    run read back from its CSV, where such a slot shows only as loss +inf.
+    """
+    sizes = list(subset_sizes)
+    skipped = 0
+    for rec in run.records:
+        skipped += sum(size < run.m_per_iter for size in sizes)
+        sizes[rec.chosen] -= run.m_per_iter
+    return skipped
 
 
 def summarize_runs(runs) -> tuple[np.ndarray, np.ndarray]:

@@ -156,12 +156,16 @@ class Config:
         return self.int(key) if self.values[key] else None
 
 
-def _write_manifest(outdir: Path, stage: str, inputs, params: dict, seed: int, t0: float) -> None:
+def _write_manifest(
+    outdir: Path, stage: str, inputs, params: dict, seed: int, t0: float, counts=None
+) -> None:
     lines = [f"stage = {stage}"]
     for p in inputs:
         lines.append(f"input = {Path(p).name} sha256={file_sha256(p)}")
     for k in sorted(params):
         lines.append(f"param {k} = {params[k]}")
+    for k in sorted(counts or {}):
+        lines.append(f"count {k} = {counts[k]}")
     lines.append(f"seed = {seed}")
     lines.append(f"duration_s = {time.monotonic() - t0:.3f}")
     (outdir / f"{stage}.manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -326,11 +330,17 @@ def cmd_active_learn(cfg: Config) -> None:
         fh.write("subset,count\n")
         for k, c in enumerate(counts):
             fh.write(f"{k},{c}\n")
+    sizes = [sub.n_rows for sub in subsets]
     _write_manifest(
         outdir, "active_learn",
         [cfg.existing_path("features"), outdir / "subsets.csv", outdir / "global_graph.csv"],
         {**{k: v for k, v in params.items() if v is not None}, "n_realizations": n_real},
         seed, t0,
+        counts={
+            "exhausted_candidates": sum(
+                active.exhausted_candidates(run, sizes) for run in active_runs + random_runs
+            ),
+        },
     )
 
 

@@ -169,6 +169,12 @@ class PcaProjection:
     coordinates: np.ndarray          # rows x n_components
 
 
+# Smallest kept Gram eigenvalue, relative to the largest, that may be divided
+# by: below it the components' orthonormality error (about eps / ratio)
+# would exceed about 1e-8, so the covariance is decomposed instead.
+_GRAM_RANK_TOL = 1e-8
+
+
 def _as_matrix(data) -> np.ndarray:
     if isinstance(data, FeatureTable):
         return data.values.astype(np.float64)
@@ -178,10 +184,14 @@ def _as_matrix(data) -> np.ndarray:
 
 
 def pca_project(data, n_components: int = 2) -> PcaProjection:
-    """Covariance-eigendecomposition PCA with a deterministic sign convention.
+    """Eigendecomposition PCA with a deterministic sign convention.
 
-    Each component's largest-magnitude loading is made positive, so the
-    projection is reproducible and invariant to row order.
+    With fewer rows than columns the n x n Gram matrix of the centred rows
+    is decomposed instead of the d x d covariance: it has the same non-zero
+    eigenvalues (times n - 1), and component v = xc.T u / sqrt(eigenvalue).
+    If a kept eigenvalue is too small for that division, the covariance is
+    decomposed after all. Each component's largest-magnitude loading is made
+    positive, so the projection is reproducible and invariant to row order.
     """
     x = _as_matrix(data)
     n, d = x.shape
@@ -191,17 +201,26 @@ def pca_project(data, n_components: int = 2) -> PcaProjection:
         raise InsufficientData(f"{n} rows cannot support {n_components} components")
     center = x.mean(axis=0)
     xc = x - center
-    cov = xc.T @ xc / (n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:n_components]
-    comps = eigvecs[:, order].T.copy()
+    variances = None
+    if n < d:
+        gram_vals, u = np.linalg.eigh(xc @ xc.T)
+        order = np.argsort(gram_vals)[::-1][:n_components]
+        lam = gram_vals[order]
+        if lam[-1] > _GRAM_RANK_TOL * lam[0]:
+            variances = lam / (n - 1)
+            comps = (xc.T @ (u[:, order] / np.sqrt(lam))).T
+    if variances is None:
+        eigvals, eigvecs = np.linalg.eigh(xc.T @ xc / (n - 1))
+        order = np.argsort(eigvals)[::-1][:n_components]
+        variances = eigvals[order]
+        comps = eigvecs[:, order].T.copy()
     for i in range(comps.shape[0]):
         j = int(np.argmax(np.abs(comps[i])))
         if comps[i, j] < 0:
             comps[i] = -comps[i]
     return PcaProjection(
         components=comps,
-        explained_variances=np.maximum(eigvals[order], 0.0),
+        explained_variances=np.maximum(variances, 0.0),
         coordinates=xc @ comps.T,
     )
 

@@ -41,59 +41,81 @@ class ForestModel:
     seed: int
 
 
-def _build_tree(x, y, depth, max_depth, min_leaf, mtry, rng):
-    node = _TreeNode()
-    n = y.size
-    if depth >= max_depth or n < 2 * min_leaf or np.all(y == y[0]):
-        node.value = float(y.mean())
-        return node
+def _build_tree(x, y, max_depth, min_leaf, mtry, rng) -> _TreeNode:
+    """Grow one CART tree on the bootstrap rows `x`, `y`.
 
-    d = x.shape[1]
-    feat_ids = np.sort(rng.choice(d, size=mtry, replace=False))
-    total = y.sum()
-    total_sq = float((y * y).sum())
-    parent_sse = total_sq - total * total / n
-
-    best_gain = 0.0
-    best_feat = -1
-    best_thr = 0.0
-    for f in feat_ids:
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        ys = y[order]
-        cs = np.cumsum(ys)
-        cs_sq = np.cumsum(ys * ys)
-        vals = col[order]
-        # split after position i (1-based count); only where the value changes
-        cut = np.flatnonzero(vals[:-1] < vals[1:]) + 1
-        cut = cut[(cut >= min_leaf) & (n - cut >= min_leaf)]
-        if cut.size == 0:
+    Each feature is argsorted once, stably, so tied values keep bootstrap
+    order; a split partitions those orders and the node's row list with
+    one boolean gather each instead of sorting again (SLIQ presorting).
+    Nodes are built depth-first from an explicit stack, left child first,
+    so `rng` draws each node's candidate features in the same preorder as
+    a recursive builder and the trees are the same bit for bit.
+    """
+    xt = np.ascontiguousarray(x.T)
+    d, n = xt.shape
+    lo = max(min_leaf, 1)  # smallest child a cut may leave
+    counts = np.arange(n + 1, dtype=np.float64)
+    root = _TreeNode()
+    grows = max_depth > 0 and n >= 2 * min_leaf
+    order = np.argsort(xt, axis=1, kind="stable") if grows else None
+    # (node, its rows in bootstrap order, per-feature sorted rows or None at a leaf, depth)
+    stack = [(root, np.arange(n), order, 0)]
+    while stack:
+        node, rows, order, depth = stack.pop()
+        ys = y[rows]
+        m = ys.size
+        total = ys.sum()
+        node.value = float(total / m)  # bit-equal to ys.mean()
+        if order is None or (ys == ys[0]).all():
             continue
-        left_n = cut.astype(np.float64)
-        left_sum = cs[cut - 1]
-        left_sq = cs_sq[cut - 1]
-        right_n = n - left_n
+
+        feats = rng.choice(d, size=mtry, replace=False)
+        feats.sort()
+        hi = m - lo  # >= lo, because m >= 2 * min_leaf and m >= 2
+        total_sq = float((ys * ys).sum())
+        parent_sse = total_sq - total * total / m
+        # all candidate features at once: row r is feature feats[r], sorted
+        k = feats.size
+        idx = order.take(feats, axis=0)
+        vk = xt[feats[:, None], idx]
+        yk = np.empty((2 * k, m))  # sorted y, then its squares
+        y.take(idx, out=yk[:k])
+        np.multiply(yk[:k], yk[:k], out=yk[k:])
+        cum = yk.cumsum(axis=1)[:, lo - 1 : hi]  # row-wise, so sequential as in 1-D
+        left_sum, left_sq = cum[:k], cum[k:]
+        left_n = counts[lo : hi + 1]
+        right_n = counts[hi : lo - 1 : -1]  # m - left_n
         right_sum = total - left_sum
         right_sq = total_sq - left_sq
         sse = (left_sq - left_sum**2 / left_n) + (right_sq - right_sum**2 / right_n)
         gains = parent_sse - sse
-        j = int(np.argmax(gains))
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            best_feat = int(f)
-            best_thr = float(0.5 * (vals[cut[j] - 1] + vals[cut[j]]))
+        # a cut after position c is a split only where the value changes there
+        gains[~(vk[:, lo - 1 : hi] < vk[:, lo : hi + 1])] = -np.inf
+        cuts = gains.argmax(axis=1).tolist()
+        best, best_gain = -1, 0.0
+        for r, j in enumerate(cuts):
+            if gains[r, j] > best_gain:
+                best, best_gain = r, gains[r, j]
+        if best < 0:
+            continue
 
-    if best_feat < 0:
-        node.value = float(y.mean())
-        return node
-
-    mask = x[:, best_feat] <= best_thr
-    node.feature = best_feat
-    node.threshold = best_thr
-    node.left = _build_tree(x[mask], y[mask], depth + 1, max_depth, min_leaf, mtry, rng)
-    node.right = _build_tree(x[~mask], y[~mask], depth + 1, max_depth, min_leaf, mtry, rng)
-    node.value = float(y.mean())
-    return node
+        c = lo + cuts[best]
+        node.feature = int(feats[best])
+        node.threshold = float(0.5 * (vk[best, c - 1] + vk[best, c]))
+        col = xt[node.feature]
+        go_left = col[rows] <= node.threshold
+        in_left = col[order] <= node.threshold
+        node.left, node.right = _TreeNode(), _TreeNode()
+        # right pushed first, so the whole left subtree is built (and draws) first
+        for child, rows_sel, order_sel in (
+            (node.right, ~go_left, ~in_left),
+            (node.left, go_left, in_left),
+        ):
+            child_rows = rows[rows_sel]
+            grows = depth + 1 < max_depth and child_rows.size >= 2 * min_leaf
+            child_order = order[order_sel].reshape(d, -1) if grows else None
+            stack.append((child, child_rows, child_order, depth + 1))
+    return root
 
 
 def _predict_tree(node: _TreeNode, x: np.ndarray) -> np.ndarray:
@@ -140,7 +162,7 @@ def fit_forest(
     def one_tree(ss) -> _TreeNode:
         rng = np.random.default_rng(ss)
         boot = rng.integers(0, n, size=n)
-        return _build_tree(x[boot], y[boot], 0, max_depth, min_leaf, mtry, rng)
+        return _build_tree(x[boot], y[boot], max_depth, min_leaf, mtry, rng)
 
     trees = tuple(parallel_map(one_tree, seeds, jobs=jobs))
     return ForestModel(

@@ -47,9 +47,42 @@ def test_m_zero_rejected():
 
 
 def test_insufficient_subset_rows():
+    # three subsets of 50 rows hold three batches of 30; a fourth iteration has none
     subsets, _, dag = small_world(n_rows=50)
     with pytest.raises(InsufficientData):
-        active_learn(subsets, dag, "y", m=30, n_iter=3, seed=0)
+        active_learn(subsets, dag, "y", m=30, n_iter=4, seed=0)
+
+
+@pytest.mark.parametrize("loop", [active_learn, random_baseline])
+def test_exhausted_subsets_become_ineligible(loop):
+    # each subset holds one batch of 30, so each is committed exactly once
+    subsets, _, dag = small_world(n_rows=50)
+    run = loop(subsets, dag, "y", m=30, n_iter=3, seed=0)
+    assert sorted(rec.chosen for rec in run.records) == [0, 1, 2]
+    for rec in run.records:
+        assert np.isfinite(rec.loss)
+        assert sum(np.isinf(rec.losses)) == rec.iteration  # the ones already taken
+    assert len(set(run.selected_row_ids)) == 90
+    assert active.exhausted_candidates(run, [50, 50, 50]) == 0 + 1 + 2
+
+
+@pytest.mark.parametrize("loop", [active_learn, random_baseline])
+def test_subset_smaller_than_m_is_never_sampled(loop):
+    subsets, _, dag = small_world()
+    subsets[0] = subsets[0].select_rows(range(10))
+    run = loop(subsets, dag, "y", m=20, n_iter=4, seed=3)
+    assert all(rec.losses[0] == float("inf") and rec.chosen != 0 for rec in run.records)
+    assert active.exhausted_candidates(run, [10, 400, 400]) == 4
+
+
+CHOSEN_RANDOM_SEED_11 = [1, 0, 2, 2, 0, 0, 1, 1]
+
+
+def test_random_choices_unchanged_when_every_subset_is_eligible():
+    # recorded before subsets could become ineligible: the draw must not move
+    subsets, _, dag = small_world()
+    run = random_baseline(subsets, dag, "y", m=20, n_iter=8, seed=11)
+    assert [rec.chosen for rec in run.records] == CHOSEN_RANDOM_SEED_11
 
 
 def test_missing_feature():

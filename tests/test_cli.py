@@ -1,6 +1,8 @@
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +67,25 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out.strip()
     assert float(printed) >= 0.0
+
+
+def readme_quick_start():
+    """The `causal-al ...` lines of the README's quick-start block, as argv lists."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("causal-al ")]
+
+
+def test_readme_quick_start_runs_at_defaults(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CAUSAL_AL_SEED", raising=False)
+    commands = readme_quick_start()
+    assert [argv[0] for argv in commands] == ["synth", *PIPELINE, "graph-dist"]
+    for argv in commands:
+        assert run_cli(argv) == 0, f"{argv[0]} failed"
+    manifest = (tmp_path / "work" / "active_learn.manifest").read_text(encoding="utf-8")
+    assert "count exhausted_candidates = " in manifest
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -332,6 +332,45 @@ def test_pca_fingerprints_as_reals():
     assert proj.coordinates.shape == (30, 2)
 
 
+def test_pca_fewer_rows_than_columns_matches_covariance():
+    # n < d takes the Gram-matrix path; the oracle decomposes the d x d covariance
+    rng = np.random.default_rng(8)
+    x = (rng.random((40, 120)) < 0.3).astype(np.float64)
+    proj = pca_project(x, n_components=3)
+    xc = x - x.mean(axis=0)
+    vals, vecs = np.linalg.eigh(xc.T @ xc / 39)
+    order = np.argsort(vals)[::-1][:3]
+    for i, k in enumerate(order):
+        assert abs(vecs[:, k] @ proj.components[i]) == pytest.approx(1.0, abs=1e-10)
+        assert proj.explained_variances[i] == pytest.approx(vals[k], rel=1e-12)
+    assert np.allclose(proj.components @ proj.components.T, np.eye(3), atol=1e-12)
+    assert np.allclose(proj.coordinates, xc @ proj.components.T, atol=1e-12)
+    perm = rng.permutation(40)
+    again = pca_project(x[perm], n_components=3)
+    assert np.allclose(again.components, proj.components, atol=1e-10)
+
+
+def test_pca_two_distinct_rows_rank_deficient():
+    bits = np.zeros((2, 16))
+    bits[0, [1, 4, 9]] = 1.0
+    bits[1, [4, 12]] = 1.0
+    proj = pca_project(FingerprintTable(("a", "b"), bits.astype(np.uint8)), n_components=2)
+    assert np.allclose(proj.components @ proj.components.T, np.eye(2), atol=1e-12)
+    diff = bits[0] - bits[1]
+    assert proj.explained_variances[0] == pytest.approx(diff @ diff / 2, rel=1e-12)
+    assert proj.explained_variances[1] == pytest.approx(0.0, abs=1e-12)
+    assert abs(proj.components[0] @ diff) == pytest.approx(np.linalg.norm(diff), rel=1e-12)
+    assert np.allclose(proj.coordinates[:, 1], 0.0, atol=1e-12)
+
+
+def test_pca_identical_rows_wider_than_tall():
+    proj = pca_project(np.ones((3, 8)), n_components=2)
+    assert np.all(np.isfinite(proj.components))
+    assert np.allclose(proj.components @ proj.components.T, np.eye(2), atol=1e-12)
+    assert np.array_equal(proj.explained_variances, np.zeros(2))
+    assert np.array_equal(proj.coordinates, np.zeros((3, 2)))
+
+
 def test_pca_too_few_rows():
     with pytest.raises(InsufficientData):
         pca_project(np.ones((1, 3)))

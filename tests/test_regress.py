@@ -112,3 +112,165 @@ def test_accuracy_trace_lengths_and_reference():
     assert len(trace) == 3
     # final snapshot is the whole pool, so it matches the all-data reference
     assert trace[-1] == pytest.approx(reference, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# presorted builder vs the recursive per-node-sorting CART it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_build_tree(x, y, depth, max_depth, min_leaf, mtry, rng):
+    """Frozen recursive builder: argsorts every candidate feature at every node."""
+    node = regress._TreeNode()
+    n = y.size
+    if depth >= max_depth or n < 2 * min_leaf or np.all(y == y[0]):
+        node.value = float(y.mean())
+        return node
+
+    d = x.shape[1]
+    feat_ids = np.sort(rng.choice(d, size=mtry, replace=False))
+    total = y.sum()
+    total_sq = float((y * y).sum())
+    parent_sse = total_sq - total * total / n
+
+    best_gain = 0.0
+    best_feat = -1
+    best_thr = 0.0
+    for f in feat_ids:
+        col = x[:, f]
+        order = np.argsort(col, kind="stable")
+        ys = y[order]
+        cs = np.cumsum(ys)
+        cs_sq = np.cumsum(ys * ys)
+        vals = col[order]
+        cut = np.flatnonzero(vals[:-1] < vals[1:]) + 1
+        cut = cut[(cut >= min_leaf) & (n - cut >= min_leaf)]
+        if cut.size == 0:
+            continue
+        left_n = cut.astype(np.float64)
+        left_sum = cs[cut - 1]
+        left_sq = cs_sq[cut - 1]
+        right_n = n - left_n
+        right_sum = total - left_sum
+        right_sq = total_sq - left_sq
+        sse = (left_sq - left_sum**2 / left_n) + (right_sq - right_sum**2 / right_n)
+        gains = parent_sse - sse
+        j = int(np.argmax(gains))
+        if gains[j] > best_gain:
+            best_gain = float(gains[j])
+            best_feat = int(f)
+            best_thr = float(0.5 * (vals[cut[j] - 1] + vals[cut[j]]))
+
+    if best_feat < 0:
+        node.value = float(y.mean())
+        return node
+
+    mask = x[:, best_feat] <= best_thr
+    node.feature = best_feat
+    node.threshold = best_thr
+    args = (depth + 1, max_depth, min_leaf, mtry, rng)
+    node.left = _reference_build_tree(x[mask], y[mask], *args)
+    node.right = _reference_build_tree(x[~mask], y[~mask], *args)
+    node.value = float(y.mean())
+    return node
+
+
+def _preorder(node):
+    """(feature, threshold, value) of every node, parent first, left subtree first."""
+    out, stack = [], [node]
+    while stack:
+        nd = stack.pop()
+        out.append((nd.feature, nd.threshold, nd.value))
+        if nd.feature >= 0:
+            stack += [nd.right, nd.left]
+    return out
+
+
+def assert_same_tree(x, y, max_depth, min_leaf, mtry, seed):
+    expected = _reference_build_tree(
+        x, y, 0, max_depth, min_leaf, mtry, np.random.default_rng(seed))
+    got = regress._build_tree(x, y, max_depth, min_leaf, mtry, np.random.default_rng(seed))
+    assert _preorder(got) == _preorder(expected)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (7, 3), (60, 2), (250, 9), (1000, 9)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_builder_matches_reference_on_continuous_data(n, d, seed):
+    rng = np.random.default_rng(100 * n + seed)
+    x = rng.normal(size=(n, d))
+    y = x @ rng.normal(size=d) + rng.normal(size=n)
+    mtry = max(1, int(np.sqrt(d)))
+    assert_same_tree(x, y, 10, 2, mtry, seed)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_builder_matches_reference_on_heavy_ties(seed):
+    # few distinct values, duplicated columns and a small y alphabet: many
+    # equal gains, so tie order and the strict gain comparison both matter
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 300))
+    base = rng.integers(0, 4, size=(n, 3)).astype(np.float64)
+    x = np.column_stack([base, base[:, ::-1], rng.integers(0, 2, size=n)])
+    y = rng.integers(0, 3, size=n).astype(np.float64) + base[:, 0]
+    assert_same_tree(x, y, 12, int(rng.integers(1, 4)), int(rng.integers(1, 8)), seed)
+
+
+def test_builder_matches_reference_on_constant_columns_and_target():
+    rng = np.random.default_rng(7)
+    x = np.column_stack([np.full(80, 2.5), rng.normal(size=80), np.zeros(80)])
+    y = x[:, 1] ** 2
+    for mtry in (1, 2, 3):
+        assert_same_tree(x, y, 8, 2, mtry, mtry)
+    flat = regress._build_tree(x, np.full(80, 4.0), 8, 2, 3, np.random.default_rng(0))
+    assert _preorder(flat) == [(-1, 0.0, 4.0)]
+    # only constant columns: the node draws its features but has no cut
+    only_const = x[:, [0, 2]]
+    assert_same_tree(only_const, y, 8, 2, 2, 0)
+
+
+@pytest.mark.parametrize("max_depth", [0, 1, 2])
+@pytest.mark.parametrize("mtry", [1, 4])
+def test_builder_matches_reference_at_small_depths(max_depth, mtry):
+    rng = np.random.default_rng(max_depth)
+    x = rng.normal(size=(90, 4))
+    y = x[:, 0] - 2 * x[:, 3] + 0.1 * rng.normal(size=90)
+    assert_same_tree(x, y, max_depth, 2, mtry, 5)
+    if max_depth == 0:
+        root = regress._build_tree(x, y, 0, 2, mtry, np.random.default_rng(5))
+        assert root.feature == -1 and root.value == float(y.mean())
+
+
+@pytest.mark.parametrize("min_leaf", [1, 3, 5])
+def test_builder_matches_reference_when_node_is_twice_min_leaf(min_leaf):
+    # m = 2 * min_leaf leaves exactly one admissible cut position
+    rng = np.random.default_rng(min_leaf)
+    for seed in range(5):
+        x = rng.normal(size=(2 * min_leaf, 3))
+        y = rng.normal(size=2 * min_leaf)
+        assert_same_tree(x, y, 5, min_leaf, 2, seed)
+    x = rng.normal(size=(40 * min_leaf, 3))
+    assert_same_tree(x, x[:, 0] + rng.normal(size=x.shape[0]), 10, min_leaf, 2, 9)
+
+
+def test_fit_forest_trees_match_reference_builder():
+    # bootstrap first, then one feature draw per splitting node, per tree stream
+    table = line_table(n=150, noise=0.5, seed=21)
+    rng = np.random.default_rng(4)
+    extra = rng.integers(0, 5, size=(150, 3)).astype(np.float64)
+    values = np.column_stack([table.values, extra])
+    table = make_table(values, ("x", "y", "a", "b", "c"), target_names=("y",))
+    features = ("x", "a", "b", "c")
+    model = fit_forest(table, features, "y", n_trees=6, max_depth=7, min_leaf=2, seed=13)
+    x, y = table.matrix(features), table.column("y")
+    for tree, ss in zip(model.trees, np.random.SeedSequence(13).spawn(6)):
+        tree_rng = np.random.default_rng(ss)
+        boot = tree_rng.integers(0, 150, size=150)
+        expected = _reference_build_tree(x[boot], y[boot], 0, 7, 2, 2, tree_rng)
+        assert _preorder(tree) == _preorder(expected)
+
+
+def test_jobs_do_not_change_trees():
+    table = line_table(n=300, noise=0.5, seed=6)
+    one = fit_forest(table, ("x",), "y", n_trees=8, max_depth=6, seed=2, jobs=1)
+    two = fit_forest(table, ("x",), "y", n_trees=8, max_depth=6, seed=2, jobs=2)
+    assert [_preorder(t) for t in one.trees] == [_preorder(t) for t in two.trees]
