@@ -217,6 +217,10 @@ def cmd_cluster(cfg: Config) -> None:
         [cfg.existing_path("features"), cfg.existing_path("schema")],
         {"pivot_features": ",".join(pivots), "n_components": cfg.int("n_components")},
         seed, t0,
+        counts={
+            "em_iterations": len(model.log_likelihoods),
+            "em_converged": int(cluster.em_converged(model)),
+        },
     )
 
 

@@ -25,6 +25,7 @@ from .errors import (
 from .util import fmt
 
 COVARIANCE_FLOOR = 1e-6
+DEFAULT_TOL = 1e-6  # EM stops once the summed log-likelihood gains less
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def fit_gmm(
     n_components: int = 3,
     seed: int = 0,
     max_iter: int = 200,
-    tol: float = 1e-6,
+    tol: float = DEFAULT_TOL,
 ) -> GmmModel:
     """Fit a full-covariance mixture by EM on standardized pivot columns.
 
@@ -165,6 +166,17 @@ def fit_gmm(
         seed=seed,
         log_likelihoods=tuple(trajectory),
     )
+
+
+def em_converged(model: GmmModel, tol: float = DEFAULT_TOL) -> bool:
+    """Whether EM stopped on `tol` rather than at `max_iter`.
+
+    `fit_gmm` stops after the first iteration whose log-likelihood gain
+    over the one before is below `tol`, so the last two entries of the
+    recorded trajectory tell.
+    """
+    ll = model.log_likelihoods
+    return len(ll) >= 2 and ll[-1] - ll[-2] < tol
 
 
 def responsibilities(model: GmmModel, table: FeatureTable) -> np.ndarray:

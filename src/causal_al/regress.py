@@ -4,6 +4,9 @@ Plain CART regression trees: variance-reduction splits, midpoint
 thresholds between sorted unique values, bootstrap rows and sqrt(d)
 feature subsampling per split. Everything is seeded, so refits are
 bit-identical; trees may fit in parallel without changing results.
+The trees of a forest grow together, one node per tree per step
+(`_grow`), and are stored as flat node arrays that all rows descend
+together, one level per step (`tree_predictions`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .dataio import FeatureTable
 from .errors import ConfigError, DegenerateTarget, EmptyTable, MissingColumn
-from .util import fmt, parallel_map
+from .util import parallel_map
 
 DEFAULT_N_TREES = 100
 DEFAULT_MAX_DEPTH = 12
@@ -30,9 +33,27 @@ class _TreeNode:
     value: float = 0.0
 
 
+# Padded (candidate feature x cut position) values scored in one block; a
+# block always takes at least one node's candidates.
+_BLOCK_VALUES = 1 << 14
+
+
 @dataclass(frozen=True)
 class ForestModel:
-    trees: tuple[_TreeNode, ...]
+    """A fitted forest, its trees stored as flat node arrays.
+
+    Node i splits on column `feature[i]` of `feature_names` at
+    `threshold[i]`: rows with a value <= threshold go to `left[i]`, the
+    others to `right[i]`. A leaf has feature -1 and points to itself on
+    both sides. Tree t starts at node `roots[t]`.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
     n_trees: int
     max_depth: int
     min_leaf: int
@@ -40,99 +61,272 @@ class ForestModel:
     target: str
     seed: int
 
+    @property
+    def trees(self) -> tuple[_TreeNode, ...]:
+        """The root of each tree, as linked nodes built from the flat arrays."""
+        return _linked(self.feature, self.threshold, self.left, self.right, self.value, self.roots)
+
+
+def _linked(feature, threshold, left, right, value, roots) -> tuple[_TreeNode, ...]:
+    nodes = [
+        _TreeNode(feature=f, threshold=t, value=v)
+        for f, t, v in zip(feature.tolist(), threshold.tolist(), value.tolist())
+    ]
+    left, right = left.tolist(), right.tolist()
+    for i in np.flatnonzero(feature >= 0).tolist():
+        nodes[i].left, nodes[i].right = nodes[left[i]], nodes[right[i]]
+    return tuple(nodes[r] for r in roots.tolist())
+
+
+def _blocks(sizes, mtry):
+    """Runs (start, stop) of the nodes, widest first, scored as one block.
+
+    A node joins a block while it is wider than a quarter of the block's
+    first node and the padded block stays within `_BLOCK_VALUES`: fewer,
+    more padded blocks cost less than many small ones, up to that width.
+    """
+    i, k = 0, len(sizes)
+    while i < k:
+        w = sizes[i]
+        j = i + 1
+        while j < k and 4 * sizes[j] > w and (j - i + 1) * mtry * w <= _BLOCK_VALUES:
+            j += 1
+        yield i, j
+        i = j
+
+
+def _best_splits(pool, m, feats, total, total_sq, xt, y, boot, lo):
+    """Score every candidate cut of a block of nodes at once.
+
+    `pool` holds the nodes' (d + 1, m) blocks one after another, widest
+    first; `feats` holds their sorted candidate features and `total`,
+    `total_sq` their 1-D sums of y and y * y. Row r of the padded arrays
+    is candidate feats.flat[r] of node r // mtry: its y in sorted order,
+    padded with the value at position m - lo. Returns the nodes that
+    split, with their features and thresholds.
+    """
+    k, mtry = feats.shape
+    d, n = xt.shape
+    w = int(m[0])
+    m_row = m.repeat(mtry)
+    start = feats * m[:, None]  # of each candidate's sorted row in the pool
+    start += ((d + 1) * (np.cumsum(m) - m))[:, None]
+    at = np.minimum(np.arange(w), (m_row - lo)[:, None])
+    at += start.reshape(-1, 1)
+    sample = boot.take(pool.take(at).astype(np.intp))
+    yk = y.take(sample)
+    cum = yk.cumsum(axis=1)  # row-wise, so sequential as in 1-D
+    np.multiply(yk, yk, out=yk)
+    np.cumsum(yk, axis=1, out=yk)
+    cum, cum_sq = cum[:, lo - 1 : w - lo], yk[:, lo - 1 : w - lo]
+    # gain = parent_sse - ((left_sq - left_sum**2 / left_n)
+    #                      + (right_sq - right_sum**2 / right_n)), op for op
+    mf = m.astype(np.float64)
+    stats = np.array((mf, total, total_sq, total_sq - total * total / mf)).T.repeat(mtry, axis=0)
+    left_n = np.arange(lo, w - lo + 1, dtype=np.float64)
+    right_n = stats[:, :1] - left_n
+    right = stats[:, 1:2] - cum
+    np.square(right, out=right)
+    np.divide(right, right_n, out=right)
+    np.subtract(stats[:, 2:3] - cum_sq, right, out=right)
+    np.square(cum, out=cum)
+    np.divide(cum, left_n, out=cum)
+    np.subtract(cum_sq, cum, out=cum)
+    np.add(cum, right, out=cum)
+    gains = np.subtract(stats[:, 3:], cum, out=cum)
+    # a cut after position c is a split only where the value changes there;
+    # past m - lo, where the right side would be too small, it never does
+    sample += feats.reshape(-1, 1) * n
+    vk = xt.ravel().take(sample)
+    gains[vk[:, lo - 1 : w - lo] >= vk[:, lo : w - lo + 1]] = -np.inf
+    cut = gains.argmax(axis=1)
+    best = gains[np.arange(cut.size), cut].reshape(k, mtry)
+    split = (best.max(axis=1) > 0.0).nonzero()[0]
+    # the first candidate whose gain beats every earlier one, at its first best cut
+    row = split * mtry + best[split].argmax(axis=1)
+    c = lo + cut[row]
+    return split, feats.ravel()[row], 0.5 * (vk[row, c - 1] + vk[row, c])
+
+
+def _partition(pool, m, feature, threshold, xt, boot, goes_left):
+    """Split each node's block into its children's blocks, order kept.
+
+    Each node's positions in bootstrap order, the last row of its block,
+    go left or right by value; the side is written to `goes_left` per
+    position and read back for the sorted rows. Returns the left and right
+    children's sizes, positions in bootstrap order and pools.
+    """
+    d, n = xt.shape
+    ends = np.cumsum(m)
+    own = pool.take(np.arange(ends[-1]) + np.repeat(d * ends, m))
+    at = own.astype(np.intp)
+    go_own = xt.ravel().take(boot.take(at) + np.repeat(feature * n, m)) <= np.repeat(threshold, m)
+    goes_left[at] = go_own
+    go = goes_left.take(pool.astype(np.intp))
+    m_left = np.add.reduceat(go_own, ends - m, dtype=np.int64)
+    return (m_left, m - m_left, np.compress(go_own, own), np.compress(~go_own, own),
+            np.compress(go, pool), np.compress(~go, pool))
+
+
+def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
+    """Grow one CART tree per bootstrap in `boots`, all of them in lockstep.
+
+    `xt` is the (d, n) matrix of finite feature values, one row per
+    feature, and row t of `boots` lists the rows of tree t's bootstrap
+    sample. Each tree builds depth-first from its own stack, left child
+    first, and draws its candidate features from its own `rngs` entry in
+    preorder, so each tree is the one a recursive builder would grow. The
+    stacks advance together, one node per tree per step. A step scores
+    its nodes in blocks of similar size (`_best_splits`), at most
+    `_BLOCK_VALUES` padded values per block, and partitions the split
+    nodes in pools of about that many positions.
+
+    A node holds bootstrap positions (tree t's sample j is t * nb + j) as
+    one (d + 1, m) int32 block: per feature, its positions sorted stably
+    by that feature (ties in bootstrap order, sorted once at the root and
+    partitioned at each split, as in SLIQ presorting), then its positions
+    in bootstrap order. Node sums are 1-D `np.add.reduce` calls over the
+    positions in bootstrap order, and cumulative sums run along rows, so
+    every float equals the recursive builder's.
+
+    Returns flat arrays (feature, threshold, left, right, value, roots),
+    tree by tree, each tree's nodes numbered in the order they were made.
+    """
+    d, n = xt.shape
+    n_trees, nb = boots.shape
+    width = d + 1
+    lo = max(min_leaf, 1)  # smallest child a cut may leave
+    boot = boots.ravel()  # bootstrap position -> row of xt and y
+    goes_left = np.empty(boot.size, dtype=bool)  # per position, at its tree's current split
+    stacks = [[] for _ in range(n_trees)]
+    n_nodes = np.ones(n_trees, dtype=np.int64)
+    made = []    # per batch of new nodes: trees, local ids, values
+    splits = []  # per batch of split nodes: trees, local ids, features, thresholds, left ids
+
+    def open_nodes(trees, ids, depths, own, m, block):
+        """Record new nodes' values and push the ones that may split.
+
+        `own` holds each node's positions in bootstrap order, node after
+        node; `block(i, a, b)` returns the block of node i, which owns
+        own[a:b].
+        """
+        ends = np.cumsum(m)
+        starts = ends - m
+        ys = y.take(boot.take(own.astype(np.intp, copy=False)))
+        del own  # freed early: at the roots it spans every tree's sample
+        bounds = list(zip(starts.tolist(), ends.tolist()))
+        totals = np.array([np.add.reduce(ys[a:b]) for a, b in bounds])
+        made.append((trees, ids, totals / m))
+        # a node varies if y changes between two of its positions
+        changes = np.zeros(ys.size, dtype=bool)
+        np.not_equal(ys[1:], ys[:-1], out=changes[1:])
+        changes = np.cumsum(changes, dtype=np.int32)
+        varies = changes[ends - 1] > changes[np.minimum(starts, ys.size - 1)]
+        # (at least two positions, so an empty node never reads a neighbour's count)
+        grows = (depths < max_depth) & (m >= max(2 * min_leaf, 2)) & varies
+        grows = np.flatnonzero(grows).tolist()
+        if not grows:
+            return
+        sq = np.multiply(ys, ys, out=ys)
+        trees, ids, depths, totals = trees.tolist(), ids.tolist(), depths.tolist(), totals.tolist()
+        for i in grows:
+            a, b = bounds[i]
+            stacks[trees[i]].append(
+                (ids[i], depths[i], block(i, a, b), b - a, totals[i], np.add.reduce(sq[a:b])))
+
+    def open_children(parts):
+        """Partition the split nodes of `parts`; number, record and open their children."""
+        trees, ids, depths, feature, threshold, m, pool = (np.concatenate(c) for c in zip(*parts))
+        m_left, m_right, left_own, right_own, left_pool, right_pool = _partition(
+            pool, m, feature, threshold, xt, boot, goes_left)
+        del pool
+        left = n_nodes[trees]
+        n_nodes[trees] += 2
+        splits.append((trees, ids, feature, threshold, left))
+        # right children come first, so each tree pushes its right child before
+        # its left one and builds its left subtree first; right children wait
+        # on the stack, so they copy their blocks out of the pool
+        k, skip = trees.size, right_own.size
+
+        def block(i, a, b):
+            if i < k:
+                return right_pool[width * a : width * b].copy()
+            return left_pool[width * (a - skip) : width * (b - skip)]
+
+        open_nodes(np.tile(trees, 2), np.concatenate((left + 1, left)), np.tile(depths + 1, 2),
+                   np.concatenate((right_own, left_own)), np.concatenate((m_right, m_left)), block)
+
+    # each feature's dense ranks: a stable sort of a tree's ranks orders its
+    # positions as a stable sort of the values would, and small integers let
+    # it run as a radix sort
+    ranks = np.empty((d, n), dtype=np.min_scalar_type(n))
+    for f in range(d):
+        ranks[f] = np.unique(xt[f], return_inverse=True)[1]
+
+    def root(t, a, b):
+        block = np.empty((width, nb), dtype=np.int32)
+        block[:d] = np.argsort(ranks[:, boots[t]], axis=1, kind="stable")
+        block[:d] += a
+        block[d] = np.arange(a, b)
+        return block.ravel()
+
+    zeros = np.zeros(n_trees, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # padded cuts; empty children
+        open_nodes(np.arange(n_trees), zeros, zeros, np.arange(boot.size), np.full(n_trees, nb), root)
+
+        while True:
+            live = [t for t in range(n_trees) if stacks[t]]
+            if not live:
+                break
+            live.sort(key=lambda t: stacks[t][-1][3], reverse=True)  # widest node first
+            ids, depths, blocks, sizes, total, total_sq = (
+                list(c) for c in zip(*[stacks[t].pop() for t in live]))
+            feats = np.array([rngs[t].choice(d, mtry, replace=False) for t in live])
+            feats.sort(axis=1)
+            live, ids, depths, m = np.array(live), np.array(ids), np.array(depths), np.array(sizes)
+            total, total_sq = np.array(total), np.array(total_sq)
+            parts, held = [], 0
+            for i, j in _blocks(sizes, mtry):
+                pool = np.concatenate(blocks[i:j])
+                blocks[i:j] = [None] * (j - i)  # free each parent once it is pooled
+                split, feature, threshold = _best_splits(
+                    pool, m[i:j], feats[i:j], total[i:j], total_sq[i:j], xt, y, boot, lo)
+                if split.size:
+                    if split.size < j - i:
+                        keep = np.zeros(j - i, dtype=bool)
+                        keep[split] = True
+                        pool = np.compress(np.repeat(keep, width * m[i:j]), pool)
+                    at = i + split
+                    parts.append((live[at], ids[at], depths[at], feature, threshold, m[at], pool))
+                    held += pool.size
+                if parts and (held >= _BLOCK_VALUES or j == len(sizes)):
+                    open_children(parts)
+                    parts, held = [], 0
+
+    first = np.cumsum(n_nodes) - n_nodes
+    total_nodes = int(n_nodes.sum())
+    trees, ids, values = (np.concatenate(c) for c in zip(*made))
+    value = np.empty(total_nodes)
+    value[first[trees] + ids] = values
+    feature = np.full(total_nodes, -1, dtype=np.int64)
+    threshold = np.zeros(total_nodes)
+    left = np.arange(total_nodes)
+    right = np.arange(total_nodes)
+    if splits:
+        trees, ids, feats, thresholds, lefts = (np.concatenate(c) for c in zip(*splits))
+        at = first[trees] + ids
+        feature[at] = feats
+        threshold[at] = thresholds
+        left[at] = first[trees] + lefts
+        right[at] = left[at] + 1
+    return feature, threshold, left, right, value, first
+
 
 def _build_tree(x, y, max_depth, min_leaf, mtry, rng) -> _TreeNode:
-    """Grow one CART tree on the bootstrap rows `x`, `y`.
-
-    Each feature is argsorted once, stably, so tied values keep bootstrap
-    order; a split partitions those orders and the node's row list with
-    one boolean gather each instead of sorting again (SLIQ presorting).
-    Nodes are built depth-first from an explicit stack, left child first,
-    so `rng` draws each node's candidate features in the same preorder as
-    a recursive builder and the trees are the same bit for bit.
-    """
-    xt = np.ascontiguousarray(x.T)
-    d, n = xt.shape
-    lo = max(min_leaf, 1)  # smallest child a cut may leave
-    counts = np.arange(n + 1, dtype=np.float64)
-    root = _TreeNode()
-    grows = max_depth > 0 and n >= 2 * min_leaf
-    order = np.argsort(xt, axis=1, kind="stable") if grows else None
-    # (node, its rows in bootstrap order, per-feature sorted rows or None at a leaf, depth)
-    stack = [(root, np.arange(n), order, 0)]
-    while stack:
-        node, rows, order, depth = stack.pop()
-        ys = y[rows]
-        m = ys.size
-        total = ys.sum()
-        node.value = float(total / m)  # bit-equal to ys.mean()
-        if order is None or (ys == ys[0]).all():
-            continue
-
-        feats = rng.choice(d, size=mtry, replace=False)
-        feats.sort()
-        hi = m - lo  # >= lo, because m >= 2 * min_leaf and m >= 2
-        total_sq = float((ys * ys).sum())
-        parent_sse = total_sq - total * total / m
-        # all candidate features at once: row r is feature feats[r], sorted
-        k = feats.size
-        idx = order.take(feats, axis=0)
-        vk = xt[feats[:, None], idx]
-        yk = np.empty((2 * k, m))  # sorted y, then its squares
-        y.take(idx, out=yk[:k])
-        np.multiply(yk[:k], yk[:k], out=yk[k:])
-        cum = yk.cumsum(axis=1)[:, lo - 1 : hi]  # row-wise, so sequential as in 1-D
-        left_sum, left_sq = cum[:k], cum[k:]
-        left_n = counts[lo : hi + 1]
-        right_n = counts[hi : lo - 1 : -1]  # m - left_n
-        right_sum = total - left_sum
-        right_sq = total_sq - left_sq
-        sse = (left_sq - left_sum**2 / left_n) + (right_sq - right_sum**2 / right_n)
-        gains = parent_sse - sse
-        # a cut after position c is a split only where the value changes there
-        gains[~(vk[:, lo - 1 : hi] < vk[:, lo : hi + 1])] = -np.inf
-        cuts = gains.argmax(axis=1).tolist()
-        best, best_gain = -1, 0.0
-        for r, j in enumerate(cuts):
-            if gains[r, j] > best_gain:
-                best, best_gain = r, gains[r, j]
-        if best < 0:
-            continue
-
-        c = lo + cuts[best]
-        node.feature = int(feats[best])
-        node.threshold = float(0.5 * (vk[best, c - 1] + vk[best, c]))
-        col = xt[node.feature]
-        go_left = col[rows] <= node.threshold
-        in_left = col[order] <= node.threshold
-        node.left, node.right = _TreeNode(), _TreeNode()
-        # right pushed first, so the whole left subtree is built (and draws) first
-        for child, rows_sel, order_sel in (
-            (node.right, ~go_left, ~in_left),
-            (node.left, go_left, in_left),
-        ):
-            child_rows = rows[rows_sel]
-            grows = depth + 1 < max_depth and child_rows.size >= 2 * min_leaf
-            child_order = order[order_sel].reshape(d, -1) if grows else None
-            stack.append((child, child_rows, child_order, depth + 1))
-    return root
-
-
-def _predict_tree(node: _TreeNode, x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape[0])
-    idx = np.arange(x.shape[0])
-    stack = [(node, idx)]
-    while stack:
-        nd, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        if nd.feature < 0:
-            out[rows] = nd.value
-            continue
-        mask = x[rows, nd.feature] <= nd.threshold
-        stack.append((nd.left, rows[mask]))
-        stack.append((nd.right, rows[~mask]))
-    return out
+    """Grow one CART tree on the bootstrap rows `x`, `y` (see `_grow`)."""
+    xt = np.ascontiguousarray(x.T, dtype=np.float64)
+    flat = _grow(xt, y, np.arange(y.size)[None], max_depth, min_leaf, mtry, [rng])
+    return _linked(*flat)[0]
 
 
 def fit_forest(
@@ -145,28 +339,48 @@ def fit_forest(
     seed: int = 0,
     jobs: int = 1,
 ) -> ForestModel:
-    """Fit a bootstrap forest; deterministic for a fixed seed at any jobs."""
+    """Fit a bootstrap forest; deterministic for a fixed seed at any jobs.
+
+    Each tree draws its bootstrap and then its split features from its own
+    child of `SeedSequence(seed)`. With `jobs` > 1 the trees grow in that
+    many lockstep groups on a thread pool.
+    """
     features = tuple(features)
     if not features:
         raise ConfigError("feature list must not be empty")
+    if n_trees < 1:
+        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
     if train.n_rows == 0:
         raise EmptyTable("training table is empty")
     if target not in train.feature_names:
         raise MissingColumn(f"target {target!r} not in table")
-    x = train.matrix(features)
+    xt = np.ascontiguousarray(train.matrix(features).T)
     y = train.column(target)
-    n = x.shape[0]
+    n = y.size
     mtry = max(1, int(np.sqrt(len(features))))
-    seeds = np.random.SeedSequence(seed).spawn(n_trees)
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
+    boots = np.empty((n_trees, n), dtype=np.intp)
+    for boot, rng in zip(boots, rngs):
+        boot[:] = rng.integers(0, n, size=n)
 
-    def one_tree(ss) -> _TreeNode:
-        rng = np.random.default_rng(ss)
-        boot = rng.integers(0, n, size=n)
-        return _build_tree(x[boot], y[boot], max_depth, min_leaf, mtry, rng)
+    def grow(group) -> tuple:
+        return _grow(xt, y, boots[group], max_depth, min_leaf, mtry, rngs[group])
 
-    trees = tuple(parallel_map(one_tree, seeds, jobs=jobs))
+    groups = [slice(g[0], g[-1] + 1) for g in np.array_split(np.arange(n_trees), max(jobs, 1)) if g.size]
+    parts = parallel_map(grow, groups, jobs=jobs)
+    # number the nodes of later groups after those of earlier ones
+    shift = np.cumsum([0] + [p[0].size for p in parts[:-1]])
+    feature, threshold, left, right, value, roots = (
+        np.concatenate([p[i] + s if i in (2, 3, 5) else p[i] for p, s in zip(parts, shift)])
+        for i in range(6)
+    )
     return ForestModel(
-        trees=trees,
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        value=value,
+        roots=roots,
         n_trees=n_trees,
         max_depth=max_depth,
         min_leaf=min_leaf,
@@ -176,17 +390,26 @@ def fit_forest(
     )
 
 
+def tree_predictions(model: ForestModel, table: FeatureTable) -> np.ndarray:
+    """Per-tree predictions, trees x rows (exposes the averaging invariant).
+
+    All rows descend all trees together, one level per step; a row that
+    reaches a leaf stays there, because a leaf points to itself.
+    """
+    x = table.matrix(model.feature_names)
+    n, d = x.shape
+    xflat = x.ravel()
+    row_start = np.arange(n) * d
+    node = np.repeat(model.roots[:, None], n, axis=1)
+    for _ in range(model.max_depth):
+        go_left = xflat[row_start + model.feature[node]] <= model.threshold[node]
+        node = np.where(go_left, model.left[node], model.right[node])
+    return model.value[node]
+
+
 def predict(model: ForestModel, table: FeatureTable) -> np.ndarray:
     """Forest prediction: the mean over per-tree predictions."""
-    x = table.matrix(model.feature_names)
-    preds = np.array([_predict_tree(t, x) for t in model.trees])
-    return preds.mean(axis=0)
-
-
-def tree_predictions(model: ForestModel, table: FeatureTable) -> np.ndarray:
-    """Per-tree predictions, trees x rows (exposes the averaging invariant)."""
-    x = table.matrix(model.feature_names)
-    return np.array([_predict_tree(t, x) for t in model.trees])
+    return tree_predictions(model, table).mean(axis=0)
 
 
 def r2(model: ForestModel, test: FeatureTable) -> float:
@@ -244,10 +467,3 @@ def accuracy_trace(
         seed=seed, jobs=jobs,
     )
     return trace, r2(reference_model, test)
-
-
-def write_parity_csv(path, y_true, y_pred) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("y_true,y_pred\n")
-        for t, p in zip(y_true, y_pred):
-            fh.write(f"{fmt(t)},{fmt(p)}\n")

@@ -86,6 +86,10 @@ def test_readme_quick_start_runs_at_defaults(tmp_path, monkeypatch):
         assert run_cli(argv) == 0, f"{argv[0]} failed"
     manifest = (tmp_path / "work" / "active_learn.manifest").read_text(encoding="utf-8")
     assert "count exhausted_candidates = " in manifest
+    # EM on the quick-start data runs to max_iter without meeting its tolerance
+    manifest = (tmp_path / "work" / "cluster.manifest").read_text(encoding="utf-8").splitlines()
+    assert "count em_iterations = 200" in manifest
+    assert "count em_converged = 0" in manifest
 
 
 def test_rerun_is_byte_identical(tmp_path):

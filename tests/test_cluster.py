@@ -54,6 +54,16 @@ def test_log_likelihood_monotone():
     assert np.all(np.diff(ll) >= -1e-8)
 
 
+def test_em_converged_tells_tolerance_stop_from_max_iter():
+    table = two_cluster_table()
+    stopped = fit_gmm(table, ("p",), n_components=2, seed=7)
+    assert len(stopped.log_likelihoods) < 200 and cluster.em_converged(stopped)
+    capped = fit_gmm(table, ("p",), n_components=2, seed=7, max_iter=2)
+    assert len(capped.log_likelihoods) == 2 and not cluster.em_converged(capped)
+    # the same trajectory read against a looser tolerance did converge
+    assert cluster.em_converged(capped, tol=1e3)
+
+
 def test_responsibilities_sum_to_one():
     table = two_cluster_table()
     model = fit_gmm(table, ("p",), n_components=2, seed=7)

@@ -51,12 +51,17 @@ def test_forest_prediction_is_mean_of_trees():
     model = fit_forest(table, ("x",), "y", n_trees=7, seed=1)
     per_tree = tree_predictions(model, table)
     assert per_tree.shape == (7, table.n_rows)
-    assert np.allclose(per_tree.mean(axis=0), predict(model, table))
+    assert np.array_equal(per_tree.mean(axis=0), predict(model, table))
 
 
 def test_empty_feature_list():
     with pytest.raises(ConfigError):
         fit_forest(line_table(), (), "y")
+
+
+def test_forest_needs_a_tree():
+    with pytest.raises(ConfigError):
+        fit_forest(line_table(), ("x",), "y", n_trees=0)
 
 
 def test_r2_perfect_and_mean_predictor():
@@ -274,3 +279,105 @@ def test_jobs_do_not_change_trees():
     one = fit_forest(table, ("x",), "y", n_trees=8, max_depth=6, seed=2, jobs=1)
     two = fit_forest(table, ("x",), "y", n_trees=8, max_depth=6, seed=2, jobs=2)
     assert [_preorder(t) for t in one.trees] == [_preorder(t) for t in two.trees]
+
+
+# ---------------------------------------------------------------------------
+# vectorised descent vs the node-by-node walk it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_predict_tree(node, x):
+    """Frozen per-tree walk: rows follow each node's test down an explicit stack."""
+    out = np.empty(x.shape[0])
+    idx = np.arange(x.shape[0])
+    stack = [(node, idx)]
+    while stack:
+        nd, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        if nd.feature < 0:
+            out[rows] = nd.value
+            continue
+        mask = x[rows, nd.feature] <= nd.threshold
+        stack.append((nd.left, rows[mask]))
+        stack.append((nd.right, rows[~mask]))
+    return out
+
+
+def assert_descent_matches_node_walk(model, table):
+    x = table.matrix(model.feature_names)
+    expected = np.array([_reference_predict_tree(t, x) for t in model.trees])
+    got = tree_predictions(model, table)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()  # bit for bit
+    assert predict(model, table).tobytes() == expected.mean(axis=0).tobytes()
+
+
+def heavy_tie_table(seed, n=150):
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 4, size=(n, 3)).astype(np.float64)
+    y = rng.integers(0, 3, size=n) + base[:, 0]
+    values = np.column_stack([base, base[:, ::-1], rng.integers(0, 2, size=n), y])
+    names = ("a", "b", "c", "d", "e", "f", "g", "y")
+    return make_table(values, names, target_names=("y",)), names[:-1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_descent_matches_node_walk_on_heavy_ties(seed):
+    table, features = heavy_tie_table(seed)
+    model = fit_forest(table, features, "y", n_trees=9, max_depth=6, min_leaf=1, seed=seed)
+    assert_descent_matches_node_walk(model, table)
+    other, _ = heavy_tie_table(seed + 100, n=40)
+    assert_descent_matches_node_walk(model, other)
+
+
+def test_descent_at_depth_zero_returns_root_means():
+    table, features = heavy_tie_table(5)
+    model = fit_forest(table, features, "y", n_trees=4, max_depth=0, seed=3)
+    assert np.all(model.feature == -1) and model.feature.size == 4
+    assert_descent_matches_node_walk(model, table)
+    per_tree = tree_predictions(model, table)
+    assert np.array_equal(per_tree, np.repeat(model.value[:, None], table.n_rows, axis=1))
+
+
+def test_descent_sends_rows_on_a_threshold_left():
+    table = line_table(n=200, noise=0.5, seed=9)
+    model = fit_forest(table, ("x",), "y", n_trees=5, max_depth=5, seed=4)
+    on = model.threshold[model.feature >= 0]
+    probe = make_table(np.column_stack([on, np.zeros(on.size)]), ("x", "y"), target_names=("y",))
+    assert_descent_matches_node_walk(model, probe)
+    stumps = fit_forest(table, ("x",), "y", n_trees=3, max_depth=1, seed=4)
+    for t, root in enumerate(stumps.roots):
+        row = make_table([[stumps.threshold[root], 0.0]], ("x", "y"), target_names=("y",))
+        assert tree_predictions(stumps, row)[t, 0] == stumps.value[stumps.left[root]]
+
+
+def test_linked_trees_have_one_node_per_flat_entry():
+    table, features = heavy_tie_table(2)
+    model = fit_forest(table, features, "y", n_trees=6, max_depth=5, seed=8)
+    assert len(model.trees) == model.n_trees == model.roots.size
+    walked = sum(len(_preorder(tree)) for tree in model.trees)
+    assert walked == model.feature.size == model.threshold.size == model.value.size
+
+
+@pytest.mark.parametrize("block_values", [1, 500, 2**40])
+def test_block_size_does_not_change_the_forest(monkeypatch, block_values):
+    # one node per padded block and per partition pool, mixed blocks, or one block a step
+    table, features = heavy_tie_table(11, n=300)
+    want = fit_forest(table, features, "y", n_trees=12, max_depth=8, min_leaf=1, seed=6)
+    monkeypatch.setattr(regress, "_BLOCK_VALUES", block_values)
+    got = fit_forest(table, features, "y", n_trees=12, max_depth=8, min_leaf=1, seed=6)
+    for name in ("feature", "threshold", "left", "right", "value", "roots"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_many_trees_of_different_shapes_match_reference_builder():
+    # trees of a lockstep group finish at different steps and mix depths within a step
+    table, features = heavy_tie_table(13, n=220)
+    model = fit_forest(table, features, "y", n_trees=25, max_depth=9, min_leaf=1, seed=21)
+    x, y = table.matrix(features), table.column("y")
+    for tree, ss in zip(model.trees, np.random.SeedSequence(21).spawn(25)):
+        tree_rng = np.random.default_rng(ss)
+        boot = tree_rng.integers(0, 220, size=220)
+        expected = _reference_build_tree(x[boot], y[boot], 0, 9, 1, 2, tree_rng)
+        assert _preorder(tree) == _preorder(expected)
