@@ -20,7 +20,6 @@ from .causal import (
     FeatureRanking,
     WeightedDag,
     discover_lingam,
-    fit_sem_weights,
     rank_features,
     select_top_k,
 )
@@ -34,12 +33,10 @@ from .dataio import (
     apply_normalizer,
     concat_tables,
     fit_normalizer,
-    invert_normalizer,
     load_feature_table,
     load_fingerprints,
     save_feature_table,
     save_fingerprints,
-    split_rows,
 )
 from .graphdist import Spectrum, spectral_distance, spectrum
 from .intervene import (

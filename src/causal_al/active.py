@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
+
 # The loop calls the plain-array kernel. `discover_lingam` and `FeatureTable`
 # stay module attributes because perfbench/spans.py wraps them by these names.
 from .causal import WeightedDag, _check_fit_rows, _discover, discover_lingam  # noqa: F401
@@ -28,7 +30,7 @@ from .errors import (
     SchemaError,
 )
 from .graphdist import spectral_distance
-from .util import fmt, parallel_map
+from .util import parallel_map
 
 DEFAULT_M = 50
 DEFAULT_N_ITER = 20
@@ -255,68 +257,44 @@ def selection_counts(runs, n_subsets: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _run_header(n_subsets: int) -> tuple[str, ...]:
+    return ("iter", *(f"loss_{k}" for k in range(n_subsets)), "chosen", "size")
+
+
 def save_run(path, run: ActiveLearningRun) -> None:
     """Run record CSV: iter, per-subset losses, chosen subset, dataset size."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# mode = {run.mode}\n")
-        fh.write(f"# seed = {run.seed}\n")
-        fh.write(f"# m = {run.m_per_iter}\n")
-        loss_cols = ",".join(f"loss_{k}" for k in range(run.n_subsets))
-        fh.write(f"iter,{loss_cols},chosen,size\n")
-        for rec in run.records:
-            losses = ",".join(fmt(v) for v in rec.losses)
-            fh.write(f"{rec.iteration},{losses},{rec.chosen},{rec.size}\n")
+    artifacts.write(
+        path,
+        meta=[("mode", run.mode), ("seed", run.seed), ("m", run.m_per_iter)],
+        header=_run_header(run.n_subsets),
+        rows=((rec.iteration, *rec.losses, rec.chosen, rec.size) for rec in run.records),
+    )
 
 
 def load_run(path, selected_row_ids=()) -> ActiveLearningRun:
-    meta: dict[str, str] = {}
-    rows: list[list[str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            if line.startswith("iter,"):
-                continue
-            rows.append(line.split(","))
-    if not rows:
+    def record(iteration, *cells):
+        losses = tuple(float(v) for v in cells[:-2])
+        chosen = int(cells[-2])
+        return IterationRecord(int(iteration), losses, chosen, losses[chosen], int(cells[-1]))
+
+    art = artifacts.read(path, lambda found: _run_header(len(found) - 3), record)
+    records = tuple(art.rows)
+    if not records:
         raise SchemaError(f"{path}: no iteration records")
-    n_subsets = len(rows[0]) - 3
-    records = []
-    for cells in rows:
-        losses = tuple(float(v) for v in cells[1 : 1 + n_subsets])
-        chosen = int(cells[1 + n_subsets])
-        records.append(
-            IterationRecord(
-                iteration=int(cells[0]),
-                losses=losses,
-                chosen=chosen,
-                loss=losses[chosen],
-                size=int(cells[2 + n_subsets]),
-            )
-        )
-    records = tuple(records)
     return ActiveLearningRun(
-        mode=meta.get("mode", "active"),
-        seed=int(meta.get("seed", "0")),
-        m_per_iter=int(meta.get("m", "0")),
+        mode=art.get("mode", default="active"),
+        seed=art.get("seed", int, 0),
+        m_per_iter=art.get("m", int, 0),
         n_iter=len(records),
-        n_subsets=n_subsets,
+        n_subsets=len(art.header) - 3,
         selected_row_ids=tuple(selected_row_ids),
         records=records,
     )
 
 
 def write_id_list(path, ids) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rid in ids:
-            fh.write(f"{rid}\n")
+    artifacts.write(path, rows=((rid,) for rid in ids))
 
 
 def read_id_list(path) -> tuple[str, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return tuple(line.strip() for line in fh if line.strip())
+    return tuple(artifacts.read(path, 1, str).rows)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .dataio import FeatureTable
 from .errors import (
     ConfigError,
@@ -32,7 +33,6 @@ from .errors import (
     NodeMismatch,
     SchemaError,
 )
-from .util import fmt
 
 DEFAULT_PRUNE_THRESHOLD = 0.05
 
@@ -64,8 +64,6 @@ class WeightedDag:
     node_means: np.ndarray | None = None
     node_stds: np.ndarray | None = None
     standardized: bool = True
-    residual_variances: np.ndarray | None = None
-    ridge_flagged: tuple[str, ...] = ()
 
     def __post_init__(self):
         d = len(self.node_names)
@@ -238,12 +236,12 @@ def _check_fit_rows(x: np.ndarray, names) -> None:
 
 def _discover(
     x: np.ndarray, target_idx: int, prune_threshold: float, destandardize: bool
-) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
     """Plain-array discovery kernel over the columns of `x` (rows x columns).
 
     The caller has checked `x` with `_check_fit_rows`. Returns the pruned
-    adjacency B, the causal order, the column means and sample standard
-    deviations, and the residual variance of each node.
+    adjacency B, the causal order, and the column means and sample standard
+    deviations.
     """
     d = x.shape[1]
     mean = x.mean(axis=0)
@@ -261,22 +259,15 @@ def _discover(
         _residualize(w, remaining, root)
 
     b = np.zeros((d, d))
-    resid_var = np.ones(d)
-    for pos, node in enumerate(order):
+    for pos, node in enumerate(order[1:], 1):
         preds = order[:pos]
-        if not preds:
-            resid_var[node] = np.var(z[:, node], ddof=1)
-            continue
         coef, *_ = np.linalg.lstsq(z[:, preds], z[:, node], rcond=None)
         b[node, preds] = coef
-        resid = z[:, node] - z[:, preds] @ coef
-        resid_var[node] = np.var(resid, ddof=1)
 
     b[np.abs(b) < prune_threshold] = 0.0
     if destandardize:
         b = b * std[:, None] / std[None, :]
-        resid_var = resid_var * std**2
-    return b, order, mean, std, resid_var
+    return b, order, mean, std
 
 
 def discover_lingam(
@@ -295,7 +286,7 @@ def discover_lingam(
     if target not in names:
         raise MissingColumn(f"target {target!r} not in table")
     _check_fit_rows(table.values, names)
-    b, order, mean, std, resid_var = _discover(
+    b, order, mean, std = _discover(
         table.values, names.index(target), prune_threshold, destandardize
     )
     return WeightedDag(
@@ -306,58 +297,6 @@ def discover_lingam(
         node_means=mean,
         node_stds=std,
         standardized=not destandardize,
-        residual_variances=resid_var,
-    )
-
-
-def fit_sem_weights(table: FeatureTable, structure: WeightedDag) -> WeightedDag:
-    """Refit edge weights of a fixed structure by per-node least squares.
-
-    Each node is regressed on its structural parents over mean-centered
-    columns, so the returned weights are on the raw column scale. Nodes
-    whose parent matrix is rank deficient fall back to a small ridge
-    penalty and are flagged.
-    """
-    structure.validate()
-    names = structure.node_names
-    x = table.matrix(names)
-    n = x.shape[0]
-    if n < 2:
-        raise InsufficientData("need at least 2 rows to refit weights")
-    mean = x.mean(axis=0)
-    std = x.std(axis=0, ddof=1)
-    xc = x - mean
-
-    d = len(names)
-    b = np.zeros((d, d))
-    resid_var = np.zeros(d)
-    flagged: list[str] = []
-    for i in range(d):
-        parents = np.flatnonzero(structure.B[i, :] != 0.0)
-        if parents.size == 0:
-            resid_var[i] = np.var(x[:, i], ddof=1)
-            continue
-        xp = xc[:, parents]
-        coef, _, rank, _ = np.linalg.lstsq(xp, xc[:, i], rcond=None)
-        if rank < parents.size:
-            # collinear parents: ridge fallback keeps the solve well posed
-            gram = xp.T @ xp + 1e-6 * np.eye(parents.size)
-            coef = np.linalg.solve(gram, xp.T @ xc[:, i])
-            flagged.append(names[i])
-        b[i, parents] = coef
-        resid = xc[:, i] - xp @ coef
-        resid_var[i] = resid @ resid / (n - 1)
-
-    return WeightedDag(
-        node_names=names,
-        B=b,
-        causal_order=structure.causal_order,
-        target=structure.target,
-        node_means=mean,
-        node_stds=std,
-        standardized=False,
-        residual_variances=resid_var,
-        ridge_flagged=tuple(flagged),
     )
 
 
@@ -405,70 +344,54 @@ def select_top_k(ranking: FeatureRanking, k: int) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
+DAG_HEADER = ("child", "parent", "weight")
+
+
 def save_dag(path, dag: WeightedDag) -> None:
-    """Line-oriented edge list `child,parent,weight` with a node-order header."""
-    for name in dag.node_names:
-        if "," in name or "\n" in name:
-            raise SchemaError(f"node name {name!r} cannot be serialized")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        ordered = [dag.node_names[i] for i in dag.causal_order]
-        fh.write(f"# causal_order = {','.join(ordered)}\n")
-        if dag.target is not None:
-            fh.write(f"# target = {dag.target}\n")
-        fh.write(f"# standardized = {int(dag.standardized)}\n")
-        if dag.node_means is not None:
-            fh.write(f"# node_means = {','.join(fmt(v) for v in dag.node_means)}\n")
-        if dag.node_stds is not None:
-            fh.write(f"# node_stds = {','.join(fmt(v) for v in dag.node_stds)}\n")
-        fh.write("child,parent,weight\n")
-        for i, child in enumerate(dag.node_names):
-            for j, parent in enumerate(dag.node_names):
-                if dag.B[i, j] != 0.0:
-                    fh.write(f"{child},{parent},{fmt(dag.B[i, j])}\n")
+    """Edge list `child,parent,weight` after the node order and column scales."""
+    names = dag.node_names
+    meta = [
+        ("causal_order", [names[i] for i in dag.causal_order]),
+        ("target", dag.target),
+        ("standardized", int(dag.standardized)),
+        ("node_means", dag.node_means),
+        ("node_stds", dag.node_stds),
+    ]
+    rows = [
+        (child, parent, dag.B[i, j])
+        for i, child in enumerate(names)
+        for j, parent in enumerate(names)
+        if dag.B[i, j] != 0.0
+    ]
+    artifacts.write(path, meta=meta, header=DAG_HEADER, rows=rows)
 
 
 def load_dag(path) -> WeightedDag:
-    meta: dict[str, str] = {}
-    edges: list[tuple[str, str, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            if line == "child,parent,weight":
-                continue
-            child, parent, weight = line.split(",")
-            edges.append((child, parent, float(weight)))
-    if "causal_order" not in meta:
-        raise SchemaError(f"{path}: missing causal_order header")
-    ordered_names = [s for s in meta["causal_order"].split(",") if s]
-    pos = {n: i for i, n in enumerate(ordered_names)}
-    d = len(ordered_names)
-    b = np.zeros((d, d))
-    for child, parent, weight in edges:
+    art = artifacts.read(path, DAG_HEADER, lambda c, p, w: (c, p, float(w)))
+    names = art.get("causal_order", artifacts.names)
+    pos = {n: i for i, n in enumerate(names)}
+    b = np.zeros((len(names), len(names)))
+    for child, parent, weight in art.rows:
         if child not in pos or parent not in pos:
             raise NodeMismatch(f"{path}: edge references unknown node {child!r}/{parent!r}")
         b[pos[child], pos[parent]] = weight
-    means = meta.get("node_means")
-    stds = meta.get("node_stds")
+    means = art.get("node_means", artifacts.floats, ())
+    stds = art.get("node_stds", artifacts.floats, ())
     return WeightedDag(
-        node_names=tuple(ordered_names),
+        node_names=names,
         B=b,
-        causal_order=tuple(range(d)),
-        target=meta.get("target") or None,
-        node_means=np.array([float(v) for v in means.split(",")]) if means else None,
-        node_stds=np.array([float(v) for v in stds.split(",")]) if stds else None,
-        standardized=bool(int(meta.get("standardized", "1"))),
+        causal_order=tuple(range(len(names))),
+        target=art.get("target", default="") or None,
+        node_means=np.array(means) if means else None,
+        node_stds=np.array(stds) if stds else None,
+        standardized=bool(art.get("standardized", int, 1)),
     )
 
 
 def save_adjacency_csv(path, dag: WeightedDag) -> None:
     """Dense adjacency dump (rows = children) for heatmap-style plotting."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node," + ",".join(dag.node_names) + "\n")
-        for i, name in enumerate(dag.node_names):
-            fh.write(name + "," + ",".join(fmt(v) for v in dag.B[i, :]) + "\n")
+    artifacts.write(
+        path,
+        header=("node", *dag.node_names),
+        rows=((name, *b_row) for name, b_row in zip(dag.node_names, dag.B.tolist())),
+    )

@@ -2,14 +2,15 @@
 
 Subcommands map one-to-one onto pipeline stages; every stage reads its
 inputs from files named in a plain-text config (CLI flags win over config
-values), writes plain CSV artifacts plus a manifest into the output
-directory, and is independently rerunnable from persisted artifacts.
+values), writes its artifacts in the text format of `artifacts` plus a
+manifest into the output directory, and is independently rerunnable from
+persisted artifacts.
 All randomness flows from the named master seed, so reruns are
 byte-identical apart from manifest timings.
 
 Exit codes: 0 success, 2 config error, 3 data/input error, 4 numeric
-failure. Errors print one machine-parsable line on stderr, prefixed
-E_CONFIG / E_IO / E_DATA / E_NUMERIC.
+failure (see `_EXIT_CODES`). Errors print one machine-parsable line on
+stderr, prefixed E_CONFIG / E_IO / E_DATA / E_NUMERIC.
 """
 
 from __future__ import annotations
@@ -22,19 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import active, causal, cluster, dataio, graphdist, intervene, match, synth
-from .errors import (
-    CausalAlError,
-    ConfigError,
-    SchemaError,
-    InsufficientData,
-    DegenerateFeature,
-    DegenerateComponent,
-    DegenerateTarget,
-    NoCausalLever,
-    NodeMismatch,
-    CyclicGraph,
-)
+from . import active, artifacts, causal, cluster, dataio, graphdist, intervene, match, synth
+from .errors import NUMERIC_ERRORS, CausalAlError, ConfigError, SchemaError
 from .util import file_sha256, fmt
 
 SEED_ENV_VAR = "CAUSAL_AL_SEED"
@@ -83,23 +73,13 @@ class Config:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         self.values = dict(_DEFAULTS) | values
-        self.base_dir = base_dir
         self.bases = {k: base_dir for k in self.values}
 
     @classmethod
     def from_file(cls, path: Path | None) -> "Config":
         if path is None:
             return cls({}, Path.cwd())
-        values: dict[str, str] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+        values = dict(artifacts.read(path, error=ConfigError).meta)
         return cls(values, Path(path).resolve().parent)
 
     def override(self, key: str, value: str, base: Path | None = None) -> None:
@@ -150,25 +130,10 @@ class Config:
         raise ConfigError(f"{key} must be a boolean, got {self.values[key]!r}")
 
     def list(self, key: str) -> tuple[str, ...]:
-        return tuple(v.strip() for v in self.values[key].split(",") if v.strip())
+        return artifacts.names(self.values[key])
 
     def opt_int(self, key: str) -> int | None:
         return self.int(key) if self.values[key] else None
-
-
-def _write_manifest(
-    outdir: Path, stage: str, inputs, params: dict, seed: int, t0: float, counts=None
-) -> None:
-    lines = [f"stage = {stage}"]
-    for p in inputs:
-        lines.append(f"input = {Path(p).name} sha256={file_sha256(p)}")
-    for k in sorted(params):
-        lines.append(f"param {k} = {params[k]}")
-    for k in sorted(counts or {}):
-        lines.append(f"count {k} = {counts[k]}")
-    lines.append(f"seed = {seed}")
-    lines.append(f"duration_s = {time.monotonic() - t0:.3f}")
-    (outdir / f"{stage}.manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _load_features(cfg: Config):
@@ -183,50 +148,46 @@ def _main_target(schema: dataio.TableSchema) -> str:
     return schema.target_columns[0]
 
 
-def _selected_features(cfg: Config, table: dataio.FeatureTable, outdir: Path):
+def _discovery_columns(cfg: Config, outdir: Path):
+    """The feature table, its main target, and the selected features, target last."""
+    schema, table, _ = _load_features(cfg)
+    target = _main_target(schema)
     sel_path = outdir / "selected_features.txt"
-    if sel_path.exists():
-        return active.read_id_list(sel_path)
-    return table.plain_feature_names
+    selected = active.read_id_list(sel_path) if sel_path.exists() else table.plain_feature_names
+    return table, target, tuple(f for f in selected if f != target) + (target,)
 
 
-def _outdir(cfg: Config) -> Path:
-    out = cfg.path("output_dir")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _table_inputs(cfg: Config) -> list[Path]:
+    return [cfg.existing_path("features"), cfg.existing_path("schema")]
 
 
 # ---------------------------------------------------------------------------
-# Stages
+# Stages: each takes the config and the output directory, writes its
+# artifacts, and returns the inputs, params and counts of its manifest.
 # ---------------------------------------------------------------------------
 
 
-def cmd_cluster(cfg: Config) -> None:
-    t0 = time.monotonic()
-    outdir = _outdir(cfg)
+def cmd_cluster(cfg: Config, outdir: Path):
     schema, table, report = _load_features(cfg)
     pivots = cfg.list("pivot_features") or table.plain_feature_names[:3]
-    seed = cfg.int("seed")
-    model = cluster.fit_gmm(table, pivots, n_components=cfg.int("n_components", 1), seed=seed)
+    model = cluster.fit_gmm(
+        table, pivots, n_components=cfg.int("n_components", 1), seed=cfg.int("seed")
+    )
     labels = cluster.assign_subsets(model, table)
     cluster.save_gmm(outdir / "gmm_model.txt", model)
     cluster.write_labels(outdir / "subsets.csv", table.row_ids, labels)
     dataio.write_load_report(outdir / "load_report.txt", report)
-    _write_manifest(
-        outdir, "cluster",
-        [cfg.existing_path("features"), cfg.existing_path("schema")],
+    return (
+        _table_inputs(cfg),
         {"pivot_features": ",".join(pivots), "n_components": cfg.int("n_components")},
-        seed, t0,
-        counts={
+        {
             "em_iterations": len(model.log_likelihoods),
             "em_converged": int(cluster.em_converged(model)),
         },
     )
 
 
-def cmd_select_features(cfg: Config) -> None:
-    t0 = time.monotonic()
-    outdir = _outdir(cfg)
+def cmd_select_features(cfg: Config, outdir: Path):
     schema, table, _ = _load_features(cfg)
     intermediate = cfg.raw("intermediate_target") or _main_target(schema)
     if intermediate not in table.feature_names:
@@ -239,26 +200,14 @@ def cmd_select_features(cfg: Config) -> None:
     )
     ranking = causal.rank_features(dag, intermediate)
     selected = causal.select_top_k(ranking, cfg.int("k_features", 1))
-    with open(outdir / "ranking.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("feature,strength\n")
-        for name, strength in ranking.entries:
-            fh.write(f"{name},{fmt(strength)}\n")
+    artifacts.write(outdir / "ranking.csv", header=("feature", "strength"), rows=ranking.entries)
     active.write_id_list(outdir / "selected_features.txt", selected)
-    _write_manifest(
-        outdir, "select_features",
-        [cfg.existing_path("features"), cfg.existing_path("schema")],
-        {"intermediate_target": intermediate, "k_features": cfg.int("k_features")},
-        cfg.int("seed"), t0,
-    )
+    params = {"intermediate_target": intermediate, "k_features": cfg.int("k_features")}
+    return _table_inputs(cfg), params, {}
 
 
-def cmd_discover(cfg: Config) -> None:
-    t0 = time.monotonic()
-    outdir = _outdir(cfg)
-    schema, table, _ = _load_features(cfg)
-    target = _main_target(schema)
-    selected = _selected_features(cfg, table, outdir)
-    columns = tuple(f for f in selected if f != target) + (target,)
+def cmd_discover(cfg: Config, outdir: Path):
+    table, target, columns = _discovery_columns(cfg, outdir)
     dag = causal.discover_lingam(
         table.select_columns(columns), target,
         prune_threshold=cfg.float("prune_threshold"),
@@ -266,31 +215,22 @@ def cmd_discover(cfg: Config) -> None:
     )
     causal.save_dag(outdir / "global_graph.csv", dag)
     causal.save_adjacency_csv(outdir / "global_adjacency.csv", dag)
-    _write_manifest(
-        outdir, "discover",
-        [cfg.existing_path("features"), cfg.existing_path("schema")],
-        {
-            "target": target,
-            "prune_threshold": cfg.float("prune_threshold"),
-            "destandardize": int(cfg.bool("destandardize")),
-            "features": ",".join(columns),
-        },
-        cfg.int("seed"), t0,
-    )
+    params = {
+        "target": target,
+        "prune_threshold": cfg.float("prune_threshold"),
+        "destandardize": int(cfg.bool("destandardize")),
+        "features": ",".join(columns),
+    }
+    return _table_inputs(cfg), params, {}
 
 
-def cmd_active_learn(cfg: Config) -> None:
-    t0 = time.monotonic()
-    outdir = _outdir(cfg)
-    schema, table, _ = _load_features(cfg)
-    target = _main_target(schema)
+def cmd_active_learn(cfg: Config, outdir: Path):
+    table, target, features = _discovery_columns(cfg, outdir)
     labels = cluster.read_labels(outdir / "subsets.csv")
     missing = [rid for rid in table.row_ids if rid not in labels]
     if missing:
         raise SchemaError(f"rows without subset labels, e.g. {missing[:3]}")
     global_graph = causal.load_dag(outdir / "global_graph.csv")
-    selected = _selected_features(cfg, table, outdir)
-    features = tuple(f for f in selected if f != target) + (target,)
 
     subset_ids = sorted(set(labels.values()))
     subsets = [
@@ -309,54 +249,39 @@ def cmd_active_learn(cfg: Config) -> None:
     n_real = cfg.int("n_realizations", 1)
     active_runs, random_runs = [], []
     for r in range(n_real):
-        a = active.active_learn(
-            subsets, global_graph, target, features, seed=seed + r, jobs=jobs, **params
-        )
-        b = active.random_baseline(
-            subsets, global_graph, target, features, seed=seed + r, jobs=jobs, **params
-        )
-        active.save_run(outdir / f"active_run_{r}.csv", a)
-        active.save_run(outdir / f"random_run_{r}.csv", b)
-        active_runs.append(a)
-        random_runs.append(b)
+        for mode, loop, runs in (("active", active.active_learn, active_runs),
+                                 ("random", active.random_baseline, random_runs)):
+            run = loop(subsets, global_graph, target, features, seed=seed + r, jobs=jobs, **params)
+            active.save_run(outdir / f"{mode}_run_{r}.csv", run)
+            runs.append(run)
 
     active.write_id_list(outdir / "dal_ids.txt", active_runs[0].selected_row_ids)
     a_mean, a_std = active.summarize_runs(active_runs)
     r_mean, r_std = active.summarize_runs(random_runs)
-    with open(outdir / "loss_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iter,active_mean,active_std,random_mean,random_std\n")
-        for i in range(len(a_mean)):
-            fh.write(
-                f"{i},{fmt(a_mean[i])},{fmt(a_std[i])},{fmt(r_mean[i])},{fmt(r_std[i])}\n"
-            )
-    counts = active.selection_counts(active_runs)
-    with open(outdir / "selection_counts.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("subset,count\n")
-        for k, c in enumerate(counts):
-            fh.write(f"{k},{c}\n")
+    artifacts.write(
+        outdir / "loss_summary.csv",
+        header=("iter", "active_mean", "active_std", "random_mean", "random_std"),
+        rows=zip(range(len(a_mean)), a_mean, a_std, r_mean, r_std),
+    )
+    artifacts.write(
+        outdir / "selection_counts.csv",
+        header=("subset", "count"),
+        rows=enumerate(active.selection_counts(active_runs)),
+    )
     sizes = [sub.n_rows for sub in subsets]
-    _write_manifest(
-        outdir, "active_learn",
+    exhausted = sum(active.exhausted_candidates(run, sizes) for run in active_runs + random_runs)
+    return (
         [cfg.existing_path("features"), outdir / "subsets.csv", outdir / "global_graph.csv"],
         {**{k: v for k, v in params.items() if v is not None}, "n_realizations": n_real},
-        seed, t0,
-        counts={
-            "exhausted_candidates": sum(
-                active.exhausted_candidates(run, sizes) for run in active_runs + random_runs
-            ),
-        },
+        {"exhausted_candidates": exhausted},
     )
 
 
-def cmd_intervene(cfg: Config) -> None:
-    t0 = time.monotonic()
-    outdir = _outdir(cfg)
-    schema, table, _ = _load_features(cfg)
-    target = _main_target(schema)
-    selected = _selected_features(cfg, table, outdir)
-    features = tuple(f for f in selected if f != target)
+def cmd_intervene(cfg: Config, outdir: Path):
+    table, target, columns = _discovery_columns(cfg, outdir)
+    features = columns[:-1]
     dal_ids = active.read_id_list(outdir / "dal_ids.txt")
-    dal_table = table.select_by_ids(dal_ids).select_columns(features + (target,))
+    dal_table = table.select_by_ids(dal_ids).select_columns(columns)
 
     dag = causal.discover_lingam(
         dal_table, target,
@@ -376,35 +301,24 @@ def cmd_intervene(cfg: Config) -> None:
     intervene.save_plans(outdir / "plans.csv", plans)
     intervened_table = intervene.apply_interventions(dal_table.select_columns(features), plans)
     dataio.save_feature_table(outdir / "intervened.csv", intervened_table)
-    _write_manifest(
-        outdir, "intervene",
-        [cfg.existing_path("features"), outdir / "dal_ids.txt"],
-        {
-            "goal": cfg.float("goal"),
-            "interventable": ",".join(interventable),
-            "prune_threshold": cfg.float("prune_threshold"),
-        },
-        cfg.int("seed"), t0,
-    )
+    params = {
+        "goal": cfg.float("goal"),
+        "interventable": ",".join(interventable),
+        "prune_threshold": cfg.float("prune_threshold"),
+    }
+    return [cfg.existing_path("features"), outdir / "dal_ids.txt"], params, {}
 
 
 def _reference_table(cfg: Config, schema: dataio.TableSchema):
-    ref_path = cfg.path("reference") or cfg.existing_path("features")
-    if not ref_path.exists():
-        raise FileNotFoundError(f"reference file not found: {ref_path}")
-    table, _ = dataio.load_feature_table(ref_path, schema)
-    return ref_path, table
+    ref_path = cfg.existing_path("reference" if cfg.raw("reference") else "features")
+    return ref_path, dataio.load_feature_table(ref_path, schema)[0]
 
 
-def cmd_match(cfg: Config) -> None:
-    t0 = time.monotonic()
-    outdir = _outdir(cfg)
+def cmd_match(cfg: Config, outdir: Path):
     schema = dataio.read_schema(cfg.existing_path("schema"))
     target = _main_target(schema)
     intervened_path = outdir / "intervened.csv"
-    intervened_table, _ = dataio.load_feature_table(
-        intervened_path, dataio.TableSchema(id_column="id", target_columns=())
-    )
+    intervened_table, _ = dataio.load_feature_table(intervened_path, dataio.TableSchema())
     ref_path, reference = _reference_table(cfg, schema)
     ref_target = target if target in reference.feature_names else None
     neighbors = match.nearest_in_reference(
@@ -414,17 +328,11 @@ def cmd_match(cfg: Config) -> None:
         jobs=cfg.int("jobs", 1),
     )
     match.save_neighbors(outdir / "neighbors.csv", neighbors)
-    _write_manifest(
-        outdir, "match",
-        [intervened_path, ref_path],
-        {"knn_k": cfg.int("knn_k"), "ref_target": ref_target or ""},
-        cfg.int("seed"), t0,
-    )
+    params = {"knn_k": cfg.int("knn_k"), "ref_target": ref_target or ""}
+    return [intervened_path, ref_path], params, {}
 
 
-def cmd_report(cfg: Config) -> None:
-    t0 = time.monotonic()
-    outdir = _outdir(cfg)
+def cmd_report(cfg: Config, outdir: Path):
     schema = dataio.read_schema(cfg.existing_path("schema"))
     target = _main_target(schema)
     plans = intervene.load_plans(outdir / "plans.csv")
@@ -438,58 +346,56 @@ def cmd_report(cfg: Config) -> None:
         raise SchemaError(f"reference table lacks target column {target!r}")
     ref_targets = dict(zip(reference.row_ids, reference.column(target)))
 
-    width = schema.fingerprint_width
-    fp_path = cfg.path("fingerprints")
-    ref_fp_path = cfg.path("reference_fingerprints")
-    query_fps = dataio.load_fingerprints(fp_path, width) if fp_path and fp_path.exists() else None
-    ref_fps = (
-        dataio.load_fingerprints(ref_fp_path, width)
-        if ref_fp_path and ref_fp_path.exists()
-        else None
+    fp_path, ref_fp_path = cfg.path("fingerprints"), cfg.path("reference_fingerprints")
+    query_fps, ref_fps = (
+        dataio.load_fingerprints(p, schema.fingerprint_width) if p and p.exists() else None
+        for p in (fp_path, ref_fp_path)
     )
 
     report = match.intervention_report(
         plans, neighbors, ref_targets,
         threshold=goal, query_fps=query_fps, reference_fps=ref_fps,
     )
-    with open(outdir / "report_values.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,original,intervened,matched\n")
-        for p, o, i, m_ in zip(
-            plans, report.original_targets, report.intervened_targets, report.matched_targets
-        ):
-            fh.write(f"{p.row_id},{fmt(o)},{fmt(i)},{fmt(m_)}\n")
-    with open(outdir / "report_pairs.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,tanimoto,distance\n")
-        for qid, sim, dist in report.pairs:
-            sim_txt = fmt(sim) if sim == sim else ""
-            fh.write(f"{qid},{sim_txt},{fmt(dist)}\n")
-    with open(outdir / "report_summary.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"threshold = {fmt(report.threshold)}\n")
-        fh.write(f"above_threshold_count = {report.above_threshold_count}\n")
-        fh.write(f"above_threshold_ids = {','.join(report.above_threshold_ids)}\n")
+    artifacts.write(
+        outdir / "report_values.csv",
+        header=("id", "original", "intervened", "matched"),
+        rows=zip(
+            [p.row_id for p in plans],
+            report.original_targets, report.intervened_targets, report.matched_targets,
+        ),
+    )
+    artifacts.write(
+        outdir / "report_pairs.csv",
+        header=("id", "tanimoto", "distance"),
+        rows=((qid, sim if sim == sim else "", dist) for qid, sim, dist in report.pairs),
+    )
+    artifacts.write(outdir / "report_summary.txt", meta=[
+        ("threshold", report.threshold),
+        ("above_threshold_count", report.above_threshold_count),
+        ("above_threshold_ids", report.above_threshold_ids),
+    ])
 
     inputs = [outdir / "plans.csv", outdir / "neighbors.csv", ref_path]
     if query_fps is not None:
         proj = match.pca_project(query_fps)
-        dal_ids = set(active.read_id_list(outdir / "dal_ids.txt")) if (outdir / "dal_ids.txt").exists() else set()
-        matched_ids = {nr.neighbor_ids[0] for nr in neighbors}
-        with open(outdir / "pca_coords.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("id,phi1,phi2,role\n")
-            for rid, (p1, p2) in zip(query_fps.row_ids, proj.coordinates):
-                role = "selected" if rid in dal_ids else "dataset"
-                fh.write(f"{rid},{fmt(p1)},{fmt(p2)},{role}\n")
-            if ref_fps is not None:
-                present = [r for r in ref_fps.row_ids if r in matched_ids]
-                if present:
-                    sub = dataio.FingerprintTable(
-                        row_ids=tuple(present),
-                        bits=np.array([ref_fps.row(r) for r in present]),
-                    )
-                    coords = match.project_onto(proj, sub, query_fps)
-                    for rid, (p1, p2) in zip(present, coords):
-                        fh.write(f"{rid},{fmt(p1)},{fmt(p2)},matched\n")
+        dal_path = outdir / "dal_ids.txt"
+        dal_ids = set(active.read_id_list(dal_path)) if dal_path.exists() else set()
+        coords = [
+            (rid, p1, p2, "selected" if rid in dal_ids else "dataset")
+            for rid, (p1, p2) in zip(query_fps.row_ids, proj.coordinates)
+        ]
+        if ref_fps is not None:
+            matched_ids = {nr.neighbor_ids[0] for nr in neighbors}
+            present = [r for r in ref_fps.row_ids if r in matched_ids]
+            if present:
+                bits = np.array([ref_fps.row(r) for r in present])
+                projected = match.project_onto(proj, bits, query_fps)
+                coords += [(rid, p1, p2, "matched") for rid, (p1, p2) in zip(present, projected)]
+        artifacts.write(
+            outdir / "pca_coords.csv", header=("id", "phi1", "phi2", "role"), rows=coords
+        )
         inputs.append(fp_path)
-    _write_manifest(outdir, "report", inputs, {"threshold": goal}, cfg.int("seed"), t0)
+    return inputs, {"threshold": goal}, {}
 
 
 def cmd_graph_dist(cfg: Config, g1: str, g2: str, top_n: int | None, mode: str) -> None:
@@ -498,10 +404,8 @@ def cmd_graph_dist(cfg: Config, g1: str, g2: str, top_n: int | None, mode: str) 
     print(fmt(graphdist.spectral_distance(a, b, n=top_n, mode=mode)))
 
 
-def cmd_synth(cfg: Config) -> None:
+def cmd_synth(cfg: Config, outdir: Path):
     """Generate a heterogeneous synthetic world plus a ready-to-run config."""
-    t0 = time.monotonic()
-    outdir = _outdir(cfg)
     seed = cfg.int("seed")
     n_features = cfg.int("synth_features", 2)
     n_subsets = cfg.int("synth_subsets", 1)
@@ -514,16 +418,14 @@ def cmd_synth(cfg: Config) -> None:
     rng = np.random.default_rng(seed)
     names = tuple(f"f{i + 1:02d}" for i in range(n_features)) + ("y",)
     edges: list[tuple[str, str, float]] = []
-    for i in range(1, n_features):
-        n_parents = min(i, int(rng.integers(1, 3)))
-        parents = rng.choice(i, size=n_parents, replace=False)
+
+    def add_parents(child: str, parents) -> None:
         for p in sorted(parents):
-            weight = float(rng.uniform(0.4, 0.9) * rng.choice([-1.0, 1.0]))
-            edges.append((names[p], names[i], weight))
-    target_parents = rng.choice(n_features, size=min(3, n_features), replace=False)
-    for p in sorted(target_parents):
-        weight = float(rng.uniform(0.4, 0.9) * rng.choice([-1.0, 1.0]))
-        edges.append((names[p], "y", weight))
+            edges.append((names[p], child, float(rng.uniform(0.4, 0.9) * rng.choice([-1.0, 1.0]))))
+
+    for i in range(1, n_features):
+        add_parents(names[i], rng.choice(i, size=min(i, int(rng.integers(1, 3))), replace=False))
+    add_parents("y", rng.choice(n_features, size=min(3, n_features), replace=False))
     spec = synth.SemSpec(
         node_names=names,
         edges=tuple(edges),
@@ -553,36 +455,29 @@ def cmd_synth(cfg: Config) -> None:
         bits = (fp_rng.random((len(ids), fp_width)) < 0.25).astype(np.uint8)
         dataio.save_fingerprints(outdir / name, dataio.FingerprintTable(ids, bits))
 
-    cfg_lines = [
-        "features = features.csv",
-        "schema = schema.cfg",
-        "fingerprints = fingerprints.csv",
-        "reference = reference.csv",
-        "reference_fingerprints = reference_fingerprints.csv",
-        "output_dir = .",
-        f"pivot_features = {','.join(names[: min(3, n_features)])}",
-        f"k_features = {min(cfg.int('k_features'), n_features)}",
-        f"seed = {seed}",
-        f"m_per_iter = {cfg.raw('m_per_iter')}",
-        f"n_iter = {cfg.raw('n_iter')}",
-        f"n_realizations = {cfg.raw('n_realizations')}",
-        f"goal = {cfg.raw('goal')}",
-        f"knn_k = {cfg.raw('knn_k')}",
-        f"prune_threshold = {cfg.raw('prune_threshold')}",
-    ]
-    (outdir / "pipeline.cfg").write_text("\n".join(cfg_lines) + "\n", encoding="utf-8")
-    _write_manifest(
-        outdir, "synth", [],
-        {
-            "n_features": n_features, "n_subsets": n_subsets, "rows": rows,
-            "reference_rows": ref_rows, "spread": spread,
-        },
-        seed, t0,
-    )
+    artifacts.write(outdir / "pipeline.cfg", meta=[
+        ("features", "features.csv"),
+        ("schema", "schema.cfg"),
+        ("fingerprints", "fingerprints.csv"),
+        ("reference", "reference.csv"),
+        ("reference_fingerprints", "reference_fingerprints.csv"),
+        ("output_dir", "."),
+        ("pivot_features", names[: min(3, n_features)]),
+        ("k_features", min(cfg.int("k_features"), n_features)),
+        ("seed", seed),
+        *((key, cfg.raw(key)) for key in (
+            "m_per_iter", "n_iter", "n_realizations", "goal", "knn_k", "prune_threshold",
+        )),
+    ])
+    params = {
+        "n_features": n_features, "n_subsets": n_subsets, "rows": rows,
+        "reference_rows": ref_rows, "spread": spread,
+    }
+    return [], params, {}
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Running a stage, argument parsing, exit codes
 # ---------------------------------------------------------------------------
 
 _STAGES = {
@@ -595,6 +490,26 @@ _STAGES = {
     "match": cmd_match,
     "report": cmd_report,
 }
+
+
+def _run_stage(command: str, cfg: Config) -> None:
+    """Run one stage in its output directory and write its `<stage>.manifest`.
+
+    The manifest records the stage's input hashes, params, counts, the seed
+    and the duration; it is the one artifact that is not byte-identical
+    across reruns.
+    """
+    t0 = time.monotonic()
+    outdir = cfg.path("output_dir")
+    outdir.mkdir(parents=True, exist_ok=True)
+    inputs, params, counts = _STAGES[command](cfg, outdir)
+    stage = command.replace("-", "_")
+    meta = [("stage", stage)]
+    meta += [("input", f"{Path(p).name} sha256={file_sha256(p)}") for p in inputs]
+    meta += [(f"param {k}", str(params[k])) for k in sorted(params)]
+    meta += [(f"count {k}", str(counts[k])) for k in sorted(counts)]
+    meta += [("seed", str(cfg.int("seed"))), ("duration_s", f"{time.monotonic() - t0:.3f}")]
+    artifacts.write(outdir / f"{stage}.manifest", meta=meta)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -636,10 +551,7 @@ def _make_config(args) -> Config:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
         cfg.override("seed", env_seed)
     for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        cfg.override(key.strip(), value.strip())
+        cfg.override(*artifacts.parse_kv(item, f"--set {item!r}", ConfigError))
     if args.output_dir is not None:
         cfg.override("output_dir", args.output_dir)
     if args.seed is not None:
@@ -649,15 +561,14 @@ def _make_config(args) -> Config:
     return cfg
 
 
-_NUMERIC_ERRORS = (
-    DegenerateFeature,
-    DegenerateComponent,
-    DegenerateTarget,
-    NoCausalLever,
-    NodeMismatch,
-    CyclicGraph,
-    np.linalg.LinAlgError,
+# The first row whose types match an error gives its stderr prefix and exit code.
+_EXIT_CODES = (
+    ((ConfigError,), "E_CONFIG", 2),
+    ((OSError,), "E_IO", 3),
+    ((*NUMERIC_ERRORS, np.linalg.LinAlgError), "E_NUMERIC", 4),
+    ((CausalAlError, UnicodeDecodeError), "E_DATA", 3),
 )
+_HANDLED = tuple(t for types, _, _ in _EXIT_CODES for t in types)
 
 
 def run_cli(argv=None) -> int:
@@ -667,26 +578,12 @@ def run_cli(argv=None) -> int:
         if args.command == "graph-dist":
             cmd_graph_dist(cfg, args.graph1, args.graph2, args.top_n, args.mode)
         else:
-            _STAGES[args.command](cfg)
+            _run_stage(args.command, cfg)
         return 0
-    except ConfigError as exc:
-        print(f"E_CONFIG: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"E_IO: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"E_IO: {exc}", file=sys.stderr)
-        return 3
-    except _NUMERIC_ERRORS as exc:
-        print(f"E_NUMERIC: {exc}", file=sys.stderr)
-        return 4
-    except (SchemaError, InsufficientData) as exc:
-        print(f"E_DATA: {exc}", file=sys.stderr)
-        return 3
-    except CausalAlError as exc:
-        print(f"E_DATA: {exc}", file=sys.stderr)
-        return 3
+    except _HANDLED as exc:
+        prefix, code = next((p, c) for types, p, c in _EXIT_CODES if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

@@ -9,11 +9,11 @@ posterior assignment works directly on raw tables.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .dataio import FeatureTable, fit_normalizer
 from .errors import (
     ConfigError,
@@ -22,7 +22,6 @@ from .errors import (
     MissingColumn,
     SchemaError,
 )
-from .util import fmt
 
 COVARIANCE_FLOOR = 1e-6
 DEFAULT_TOL = 1e-6  # EM stops once the summed log-likelihood gains less
@@ -205,71 +204,47 @@ def assign_subsets(model: GmmModel, table: FeatureTable) -> np.ndarray:
 
 
 def save_gmm(path, model: GmmModel) -> None:
-    """Plain-text matrix blocks, one component at a time."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"pivot_features = {','.join(model.pivot_features)}\n")
-        fh.write(f"seed = {model.seed}\n")
-        fh.write(f"weights = {','.join(fmt(w) for w in model.weights)}\n")
-        fh.write(f"pivot_means = {','.join(fmt(v) for v in model.pivot_means)}\n")
-        fh.write(f"pivot_stds = {','.join(fmt(v) for v in model.pivot_stds)}\n")
-        fh.write(f"log_likelihoods = {','.join(fmt(v) for v in model.log_likelihoods)}\n")
-        for k in range(model.n_components):
-            fh.write(f"component = {k}\n")
-            fh.write("mean = " + ",".join(fmt(v) for v in model.means[k]) + "\n")
-            for row in model.covariances[k]:
-                fh.write("cov = " + ",".join(fmt(v) for v in row) + "\n")
+    """`key = value` lines, then one `component`/`mean`/`cov` block per component."""
+    meta = [
+        ("pivot_features", model.pivot_features),
+        ("seed", model.seed),
+        ("weights", model.weights),
+        ("pivot_means", model.pivot_means),
+        ("pivot_stds", model.pivot_stds),
+        ("log_likelihoods", model.log_likelihoods),
+    ]
+    for k in range(model.n_components):
+        meta += [("component", k), ("mean", model.means[k])]
+        meta += [("cov", row) for row in model.covariances[k]]
+    artifacts.write(path, meta=meta)
 
 
 def load_gmm(path) -> GmmModel:
-    kv: dict[str, str] = {}
-    comp_means: list[list[float]] = []
-    comp_covs: list[list[list[float]]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "component":
-                comp_means.append([])
-                comp_covs.append([])
-            elif key == "mean":
-                comp_means[-1] = [float(v) for v in value.split(",")]
-            elif key == "cov":
-                comp_covs[-1].append([float(v) for v in value.split(",")])
-            else:
-                kv[key] = value
-    if not comp_means:
+    art = artifacts.read(path)
+    pivots = art.get("pivot_features", artifacts.names)
+    try:
+        means = np.array([artifacts.floats(v) for k, v in art.meta if k == "mean"], dtype=float)
+        covs = np.array([artifacts.floats(v) for k, v in art.meta if k == "cov"], dtype=float)
+        covs = covs.reshape(len(means), len(pivots), len(pivots))
+    except ValueError:
+        raise SchemaError(f"{path}: malformed component block") from None
+    if not len(means):
         raise SchemaError(f"{path}: no components found")
     return GmmModel(
-        weights=np.array([float(v) for v in kv["weights"].split(",")]),
-        means=np.array(comp_means),
-        covariances=np.array(comp_covs),
-        pivot_features=tuple(kv["pivot_features"].split(",")),
-        pivot_means=np.array([float(v) for v in kv["pivot_means"].split(",")]),
-        pivot_stds=np.array([float(v) for v in kv["pivot_stds"].split(",")]),
-        seed=int(kv.get("seed", "0")),
-        log_likelihoods=tuple(
-            float(v) for v in kv.get("log_likelihoods", "").split(",") if v
-        ),
+        weights=np.array(art.get("weights", artifacts.floats)),
+        means=means,
+        covariances=covs,
+        pivot_features=pivots,
+        pivot_means=np.array(art.get("pivot_means", artifacts.floats)),
+        pivot_stds=np.array(art.get("pivot_stds", artifacts.floats)),
+        seed=art.get("seed", int, 0),
+        log_likelihoods=art.get("log_likelihoods", artifacts.floats, ()),
     )
 
 
 def write_labels(path, row_ids, labels) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,subset\n")
-        for rid, lab in zip(row_ids, labels):
-            fh.write(f"{rid},{int(lab)}\n")
+    artifacts.write(path, header=("id", "subset"), rows=zip(row_ids, labels))
 
 
 def read_labels(path) -> dict[str, int]:
-    out: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "subset"]:
-            raise SchemaError(f"{path}: expected header `id,subset`")
-        for rid, lab in reader:
-            out[rid] = int(lab)
-    return out
+    return dict(artifacts.read(path, ("id", "subset"), lambda rid, lab: (rid, int(lab))).rows)

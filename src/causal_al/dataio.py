@@ -1,4 +1,4 @@
-"""Tabular feature ingestion, validation, normalization, splitting, persistence.
+"""Tabular feature ingestion, validation, normalization, persistence.
 
 Tables are dense float matrices with named columns and opaque string row ids
 (molecule identifiers such as SMILES strings are treated as labels, never
@@ -9,12 +9,13 @@ trips are bit identical.
 
 from __future__ import annotations
 
-import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .errors import (
     ConfigError,
     DegenerateFeature,
@@ -24,7 +25,6 @@ from .errors import (
     MissingColumn,
     SchemaError,
 )
-from .util import fmt
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,6 @@ class FeatureTable:
     def matrix(self, names) -> np.ndarray:
         idx = [self.index(n) for n in names]
         return self.values[:, idx].copy()
-
-    def row_index(self, row_id: str) -> int:
-        try:
-            return self._row_pos[row_id]
-        except KeyError:
-            raise SchemaError(f"no row with id {row_id!r}") from None
 
     def select_rows(self, indices) -> "FeatureTable":
         indices = list(indices)
@@ -151,36 +145,23 @@ _SCHEMA_KEYS = {"id_column", "target_columns", "fingerprint_width"}
 
 def read_schema(path) -> TableSchema:
     """Parse a plain-text `key = value` schema file."""
-    kv = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _SCHEMA_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown schema key {key!r}")
-            kv[key] = value
-    targets = tuple(t.strip() for t in kv.get("target_columns", "").split(",") if t.strip())
-    try:
-        width = int(kv.get("fingerprint_width", "2048"))
-    except ValueError:
-        raise ConfigError("fingerprint_width must be an integer") from None
+    art = artifacts.read(path, error=ConfigError)
+    unknown = sorted({key for key, _ in art.meta} - _SCHEMA_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown schema keys {unknown}")
     return TableSchema(
-        id_column=kv.get("id_column", "id"),
-        target_columns=targets,
-        fingerprint_width=width,
+        id_column=art.get("id_column", default="id"),
+        target_columns=art.get("target_columns", artifacts.names, ()),
+        fingerprint_width=art.get("fingerprint_width", int, 2048),
     )
 
 
 def write_schema(path, schema: TableSchema) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"id_column = {schema.id_column}\n")
-        fh.write(f"target_columns = {','.join(schema.target_columns)}\n")
-        fh.write(f"fingerprint_width = {schema.fingerprint_width}\n")
+    artifacts.write(path, meta=[
+        ("id_column", schema.id_column),
+        ("target_columns", schema.target_columns),
+        ("fingerprint_width", schema.fingerprint_width),
+    ])
 
 
 def load_feature_table(path, schema: TableSchema) -> tuple[FeatureTable, LoadReport]:
@@ -189,67 +170,56 @@ def load_feature_table(path, schema: TableSchema) -> tuple[FeatureTable, LoadRep
     Rows containing non-finite (or unparsable) numeric cells are dropped
     and counted in the returned report rather than imputed.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    id_pos = 0
+
+    def columns(found: tuple[str, ...]) -> tuple[str, ...]:
+        """Any header that holds the declared columns; `parse` needs the id's place."""
+        nonlocal id_pos
+        for column in (schema.id_column, *schema.target_columns):
+            if column not in found:
+                raise MissingColumn(f"{path}: declared column {column!r} not in header")
+        id_pos = found.index(schema.id_column)
+        return found
+
+    def parse(*cells: str) -> tuple[str, list[float] | None]:
+        """(id, values), with None for values that are not all finite numbers."""
+        values = list(cells)
+        rid = values.pop(id_pos)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyTable(f"{path}: no header row") from None
-        if schema.id_column not in header:
-            raise MissingColumn(f"{path}: id column {schema.id_column!r} not in header")
-        for t in schema.target_columns:
-            if t not in header:
-                raise MissingColumn(f"{path}: declared target {t!r} not in header")
-        id_pos = header.index(schema.id_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != id_pos)
+            parsed = [float(c) for c in values]
+        except ValueError:
+            return rid, None
+        return rid, parsed if all(map(math.isfinite, parsed)) else None
 
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        seen: set[str] = set()
-        dropped = 0
-        for record in reader:
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise SchemaError(f"{path}: row has {len(record)} cells, expected {len(header)}")
-            rid = record[id_pos]
-            if rid in seen:
-                raise DuplicateRowId(f"{path}: duplicate row id {rid!r}")
-            seen.add(rid)
-            cells = [c for i, c in enumerate(record) if i != id_pos]
-            try:
-                parsed = [float(c) for c in cells]
-            except ValueError:
-                dropped += 1
-                continue
-            if not all(math.isfinite(v) for v in parsed):
-                dropped += 1
-                continue
-            ids.append(rid)
-            rows.append(parsed)
-
-    if not rows:
+    art = artifacts.read(path, columns, parse)
+    ids = [rid for rid, _ in art.rows]
+    if len(set(ids)) < len(ids):
+        rid = next(rid for rid, n in Counter(ids).items() if n > 1)
+        raise DuplicateRowId(f"{path}: duplicate row id {rid!r}")
+    kept = {rid: values for rid, values in art.rows if values is not None}
+    if not kept:
         raise EmptyTable(f"{path}: no rows survived validation")
     table = FeatureTable(
-        row_ids=tuple(ids),
-        feature_names=feature_names,
-        values=np.array(rows, dtype=np.float64),
+        row_ids=tuple(kept),
+        feature_names=art.header[:id_pos] + art.header[id_pos + 1:],
+        values=np.array(list(kept.values()), dtype=np.float64),
         target_names=schema.target_columns,
     )
-    return table, LoadReport(rows_loaded=len(rows), rows_dropped=dropped)
+    return table, LoadReport(rows_loaded=len(kept), rows_dropped=len(ids) - len(kept))
 
 
 def save_feature_table(path, table: FeatureTable, id_column: str = "id") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join([id_column, *table.feature_names]) + "\n")
-        for rid, row in zip(table.row_ids, table.values):
-            fh.write(",".join([rid, *(fmt(v) for v in row)]) + "\n")
+    artifacts.write(
+        path,
+        header=(id_column, *table.feature_names),
+        rows=((rid, *row) for rid, row in zip(table.row_ids, table.values.tolist())),
+    )
 
 
 def write_load_report(path, report: LoadReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"rows_loaded = {report.rows_loaded}\n")
-        fh.write(f"rows_dropped = {report.rows_dropped}\n")
+    artifacts.write(path, meta=[
+        ("rows_loaded", report.rows_loaded), ("rows_dropped", report.rows_dropped),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -281,54 +251,15 @@ def fit_normalizer(table: FeatureTable, columns=None) -> Normalizer:
     return Normalizer(columns=columns, mean=mean, std=std)
 
 
-def _check_columns(normalizer: Normalizer, table: FeatureTable) -> list[int]:
-    try:
-        return [table.index(c) for c in normalizer.columns]
-    except MissingColumn as exc:
-        raise MissingColumn(f"normalizer column mismatch: {exc}") from None
-
-
 def apply_normalizer(normalizer: Normalizer, table: FeatureTable) -> FeatureTable:
     """z = (x - mean) / std on the fitted columns; other columns untouched."""
-    idx = _check_columns(normalizer, table)
+    try:
+        idx = [table.index(c) for c in normalizer.columns]
+    except MissingColumn as exc:
+        raise MissingColumn(f"normalizer column mismatch: {exc}") from None
     values = table.values.copy()
     values[:, idx] = (values[:, idx] - normalizer.mean) / normalizer.std
     return FeatureTable(table.row_ids, table.feature_names, values, table.target_names)
-
-
-def invert_normalizer(normalizer: Normalizer, table: FeatureTable) -> FeatureTable:
-    idx = _check_columns(normalizer, table)
-    values = table.values.copy()
-    values[:, idx] = values[:, idx] * normalizer.std + normalizer.mean
-    return FeatureTable(table.row_ids, table.feature_names, values, table.target_names)
-
-
-# ---------------------------------------------------------------------------
-# Splitting
-# ---------------------------------------------------------------------------
-
-DEFAULT_TRAIN_FRACTION = 0.8
-DEFAULT_SPLIT_SEED = 1729
-
-
-def split_rows(
-    table: FeatureTable,
-    train_fraction: float = DEFAULT_TRAIN_FRACTION,
-    seed: int = DEFAULT_SPLIT_SEED,
-) -> tuple[FeatureTable, FeatureTable]:
-    """Disjoint, exhaustive, seed-reproducible train/test row partition."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n = table.n_rows
-    if n < 2:
-        raise InsufficientData("need at least 2 rows to split")
-    n_train = round(n * train_fraction)
-    if n_train == 0 or n_train == n:
-        raise ConfigError(f"train_fraction {train_fraction} yields an empty split for {n} rows")
-    perm = np.random.default_rng(seed).permutation(n)
-    train_idx = sorted(perm[:n_train].tolist())
-    test_idx = sorted(perm[n_train:].tolist())
-    return table.select_rows(train_idx), table.select_rows(test_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +289,6 @@ class FingerprintTable:
         object.__setattr__(self, "row_ids", tuple(self.row_ids))
         object.__setattr__(self, "_row_pos", row_pos)  # row id -> row index
 
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
     def row(self, row_id: str) -> np.ndarray:
         try:
             return self.bits[self._row_pos[row_id]]
@@ -373,42 +300,27 @@ def load_fingerprints(path, width: int = 2048) -> FingerprintTable:
     """Load `id,fp_hex` rows; each hex string must encode exactly `width` bits."""
     if width <= 0 or width % 8 != 0:
         raise ConfigError(f"fingerprint width must be a positive multiple of 8, got {width}")
-    hex_len = width // 4
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) != 2 or header[1] != "fp_hex":
-            raise SchemaError(f"{path}: expected header `id,fp_hex`")
-        for record in reader:
-            if not record:
-                continue
-            rid, hexstr = record[0], record[1].strip()
-            if len(hexstr) != hex_len:
-                raise SchemaError(
-                    f"{path}: fingerprint for {rid!r} has {len(hexstr) * 4} bits, expected {width}"
-                )
-            try:
-                raw = bytes.fromhex(hexstr)
-            except ValueError:
-                raise SchemaError(f"{path}: invalid hex for {rid!r}") from None
-            ids.append(rid)
-            rows.append(np.unpackbits(np.frombuffer(raw, dtype=np.uint8)))
+
+    def bits(rid: str, hexstr: str) -> tuple[str, np.ndarray]:
+        hexstr = hexstr.strip()
+        if len(hexstr) != width // 4:
+            raise ValueError(
+                f"fingerprint for {rid!r} has {len(hexstr) * 4} bits, expected {width}"
+            )
+        return rid, np.unpackbits(np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8))
+
+    rows = artifacts.read(path, lambda found: (*found[:1], "fp_hex"), bits).rows
     if not rows:
         raise EmptyTable(f"{path}: no fingerprints loaded")
-    return FingerprintTable(row_ids=tuple(ids), bits=np.array(rows, dtype=np.uint8))
+    return FingerprintTable(
+        row_ids=tuple(rid for rid, _ in rows), bits=np.array([b for _, b in rows], dtype=np.uint8)
+    )
 
 
 def save_fingerprints(path, fps: FingerprintTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,fp_hex\n")
-        for rid, row in zip(fps.row_ids, fps.bits):
-            fh.write(f"{rid},{np.packbits(row).tobytes().hex()}\n")
-
-
-def check_fingerprint_alignment(fps: FingerprintTable, table: FeatureTable) -> None:
-    """Fingerprint ids must be a subset of the feature table's ids."""
-    extra = set(fps.row_ids) - set(table.row_ids)
-    if extra:
-        raise SchemaError(f"fingerprints reference unknown row ids, e.g. {sorted(extra)[:3]}")
+    packed = np.packbits(fps.bits, axis=1)
+    artifacts.write(
+        path,
+        header=("id", "fp_hex"),
+        rows=((rid, row.tobytes().hex()) for rid, row in zip(fps.row_ids, packed)),
+    )

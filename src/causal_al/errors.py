@@ -55,3 +55,10 @@ class NodeMismatch(CausalAlError):
 
 class CyclicGraph(CausalAlError):
     """An edge set expected to be acyclic contains a cycle."""
+
+
+# Failures of the numerics rather than of the input's shape (CLI exit code 4).
+NUMERIC_ERRORS = (
+    DegenerateFeature, DegenerateComponent, DegenerateTarget,
+    NoCausalLever, NodeMismatch, CyclicGraph,
+)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .causal import EffectMatrix, WeightedDag, total_effects
 from .dataio import FeatureTable
 from .errors import ConfigError, NoCausalLever, NodeMismatch, SchemaError
-from .util import fmt
 
 DEFAULT_GOAL = 3.0  # target shift goal in the target's own units
 
@@ -214,47 +214,26 @@ def original_id(intervened_id: str) -> str:
     return intervened_id
 
 
-PLANS_HEADER = "id,feature,old,new,pred_before,pred_after,clamped,goal"
+PLANS_HEADER = ("id", "feature", "old", "new", "pred_before", "pred_after", "clamped", "goal")
 
 
 def save_plans(path, plans) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PLANS_HEADER + "\n")
-        for p in plans:
-            fh.write(
-                f"{p.row_id},{p.chosen_feature},{fmt(p.original_value)},"
-                f"{fmt(p.intervened_value)},{fmt(p.predicted_target_before)},"
-                f"{fmt(p.predicted_target_after)},{int(p.clamped)},{fmt(p.target_goal)}\n"
-            )
+    artifacts.write(path, header=PLANS_HEADER, rows=(
+        (p.row_id, p.chosen_feature, p.original_value, p.intervened_value,
+         p.predicted_target_before, p.predicted_target_after, int(p.clamped), p.target_goal)
+        for p in plans
+    ))
 
 
 def load_plans(path) -> list[InterventionPlan]:
     """Plans as saved, each with the goal it was planned for."""
-    plans = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != PLANS_HEADER:
-            raise SchemaError(f"{path}: unexpected plans header")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rid, feat, old, new, before, after, clamped, goal = line.split(",")
-            old_f, new_f = float(old), float(new)
-            before_f, after_f = float(before), float(after)
-            delta = new_f - old_f
-            eff = (after_f - before_f) / delta if delta != 0.0 else 0.0
-            plans.append(
-                InterventionPlan(
-                    row_id=rid,
-                    chosen_feature=feat,
-                    original_value=old_f,
-                    intervened_value=new_f,
-                    predicted_target_before=before_f,
-                    predicted_target_after=after_f,
-                    target_goal=float(goal),
-                    effect=eff,
-                    clamped=bool(int(clamped)),
-                )
-            )
-    return plans
+
+    def plan(rid, feature, old, new, before, after, clamped, goal) -> InterventionPlan:
+        old, new, before, after, goal = map(float, (old, new, before, after, goal))
+        delta = new - old
+        effect = (after - before) / delta if delta != 0.0 else 0.0
+        return InterventionPlan(
+            rid, feature, old, new, before, after, goal, effect, bool(int(clamped))
+        )
+
+    return artifacts.read(path, PLANS_HEADER, plan).rows

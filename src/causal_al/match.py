@@ -13,11 +13,11 @@ trajectory plots.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .dataio import FeatureTable, FingerprintTable
 from .errors import (
     ConfigError,
@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .intervene import original_id
-from .util import fmt, parallel_map
+from .util import parallel_map
 
 # Query x reference distance values held per block (256 KiB of float64, so a
 # block's buffers stay in a core's L2 cache); a block always takes at least
@@ -315,38 +315,25 @@ def intervention_report(
 # ---------------------------------------------------------------------------
 
 
+NEIGHBORS_HEADER = ("query_id", "rank", "ref_id", "distance", "ref_target")
+
+
 def save_neighbors(path, neighbors) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("query_id,rank,ref_id,distance,ref_target\n")
-        for nr in neighbors:
-            for rank, (rid, dist) in enumerate(zip(nr.neighbor_ids, nr.distances), start=1):
-                tval = "" if nr.ref_targets is None else fmt(nr.ref_targets[rank - 1])
-                fh.write(f"{nr.query_id},{rank},{rid},{fmt(dist)},{tval}\n")
+    artifacts.write(path, header=NEIGHBORS_HEADER, rows=(
+        (nr.query_id, rank, rid, dist, "" if nr.ref_targets is None else nr.ref_targets[rank - 1])
+        for nr in neighbors
+        for rank, (rid, dist) in enumerate(zip(nr.neighbor_ids, nr.distances), start=1)
+    ))
 
 
 def load_neighbors(path) -> list[NeighborResult]:
-    grouped: dict[str, list[tuple[int, str, float, float | None]]] = {}
-    order: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["query_id", "rank", "ref_id", "distance", "ref_target"]:
-            raise SchemaError(f"{path}: unexpected neighbors header")
-        for qid, rank, rid, dist, tval in reader:
-            if qid not in grouped:
-                grouped[qid] = []
-                order.append(qid)
-            grouped[qid].append((int(rank), rid, float(dist), float(tval) if tval else None))
+    grouped: dict[str, list] = {}
+    for qid, *entry in artifacts.read(path, NEIGHBORS_HEADER, (
+        lambda qid, rank, rid, dist, t: (qid, int(rank), rid, float(dist), float(t) if t else None)
+    )).rows:
+        grouped.setdefault(qid, []).append(entry)
     results = []
-    for qid in order:
-        rows = sorted(grouped[qid])
-        has_targets = all(r[3] is not None for r in rows)
-        results.append(
-            NeighborResult(
-                query_id=qid,
-                neighbor_ids=tuple(r[1] for r in rows),
-                distances=tuple(r[2] for r in rows),
-                ref_targets=tuple(r[3] for r in rows) if has_targets else None,
-            )
-        )
+    for qid, entries in grouped.items():
+        _, ids, distances, targets = zip(*sorted(entries))
+        results.append(NeighborResult(qid, ids, distances, None if None in targets else targets))
     return results

@@ -416,13 +416,7 @@ def r2(model: ForestModel, test: FeatureTable) -> float:
     """Coefficient of determination about the test-set mean."""
     if test.n_rows == 0:
         raise EmptyTable("test table is empty")
-    y = test.column(model.target)
-    if np.all(y == y[0]):
-        raise DegenerateTarget(f"test target {model.target!r} is constant")
-    pred = predict(model, test)
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    return 1.0 - ss_res / ss_tot
+    return r2_of(test.column(model.target), predict(model, test))
 
 
 def r2_of(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -452,18 +446,12 @@ def accuracy_trace(
     Returns (per-iteration R2 list, all-data reference R2), the reference
     being a forest fit on the whole pool.
     """
-    trace: list[float] = []
-    for it in range(run.n_iter):
-        snap = pool.select_by_ids(run.snapshot_ids(it))
+    def score(train: FeatureTable) -> float:
         model = fit_forest(
-            snap, features, target,
-            n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
-            seed=seed, jobs=jobs,
+            train, features, target,
+            n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf, seed=seed, jobs=jobs,
         )
-        trace.append(r2(model, test))
-    reference_model = fit_forest(
-        pool, features, target,
-        n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
-        seed=seed, jobs=jobs,
-    )
-    return trace, r2(reference_model, test)
+        return r2(model, test)
+
+    trace = [score(pool.select_by_ids(run.snapshot_ids(it))) for it in range(run.n_iter)]
+    return trace, score(pool)

@@ -1,6 +1,11 @@
-import numpy as np
+import re
 
-from causal_al import active, causal, cluster, dataio, intervene, match
+import numpy as np
+import pytest
+
+from causal_al import active, artifacts, causal, cluster, dataio, intervene, match
+from causal_al.cli import Config, run_cli
+from causal_al.errors import ConfigError, SchemaError
 
 INF = float("inf")
 
@@ -129,3 +134,69 @@ def test_artifact_bytes_are_pinned(tmp_path):
     }
     for name, text in expected.items():
         assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "load, name, text, where",
+    [
+        (cluster.read_labels, "labels.csv", "id,subset\na,0\nb,1,2\n", "labels.csv:3:"),
+        (cluster.read_labels, "labels.csv", "id,subset\na,zero\n", "labels.csv:2:"),
+        (intervene.load_plans, "plans.csv",
+         f"{','.join(intervene.PLANS_HEADER)}\nm1,a,1,2,3,4,0\n", "plans.csv:2:"),
+        (causal.load_dag, "g.csv", "# causal_order = a,b\nx,y\n", "g.csv:2:"),
+        (causal.load_dag, "g.csv",
+         "# causal_order = a,b\n\nchild,parent,weight\nb,a,w\n", "g.csv:4:"),
+        (active.load_run, "run.csv", "iter,loss_0,loss_9,chosen,size\n", "run.csv:1:"),
+        (match.load_neighbors, "n.csv",
+         f"{','.join(match.NEIGHBORS_HEADER)}\nq,1,r\n", "n.csv:2:"),
+        (lambda p: dataio.load_fingerprints(p, 8), "fp.csv", "id,fp_hex\na,zz\n", "fp.csv:2:"),
+    ],
+)
+def test_reader_names_the_file_and_line_at_fault(tmp_path, load, name, text, where):
+    path = _write(tmp_path, name, text)
+    with pytest.raises(SchemaError, match=f"{re.escape(str(tmp_path))}.{re.escape(where)}"):
+        load(path)
+
+
+@pytest.mark.parametrize("bad", [",", '"', "\r", "\n"])
+def test_writer_rejects_unwritable_text_before_opening(tmp_path, bad):
+    path = tmp_path / "labels.csv"
+    with pytest.raises(SchemaError):
+        cluster.write_labels(path, ("a", f"b{bad}c"), np.array([0, 1]))
+    assert not path.exists()
+    # a node without edges appears only in the node-order line
+    dag = causal.WeightedDag((f"x{bad}", "y"), np.zeros((2, 2)), (0, 1))
+    with pytest.raises(SchemaError):
+        causal.save_dag(tmp_path / "g.csv", dag)
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_headerless_id_list_round_trips_ids_that_start_with_hash(tmp_path):
+    ids = ("#a", "b c", "C(C)O::do")
+    active.write_id_list(tmp_path / "ids.txt", ids)
+    assert active.read_id_list(tmp_path / "ids.txt") == ids
+    active.write_id_list(tmp_path / "empty.txt", ())
+    assert active.read_id_list(tmp_path / "empty.txt") == ()
+
+
+def test_key_value_files_skip_comments_and_blank_lines(tmp_path):
+    path = _write(tmp_path, "a.cfg", "# comment\n\nk = v = w\nk2=\n")
+    assert artifacts.read(path).meta == [("k", "v = w"), ("k2", "")]
+
+
+def test_config_and_schema_lines_raise_config_error(tmp_path, capsys):
+    bad = _write(tmp_path, "bad.cfg", "seed = 1\nno equals sign\n")
+    with pytest.raises(ConfigError, match="bad.cfg:2:"):
+        Config.from_file(bad)
+    with pytest.raises(ConfigError, match="bad.cfg:2:"):
+        dataio.read_schema(bad)
+    assert run_cli(["cluster", "-c", str(bad)]) == 2
+    assert run_cli(["cluster", "--set", "seed"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":", 1)[0] for line in err] == ["E_CONFIG", "E_CONFIG"]

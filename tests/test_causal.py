@@ -6,13 +6,11 @@ from causal_al.causal import (
     FeatureRanking,
     WeightedDag,
     discover_lingam,
-    fit_sem_weights,
     rank_features,
     select_top_k,
 )
 from causal_al.errors import (
     ConfigError,
-    CyclicGraph,
     InsufficientData,
     MissingColumn,
     NodeMismatch,
@@ -272,69 +270,6 @@ def test_root_search_block_invariance(monkeypatch, seed):
     blocked = discover_lingam(table, "x5")
     assert blocked.causal_order == whole.causal_order
     assert np.array_equal(blocked.B, whole.B)
-
-
-# ---------------------------------------------------------------------------
-# weight refitting
-# ---------------------------------------------------------------------------
-
-
-def test_fit_sem_weights_exact_noiseless_line():
-    x = np.linspace(-3, 3, 50)
-    table = make_table(np.column_stack([x, 2.0 * x]), ("x", "y"), target_names=("y",))
-    structure = WeightedDag(
-        node_names=("x", "y"),
-        B=np.array([[0.0, 0.0], [1.0, 0.0]]),  # structure only: y <- x
-        causal_order=(0, 1),
-        target="y",
-    )
-    refit = fit_sem_weights(table, structure)
-    assert refit.B[1, 0] == pytest.approx(2.0, abs=1e-9)
-    assert refit.residual_variances[1] == pytest.approx(0.0, abs=1e-18)
-
-
-def test_fit_sem_weights_parentless_node_variance():
-    rng = np.random.default_rng(8)
-    vals = rng.normal(size=(100, 2))
-    table = make_table(vals, ("a", "b"))
-    structure = WeightedDag(("a", "b"), np.zeros((2, 2)), (0, 1))
-    refit = fit_sem_weights(table, structure)
-    assert refit.residual_variances[0] == pytest.approx(np.var(vals[:, 0], ddof=1))
-    assert refit.residual_variances[1] == pytest.approx(np.var(vals[:, 1], ddof=1))
-
-
-def test_fit_sem_weights_chain_frozen():
-    table = sample_sem(CHAIN, 5000, target_names=("x3",))
-    structure = discover_lingam(table, "x3", prune_threshold=0.05)
-    refit = fit_sem_weights(table, structure)
-    assert refit.B[1, 0] == pytest.approx(0.7120521635089008, abs=1e-6)
-    assert refit.B[2, 1] == pytest.approx(0.5125522092879528, abs=1e-6)
-    assert abs(refit.B[1, 0] - 0.7) < 0.03
-    assert abs(refit.B[2, 1] - 0.5) < 0.03
-
-
-def test_fit_sem_weights_collinear_ridge_flag():
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=200)
-    table = make_table(
-        np.column_stack([a, a, a + rng.normal(size=200)]), ("a", "b", "y")
-    )
-    structure = WeightedDag(
-        node_names=("a", "b", "y"),
-        B=np.array([[0, 0, 0], [0, 0, 0], [1, 1, 0]], dtype=float),
-        causal_order=(0, 1, 2),
-        target="y",
-    )
-    refit = fit_sem_weights(table, structure)
-    assert refit.ridge_flagged == ("y",)
-    assert np.isfinite(refit.B).all()
-
-
-def test_fit_sem_weights_rejects_cycle():
-    table = make_table(np.random.default_rng(0).normal(size=(30, 2)), ("a", "b"))
-    cyclic = WeightedDag(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 1))
-    with pytest.raises(CyclicGraph):
-        fit_sem_weights(table, cyclic)
 
 
 # ---------------------------------------------------------------------------

@@ -213,3 +213,46 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _one_data_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("E_DATA: ")
+    assert "\n" not in err.strip()
+    return err
+
+
+def test_graph_dist_on_a_non_graph_file_is_E_DATA(tmp_path, capsys):
+    work = tmp_path / "w"
+    assert run_cli(["synth", "-o", str(work), "--seed", "3"] + SMALL) == 0
+    capsys.readouterr()
+    code = run_cli(["graph-dist", str(work / "features.csv"), str(work / "true_graph.csv")])
+    assert code == 3
+    _one_data_error(capsys)
+    only_header = tmp_path / "xy.csv"
+    only_header.write_text("x,y\n", encoding="utf-8")
+    assert run_cli(["graph-dist", str(only_header), str(work / "true_graph.csv")]) == 3
+    _one_data_error(capsys)
+
+
+def test_id_the_format_cannot_hold_is_E_DATA(tmp_path, capsys):
+    work = tmp_path / "w"
+    assert run_cli(["synth", "-o", str(work), "--seed", "3"] + SMALL) == 0
+    features = work / "features.csv"
+    lines = features.read_text(encoding="utf-8").splitlines(keepends=True)
+    first_id = lines[1].split(",", 1)[0]
+    lines[1] = '"C(C)O,x"' + lines[1][len(first_id):]
+    features.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(["cluster", "-c", str(work / "pipeline.cfg")]) == 3
+    _one_data_error(capsys)
+    assert not (work / "subsets.csv").exists()
+
+
+def test_undecodable_features_file_is_E_DATA(tmp_path, capsys):
+    work = tmp_path / "w"
+    assert run_cli(["synth", "-o", str(work), "--seed", "3"] + SMALL) == 0
+    (work / "features.csv").write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff\xfe" * 8)
+    capsys.readouterr()
+    assert run_cli(["cluster", "-c", str(work / "pipeline.cfg")]) == 3
+    _one_data_error(capsys)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from causal_al.causal import WeightedDag, discover_lingam, fit_sem_weights
+from causal_al.causal import WeightedDag, discover_lingam
 from causal_al.errors import ConfigError, CyclicGraph, NoCausalLever, SchemaError
 from causal_al.intervene import (
     apply_interventions,
