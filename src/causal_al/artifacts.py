@@ -115,39 +115,47 @@ def read(path, header=None, row=None, *, error=SchemaError) -> Artifact:
     to what `rows` holds while the file is read, so the cells are not kept;
     a ValueError or IndexError it raises names the row's file and line.
     """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return _parse(fh, str(path), header, row, error)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _parse(fh, path: str, header, row, error) -> Artifact:
+    """`read` on an open text file."""
     meta: list[tuple[str, str]] = []
     rows: list = []
     found: tuple[str, ...] = ()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or (header is None and line.startswith("#")):
-                continue
-            if header is not None and (isinstance(header, int) or not line.startswith("#")):
-                break
-            meta.append(parse_kv(line.removeprefix("#"), f"{path}:{lineno}", error))
-        else:
-            if header is None or isinstance(header, int):
-                return Artifact(str(path), meta, found, rows, error)
-            raise EmptyTable(f"{path}: no header row")
-        reader = csv.reader(itertools.chain([raw], fh))
-        width = header
-        if not isinstance(header, int):
-            found = tuple(next(reader))
-            expected = tuple(header(found) if callable(header) else header)
-            if found != expected:
-                raise SchemaError(f"{path}:{lineno}: expected header `{','.join(expected)}`")
-            width = len(found)
-        for record in reader:
-            if not record:
-                continue
-            at = lineno - 1 + reader.line_num
-            if len(record) != width:
-                raise SchemaError(f"{path}:{at}: row has {len(record)} cells, expected {width}")
-            if row is not None:
-                try:
-                    record = row(*record)
-                except (ValueError, IndexError) as exc:
-                    raise SchemaError(f"{path}:{at}: {exc}") from None
-            rows.append(record)
-    return Artifact(str(path), meta, found, rows, error)
+    for lineno, raw in enumerate(fh, 1):
+        line = raw.strip()
+        if not line or (header is None and line.startswith("#")):
+            continue
+        if header is not None and (isinstance(header, int) or not line.startswith("#")):
+            break
+        meta.append(parse_kv(line.removeprefix("#"), f"{path}:{lineno}", error))
+    else:
+        if header is None or isinstance(header, int):
+            return Artifact(path, meta, found, rows, error)
+        raise EmptyTable(f"{path}: no header row")
+    reader = csv.reader(itertools.chain([raw], fh))
+    width = header
+    if not isinstance(header, int):
+        found = tuple(next(reader))
+        expected = tuple(header(found) if callable(header) else header)
+        if found != expected:
+            raise SchemaError(f"{path}:{lineno}: expected header `{','.join(expected)}`")
+        width = len(found)
+    for record in reader:
+        if not record:
+            continue
+        at = lineno - 1 + reader.line_num
+        if len(record) != width:
+            raise SchemaError(f"{path}:{at}: row has {len(record)} cells, expected {width}")
+        if row is not None:
+            try:
+                record = row(*record)
+            except (ValueError, IndexError) as exc:
+                raise SchemaError(f"{path}:{at}: {exc}") from None
+        rows.append(record)
+    return Artifact(path, meta, found, rows, error)

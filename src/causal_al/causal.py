@@ -372,8 +372,9 @@ def load_dag(path) -> WeightedDag:
     pos = {n: i for i, n in enumerate(names)}
     b = np.zeros((len(names), len(names)))
     for child, parent, weight in art.rows:
-        if child not in pos or parent not in pos:
-            raise NodeMismatch(f"{path}: edge references unknown node {child!r}/{parent!r}")
+        for node in (child, parent):
+            if node not in pos:
+                raise SchemaError(f"{path}: edge names unknown node {node!r}")
         b[pos[child], pos[parent]] = weight
     means = art.get("node_means", artifacts.floats, ())
     stds = art.get("node_stds", artifacts.floats, ())

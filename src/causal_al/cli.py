@@ -566,7 +566,7 @@ _EXIT_CODES = (
     ((ConfigError,), "E_CONFIG", 2),
     ((OSError,), "E_IO", 3),
     ((*NUMERIC_ERRORS, np.linalg.LinAlgError), "E_NUMERIC", 4),
-    ((CausalAlError, UnicodeDecodeError), "E_DATA", 3),
+    ((CausalAlError,), "E_DATA", 3),
 )
 _HANDLED = tuple(t for types, _, _ in _EXIT_CODES for t in types)
 

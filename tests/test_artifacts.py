@@ -185,6 +185,21 @@ def test_headerless_id_list_round_trips_ids_that_start_with_hash(tmp_path):
     assert active.read_id_list(tmp_path / "empty.txt") == ()
 
 
+def test_undecodable_file_raises_schema_error_naming_it(tmp_path):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"child,parent,weight\n\xff\xfe\n")
+    with pytest.raises(SchemaError, match=f"{re.escape(str(path))}: not UTF-8 text"):
+        causal.load_dag(path)
+    with pytest.raises(SchemaError, match=f"{re.escape(str(path))}: not UTF-8 text"):
+        artifacts.read(path)
+
+
+def test_edge_naming_an_unknown_node_is_a_schema_error(tmp_path):
+    path = _write(tmp_path, "g.csv", "# causal_order = a,b\nchild,parent,weight\nb,zz,0.5\n")
+    with pytest.raises(SchemaError, match="unknown node 'zz'$"):
+        causal.load_dag(path)
+
+
 def test_key_value_files_skip_comments_and_blank_lines(tmp_path):
     path = _write(tmp_path, "a.cfg", "# comment\n\nk = v = w\nk2=\n")
     assert artifacts.read(path).meta == [("k", "v = w"), ("k2", "")]

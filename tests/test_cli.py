@@ -256,3 +256,19 @@ def test_undecodable_features_file_is_E_DATA(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["cluster", "-c", str(work / "pipeline.cfg")]) == 3
     _one_data_error(capsys)
+
+
+def test_graph_edge_naming_an_unknown_node_is_E_DATA(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# causal_order = a,b\nchild,parent,weight\nb,zz,0.5\n", encoding="utf-8")
+    assert run_cli(["graph-dist", str(bad), str(bad)]) == 3
+    err = _one_data_error(capsys)
+    assert str(bad) in err
+    assert "'zz'" in err and "'b'" not in err
+
+
+def test_undecodable_input_is_E_DATA_naming_the_file(tmp_path, capsys):
+    binary = tmp_path / "bin.csv"
+    binary.write_bytes(b"\x89PNG")
+    assert run_cli(["graph-dist", str(binary), str(binary)]) == 3
+    assert f"{binary}: not UTF-8 text" in _one_data_error(capsys)
