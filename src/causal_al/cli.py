@@ -398,10 +398,10 @@ def cmd_report(cfg: Config, outdir: Path):
     return inputs, {"threshold": goal}, {}
 
 
-def cmd_graph_dist(cfg: Config, g1: str, g2: str, top_n: int | None, mode: str) -> None:
+def cmd_graph_dist(cfg: Config, g1: str, g2: str, top_n: int | None) -> None:
     a = causal.load_dag(Path(g1))
     b = causal.load_dag(Path(g2))
-    print(fmt(graphdist.spectral_distance(a, b, n=top_n, mode=mode)))
+    print(fmt(graphdist.spectral_distance(a, b, n=top_n)))
 
 
 def cmd_synth(cfg: Config, outdir: Path):
@@ -536,7 +536,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gd.add_argument("graph1")
     gd.add_argument("graph2")
     gd.add_argument("--top-n", type=int, default=None)
-    gd.add_argument("--mode", choices=("singular", "eigenvalue"), default="singular")
     add_common(gd)
     return parser
 
@@ -576,7 +575,7 @@ def run_cli(argv=None) -> int:
     try:
         cfg = _make_config(args)
         if args.command == "graph-dist":
-            cmd_graph_dist(cfg, args.graph1, args.graph2, args.top_n, args.mode)
+            cmd_graph_dist(cfg, args.graph1, args.graph2, args.top_n)
         else:
             _run_stage(args.command, cfg)
         return 0

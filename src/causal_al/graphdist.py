@@ -4,7 +4,6 @@ The spectrum of a directed weighted adjacency is taken as its singular
 values: a DAG adjacency is non-symmetric (strictly triangular up to node
 order, so its eigenvalues are all zero and carry no information), while
 singular values are real, ordered, and invariant under node relabeling.
-An eigenvalue-magnitude mode is kept behind a flag for comparison.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import numpy as np
 
 from .causal import WeightedDag
 from .errors import ConfigError, NodeMismatch
-
-_MODES = ("singular", "eigenvalue")
 
 
 @dataclass(frozen=True)
@@ -36,22 +33,12 @@ class Spectrum:
         object.__setattr__(self, "values", v)
 
 
-def _raw_spectrum(b: np.ndarray, mode: str) -> np.ndarray:
-    if b.size == 0:
-        return np.zeros(0)
-    if mode == "singular":
-        return np.linalg.svd(b, compute_uv=False)
-    vals = np.sort(np.abs(np.linalg.eigvals(b)))[::-1]
-    return vals
-
-
-def spectrum(dag: WeightedDag, n: int, mode: str = "singular") -> Spectrum:
-    """Top-n spectrum of the weighted adjacency, zero-padded below node count."""
-    if mode not in _MODES:
-        raise ConfigError(f"unknown spectrum mode {mode!r}")
+def spectrum(dag: WeightedDag, n: int) -> Spectrum:
+    """Top-n singular values of the weighted adjacency, zero-padded below node count."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    vals = _raw_spectrum(np.asarray(dag.B, dtype=np.float64), mode)
+    b = np.asarray(dag.B, dtype=np.float64)
+    vals = np.linalg.svd(b, compute_uv=False) if b.size else np.zeros(0)
     if vals.size < n:
         vals = np.concatenate([vals, np.zeros(n - vals.size)])
     return Spectrum(values=vals[:n])
@@ -61,7 +48,6 @@ def spectral_distance(
     g1: WeightedDag,
     g2: WeightedDag,
     n: int | None = None,
-    mode: str = "singular",
 ) -> float:
     """l2 distance between the aligned top-n spectra of two graphs.
 
@@ -74,6 +60,6 @@ def spectral_distance(
         raise NodeMismatch("graphs share no nodes")
     if n is None:
         n = max(len(s1 | s2), 1)
-    a = spectrum(g1, n, mode).values
-    b = spectrum(g2, n, mode).values
+    a = spectrum(g1, n).values
+    b = spectrum(g2, n).values
     return float(np.sqrt(np.sum((a - b) ** 2)))

@@ -51,13 +51,12 @@ def nearest_in_reference(
     k: int = 1,
     features=None,
     ref_target: str | None = None,
-    pooled_stats: bool = False,
     jobs: int = 1,
 ) -> list[NeighborResult]:
     """Exact k-NN of each intervened row against the reference table.
 
-    Both tables are normalized with the intervened population's statistics
-    (or pooled statistics when `pooled_stats`). A column left constant in
+    Both tables are normalized with the intervened population's statistics.
+    A column left constant in
     the intervened population (clamped single-lever batches do this) takes
     the reference population's scale instead, so matching stays defined.
     k is clamped to the reference size; ties break toward the earlier
@@ -83,9 +82,8 @@ def nearest_in_reference(
 
     xq = intervened.matrix(features)
     xr = reference.matrix(features)
-    stats = np.vstack([xq, xr]) if pooled_stats else xq
-    mean = stats.mean(axis=0)
-    std = stats.std(axis=0, ddof=1)
+    mean = xq.mean(axis=0)
+    std = xq.std(axis=0, ddof=1)
     fallback = xr.std(axis=0, ddof=1) if reference.n_rows > 1 else np.ones(len(features))
     std = np.where(std == 0.0, fallback, std)
     std = np.where(std == 0.0, 1.0, std)

@@ -122,17 +122,6 @@ def test_distance_partial_overlap_pads_with_zeros():
     assert spectral_distance(g1, g2) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_eigenvalue_mode_flag():
-    # strictly triangular adjacency: all eigenvalues are zero, so the
-    # eigenvalue-magnitude distance degenerates while singular values do not
-    g1 = dag_from_b([[0.0, 0.0], [1.0, 0.0]], names=("a", "b"))
-    g2 = dag_from_b([[0.0, 0.0], [3.0, 0.0]], names=("a", "b"))
-    assert spectral_distance(g1, g2, mode="eigenvalue") == pytest.approx(0.0, abs=1e-12)
-    assert spectral_distance(g1, g2, mode="singular") == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(ConfigError):
-        spectral_distance(g1, g2, mode="bogus")
-
-
 def test_top_n_truncation():
     g1 = dag_from_b([[0, 0, 0], [1, 0, 0], [0, 2, 0]], names=("a", "b", "c"))
     g2 = dag_from_b(np.zeros((3, 3)), names=("a", "b", "c"))
