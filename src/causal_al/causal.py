@@ -314,23 +314,20 @@ def total_effects(dag: WeightedDag) -> EffectMatrix:
     return EffectMatrix(node_names=dag.node_names, T=t)
 
 
-def rank_features(dag: WeightedDag, target: str, mode: str = "total") -> FeatureRanking:
-    """Rank non-target nodes by |causal effect| on `target`, ties alphabetical.
-
-    `mode="total"` uses the summed effect over all directed paths;
-    `mode="direct"` uses the single direct edge weight instead.
-    """
-    if mode not in ("total", "direct"):
-        raise ConfigError(f"unknown ranking mode {mode!r}")
-    t = dag.index(target)
-    row = total_effects(dag).T[t, :] if mode == "total" else dag.B[t, :]
-    items = [
-        (name, abs(float(row[i])))
-        for i, name in enumerate(dag.node_names)
-        if i != t
-    ]
+def rank_by_effect(effects: EffectMatrix, target: str, nodes) -> tuple[tuple[str, float], ...]:
+    """(node, |total effect on `target`|) for each of `nodes`, strongest
+    first, ties alphabetical. An unknown name raises NodeMismatch."""
+    t = effects.index(target)
+    items = [(name, abs(float(effects.T[t, effects.index(name)]))) for name in nodes]
     items.sort(key=lambda kv: (-kv[1], kv[0]))
-    return FeatureRanking(entries=tuple(items))
+    return tuple(items)
+
+
+def rank_features(dag: WeightedDag, target: str) -> FeatureRanking:
+    """Rank non-target nodes by |total effect| on `target`, ties alphabetical."""
+    t = dag.index(target)
+    others = [name for i, name in enumerate(dag.node_names) if i != t]
+    return FeatureRanking(entries=rank_by_effect(total_effects(dag), target, others))
 
 
 def select_top_k(ranking: FeatureRanking, k: int) -> tuple[str, ...]:

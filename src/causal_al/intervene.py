@@ -5,7 +5,8 @@ entry (i, j) of (I - B)^-1 - I; the series terminates because B is
 nilpotent under the causal order. An intervention fixes one chosen
 feature and propagates through downstream mediators (do-semantics), so
 on the fitted linear model the target lands exactly on the requested
-value unless clamping interferes.
+value unless clamping interferes. All rows of a call are planned in one
+array computation (`_plan_rows`); a single row is a one-row call of it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .causal import EffectMatrix, WeightedDag, total_effects
+from .causal import EffectMatrix, WeightedDag, rank_by_effect, total_effects
 from .dataio import FeatureTable
 from .errors import ConfigError, NoCausalLever, NodeMismatch, SchemaError
 
@@ -49,6 +50,76 @@ def _row_vector(dag: WeightedDag, row) -> np.ndarray:
     return vec
 
 
+def _check_model(effects: EffectMatrix, dag: WeightedDag) -> None:
+    if dag.target is None:
+        raise NodeMismatch("dag has no designated target")
+    if effects.node_names != dag.node_names:
+        raise NodeMismatch("effect matrix does not match dag nodes")
+
+
+def _fitted(x: np.ndarray, dag: WeightedDag, effects: EffectMatrix):
+    """(target, effect): the target of each row of `x` (rows x nodes) read
+    off its parent equation, and each node's total effect on it in raw units."""
+    mean, scale = dag.scale_for_rows()
+    t = dag.index(dag.target)
+    # one dot product per contiguous row, as `b @ z` takes it for a single
+    # row, so a row's prediction does not depend on the rows planned with it
+    z = np.ascontiguousarray((x - mean) / scale)
+    pred_z = (z[:, None, :] @ dag.B[t][:, None])[:, 0, 0]
+    return mean[t] + scale[t] * pred_z, effects.T[t] * scale[t] / scale
+
+
+def _do(target, effect, old, new):
+    """The fitted target under do(node = new) of a node observed at `old`:
+    the shift propagates through downstream mediators, `effect` (raw) each."""
+    return target + effect * (new - old)
+
+
+def _plan_rows(x: np.ndarray, dag: WeightedDag, effects: EffectMatrix, goal: float,
+               levers: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Plan every row of `x` (rows x nodes, dag order) in one array computation.
+
+    `levers` are node indices strongest first; `lo`/`hi` bound each node's
+    new value, NaN where unbounded. Each row shifts its lever by whatever
+    drives its fitted target to `goal`, clamped to the lever's bounds.
+    Returns arrays over rows: lever, old and new value, target before and
+    after, the lever's raw total effect, and whether the value was clamped.
+    """
+    before, effects_raw = _fitted(x, dag, effects)
+    lever = np.full(len(x), levers[0])  # the same lever for every row
+    old = x[np.arange(len(x)), lever]
+    effect = effects_raw[lever]
+    new = old + (goal - before) / effect
+    # min(max(new, lo), hi), as Python's min and max compare
+    bounded = np.where(lo[lever] > new, lo[lever], new)
+    bounded = np.where(hi[lever] < bounded, hi[lever], bounded)
+    clamped = (bounded != new) & ~np.isnan(lo[lever])
+    after = _do(before, effect, old, bounded)
+    return lever, old, bounded, before, after, effect, clamped
+
+
+def _plans(row_ids, x, dag, effects, goal_value, interventable, bounds) -> list[InterventionPlan]:
+    """Validate once, plan the rows of `x` in one call, and wrap each row."""
+    _check_model(effects, dag)
+    if interventable is None:
+        interventable = [n for n in dag.node_names if n != dag.target]
+    ranked = rank_by_effect(effects, dag.target, interventable)
+    if not ranked:
+        raise ConfigError("interventable feature set is empty")
+    if ranked[0][1] == 0.0:
+        raise NoCausalLever(f"no interventable feature affects {dag.target!r}")
+    levers = np.array([dag.index(name) for name, _ in ranked])
+    unbounded = (np.nan, np.nan)
+    lo, hi = np.array([(bounds or {}).get(n, unbounded) for n in dag.node_names]).T
+    lever, *fields, clamped = _plan_rows(x, dag, effects, goal_value, levers, lo, hi)
+    return [
+        InterventionPlan(rid, dag.node_names[f], old, new, before, after, goal_value, e, c)
+        for rid, f, old, new, before, after, e, c in zip(
+            row_ids, lever.tolist(), *(a.tolist() for a in fields), clamped.tolist()
+        )
+    ]
+
+
 def predict_target_sem(
     effects: EffectMatrix,
     dag: WeightedDag,
@@ -62,33 +133,18 @@ def predict_target_sem(
     shifts the prediction by total_effect * (value - observed), i.e. the
     intervention propagates through downstream mediators.
     """
-    if dag.target is None:
-        raise NodeMismatch("dag has no designated target")
-    if effects.node_names != dag.node_names:
-        raise NodeMismatch("effect matrix does not match dag nodes")
-    t = dag.index(dag.target)
-    mean, scale = dag.scale_for_rows()
-    z = (_row_vector(dag, row) - mean) / scale
-    pred_z = float(dag.B[t, :] @ z)
+    _check_model(effects, dag)
+    x = _row_vector(dag, row)[None]
+    target, effect = _fitted(x, dag, effects)
     if do:
         if len(do) != 1:
             raise ConfigError("single-feature interventions only")
         (feature, value), = do.items()
         f = dag.index(feature)
-        if f == t:
+        if f == dag.index(dag.target):
             raise ConfigError("cannot intervene on the target itself")
-        value_z = (float(value) - mean[f]) / scale[f]
-        pred_z += float(effects.T[t, f]) * (value_z - z[f])
-    return float(mean[t] + scale[t] * pred_z)
-
-
-def raw_effect_on_target(effects: EffectMatrix, dag: WeightedDag, feature: str) -> float:
-    """Total effect of `feature` on the target in raw (unstandardized) units."""
-    if dag.target is None:
-        raise NodeMismatch("dag has no designated target")
-    t, f = dag.index(dag.target), dag.index(feature)
-    _, scale = dag.scale_for_rows()
-    return float(effects.T[t, f]) * scale[t] / scale[f]
+        target = _do(target, effect[f], x[:, f], float(value))
+    return float(target[0])
 
 
 def optimal_individual_intervention(
@@ -106,48 +162,10 @@ def optimal_individual_intervention(
     interventable set (ties alphabetical); the shift is whatever drives
     the predicted target to `goal_value`. When `bounds` are given the
     shifted value is clamped to the feature's observed range and the
-    plan is flagged.
+    plan is flagged. This is `plan_interventions` on one row.
     """
-    if dag.target is None:
-        raise NodeMismatch("dag has no designated target")
-    target = dag.target
-    if interventable is None:
-        interventable = [n for n in dag.node_names if n != target]
-    interventable = list(interventable)
-    if not interventable:
-        raise ConfigError("interventable feature set is empty")
-    t = dag.index(target)
-    strengths = {f: abs(float(effects.T[t, dag.index(f)])) for f in interventable}
-    best = max(strengths.values())
-    if best == 0.0:
-        raise NoCausalLever(f"no interventable feature affects {target!r}")
-    chosen = min(f for f, s in strengths.items() if s == best)
-
-    vec = _row_vector(dag, row)
-    original = float(vec[dag.index(chosen)])
-    pred_before = predict_target_sem(effects, dag, vec)
-    eff_raw = raw_effect_on_target(effects, dag, chosen)
-    new_value = original + (goal_value - pred_before) / eff_raw
-
-    clamped = False
-    if bounds is not None and chosen in bounds:
-        lo, hi = bounds[chosen]
-        bounded = min(max(new_value, lo), hi)
-        clamped = bounded != new_value
-        new_value = bounded
-
-    pred_after = pred_before + eff_raw * (new_value - original)
-    return InterventionPlan(
-        row_id=row_id,
-        chosen_feature=chosen,
-        original_value=original,
-        intervened_value=new_value,
-        predicted_target_before=pred_before,
-        predicted_target_after=pred_after,
-        target_goal=goal_value,
-        effect=eff_raw,
-        clamped=clamped,
-    )
+    x = _row_vector(dag, row)[None]
+    return _plans((row_id,), x, dag, effects, goal_value, interventable, bounds)[0]
 
 
 def plan_interventions(
@@ -157,18 +175,10 @@ def plan_interventions(
     interventable=None,
     bounds: dict[str, tuple[float, float]] | None = None,
 ) -> list[InterventionPlan]:
-    """One optimal intervention plan per table row."""
+    """One optimal intervention plan per table row, all rows planned at once."""
     effects = total_effects(dag)
-    idx = [table.index(n) for n in dag.node_names]
-    plans = []
-    for rid, row in zip(table.row_ids, table.values):
-        plans.append(
-            optimal_individual_intervention(
-                effects, dag, row[idx], rid, goal_value,
-                interventable=interventable, bounds=bounds,
-            )
-        )
-    return plans
+    x = table.values[:, [table.index(n) for n in dag.node_names]]
+    return _plans(table.row_ids, x, dag, effects, goal_value, interventable, bounds)
 
 
 def feature_bounds(table: FeatureTable, features=None) -> dict[str, tuple[float, float]]:

@@ -291,12 +291,6 @@ def test_rank_features_total_effect_chain():
     assert ranking.entries == (("x2", 0.5), ("x1", pytest.approx(0.35)))
 
 
-def test_rank_features_direct_mode():
-    ranking = rank_features(chain_dag(), "t", mode="direct")
-    assert ranking.entries[0] == ("x2", 0.5)
-    assert ranking.entries[1][1] == 0.0  # x1 has no direct edge to t
-
-
 def test_rank_features_no_path_zero_strength():
     dag = WeightedDag(
         node_names=("a", "b", "t"),

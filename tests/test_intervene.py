@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from causal_al.causal import WeightedDag, discover_lingam
-from causal_al.errors import ConfigError, CyclicGraph, NoCausalLever, SchemaError
+from causal_al.errors import ConfigError, CyclicGraph, NoCausalLever, NodeMismatch, SchemaError
 from causal_al.intervene import (
+    InterventionPlan,
     apply_interventions,
     feature_bounds,
     optimal_individual_intervention,
@@ -219,6 +220,190 @@ def test_plan_clamping_flagged():
     assert plan.predicted_target_after == pytest.approx(
         plan.predicted_target_before + plan.effect * delta, abs=1e-9
     )
+
+
+# ---------------------------------------------------------------------------
+# the array planner against the per-row planner it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_plans(table, dag, goal, interventable=None, bounds=None):
+    """The per-row planner that `plan_interventions` replaced, frozen as its
+    oracle: each row re-ranks the levers and predicts on its own."""
+    effects = total_effects(dag)
+    t = dag.index(dag.target)
+    mean, scale = dag.scale_for_rows()
+    if interventable is None:
+        interventable = [n for n in dag.node_names if n != dag.target]
+    idx = [table.index(n) for n in dag.node_names]
+    plans = []
+    for rid, row in zip(table.row_ids, table.values):
+        vec = row[idx]
+        strengths = {f: abs(float(effects.T[t, dag.index(f)])) for f in interventable}
+        best = max(strengths.values())
+        chosen = min(f for f, s in strengths.items() if s == best)
+        f = dag.index(chosen)
+        original = float(vec[f])
+        pred_before = float(mean[t] + scale[t] * float(dag.B[t, :] @ ((vec - mean) / scale)))
+        eff_raw = float(effects.T[t, f]) * scale[t] / scale[f]
+        new_value = original + (goal - pred_before) / eff_raw
+        clamped = False
+        if bounds is not None and chosen in bounds:
+            lo, hi = bounds[chosen]
+            bounded = min(max(new_value, lo), hi)
+            clamped = bounded != new_value
+            new_value = bounded
+        pred_after = pred_before + eff_raw * (new_value - original)
+        plans.append(InterventionPlan(
+            rid, chosen, original, new_value, pred_before, pred_after, goal, eff_raw, clamped
+        ))
+    return plans
+
+
+_DYADIC_WEIGHTS = np.array([-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0])
+
+
+def _random_case(rng, d, kind):
+    """A random DAG over d shuffled names with a sink target, and a table
+    whose columns are in another order than the DAG's nodes.
+
+    `kind` "float" draws normal weights and values. "dyadic" draws weights,
+    values, means and scales that are short binary fractions, so every
+    fitted target is exact whatever order its dot product sums in, and a
+    goal set to a row's fitted target is met to the bit. "tied" is dyadic
+    with only direct edges of size 0.5 into the target, so every lever ties.
+    """
+    names = [f"n{k:02d}" for k in rng.permutation(d)]
+    order = rng.permutation(d)
+    b = np.zeros((d, d))
+    for pos, node in enumerate(order[1:], 1):
+        for parent in order[:pos]:
+            if rng.random() < 0.5:
+                b[node, parent] = rng.normal() if kind == "float" else rng.choice(_DYADIC_WEIGHTS)
+    if kind == "tied":
+        b[:] = 0.0
+        b[order[-1], order[:-1]] = rng.choice([-0.5, 0.5], d - 1)
+    if kind == "float":
+        means, stds = rng.normal(size=d), rng.uniform(0.2, 3.0, d)
+        values = rng.normal(size=(int(rng.integers(1, 40)), d + 1)) * 2.0
+    else:
+        means, stds = rng.integers(-8, 9, d) / 4.0, 2.0 ** rng.integers(-2, 3, d)
+        values = rng.integers(-16, 17, (int(rng.integers(1, 40)), d + 1)) / 8.0
+    target = names[order[-1]]
+    dag = WeightedDag(
+        node_names=tuple(names), B=b, causal_order=tuple(int(i) for i in order),
+        target=target,
+        node_means=means if rng.random() < 0.8 else None,
+        node_stds=stds if rng.random() < 0.8 else None,
+        standardized=bool(rng.random() < 0.5),
+    )
+    columns = list(rng.permutation(names)) + ["extra"]
+    return dag, make_table(values, columns, target_names=(target,))
+
+
+def _assert_same_plans(got, want):
+    assert [p.row_id for p in got] == [p.row_id for p in want]
+    assert [p.chosen_feature for p in got] == [p.chosen_feature for p in want]
+    assert [p.clamped for p in got] == [p.clamped for p in want]
+    for g, w in zip(got, want):
+        for field in ("original_value", "intervened_value", "predicted_target_before",
+                      "predicted_target_after", "target_goal", "effect"):
+            a, b = getattr(g, field), getattr(w, field)
+            same_nan = np.isnan(a) and np.isnan(b)
+            assert same_nan or abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b)), (field, a, b)
+
+
+def test_array_planner_matches_per_row_oracle_on_random_dags():
+    rng = np.random.default_rng(808)
+    seen = dict.fromkeys(("plans", "clamped", "met", "at_bound", "tied", "no_lever"), 0)
+    for case in range(300):
+        d = int(rng.integers(2, 13))
+        kind = ("float", "dyadic", "tied")[case % 3]
+        dag, table = _random_case(rng, d, kind)
+        features = [n for n in dag.node_names if n != dag.target]
+        interventable = None
+        if case % 4 == 1:
+            k = int(rng.integers(1, len(features) + 1))
+            interventable = list(rng.choice(features, k, replace=False))
+        bounds = None
+        if case % 2:
+            bounds = intervene.feature_bounds(table, features)
+            if case % 5 == 1:  # a narrowed range, and a lever left unbounded
+                lo, hi = bounds[features[0]]
+                bounds[features[0]] = (lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo))
+                bounds.pop(features[-1])
+        effects = total_effects(dag)
+        t = dag.index(dag.target)
+        levers = features if interventable is None else interventable
+        if max(abs(effects.T[t, dag.index(f)]) for f in levers) == 0.0:
+            with pytest.raises(NoCausalLever):
+                plan_interventions(table, dag, 1.0, interventable, bounds)
+            seen["no_lever"] += 1
+            continue
+        goals = [float(rng.normal()) * 3.0]
+        if kind != "float":  # a goal the first row meets exactly
+            goals.append(_reference_plans(table, dag, 0.0)[0].predicted_target_before)
+        if case % 7 == 0:  # NaN plans are flagged clamped only where bounds apply
+            goals.append(float("nan"))
+        for goal in goals:
+            want = _reference_plans(table, dag, goal, interventable, bounds)
+            got = plan_interventions(table, dag, goal, interventable, bounds)
+            _assert_same_plans(got, want)
+            row = table.values[0, [table.index(n) for n in dag.node_names]]
+            one = optimal_individual_intervention(
+                effects, dag, row, table.row_ids[0], goal, interventable, bounds
+            )
+            _assert_same_plans([one], want[:1])
+            seen["plans"] += len(got)
+            seen["clamped"] += sum(p.clamped for p in got)
+            seen["met"] += sum(p.intervened_value == p.original_value for p in got)
+            seen["at_bound"] += sum(
+                p.original_value in (bounds or {}).get(p.chosen_feature, ()) for p in got
+            )
+        seen["tied"] += kind == "tied" and len(levers) > 1
+    # every situation the comparison is meant to cover occurred
+    assert all(v > 0 for v in seen.values()), seen
+    assert seen["plans"] > 3000 and seen["met"] > 100 and seen["at_bound"] > 100, seen
+
+
+def test_a_rows_plan_does_not_depend_on_the_rows_planned_with_it():
+    rng = np.random.default_rng(809)
+    for d in (3, 9, 17, 24):  # past 16 nodes BLAS dot kernels take a vector path
+        dag, table = _random_case(rng, d, "float")
+        effects = total_effects(dag)
+        while not effects.T[dag.index(dag.target)].any():  # a graph with a lever
+            dag, table = _random_case(rng, d, "float")
+            effects = total_effects(dag)
+        idx = [table.index(n) for n in dag.node_names]
+        bounds = intervene.feature_bounds(table)
+        batch = plan_interventions(table, dag, 1.5, bounds=bounds)
+        one_by_one = [
+            optimal_individual_intervention(effects, dag, row[idx], rid, 1.5, bounds=bounds)
+            for rid, row in zip(table.row_ids, table.values)
+        ]
+        assert batch == one_by_one
+
+
+@pytest.mark.parametrize("plan", [
+    lambda table, dag, **kw: plan_interventions(table, dag, 1.0, **kw),
+    lambda table, dag, **kw: optimal_individual_intervention(
+        total_effects(dag), dag, table.values[0], "r0", 1.0, **kw),
+], ids=["plan_interventions", "optimal_individual_intervention"])
+def test_planner_errors(plan):
+    table = make_table([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0]], ("a", "b", "y"), target_names=("y",))
+    dag = WeightedDag(
+        ("a", "b", "y"), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.7, 0.0]]),
+        (0, 1, 2), target="y",
+    )
+    with pytest.raises(ConfigError):
+        plan(table, dag, interventable=())
+    with pytest.raises(NoCausalLever):
+        plan(table, dag, interventable=("a",))
+    with pytest.raises(NodeMismatch):
+        plan(table, dag, interventable=("a", "zz"))
+    no_target = WeightedDag(dag.node_names, dag.B, dag.causal_order)
+    with pytest.raises(NodeMismatch):
+        plan(table, no_target)
 
 
 # ---------------------------------------------------------------------------
