@@ -123,7 +123,6 @@ def read(path, header=None, row=None, *, error=SchemaError) -> Artifact:
 
 
 def _parse(fh, path: str, header, row, error) -> Artifact:
-    """`read` on an open text file."""
     meta: list[tuple[str, str]] = []
     rows: list = []
     found: tuple[str, ...] = ()
