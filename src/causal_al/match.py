@@ -56,9 +56,9 @@ def nearest_in_reference(
     """Exact k-NN of each intervened row against the reference table.
 
     Both tables are normalized with the intervened population's statistics.
-    A column left constant in
-    the intervened population (clamped single-lever batches do this) takes
-    the reference population's scale instead, so matching stays defined.
+    A column left constant in the intervened population (clamped
+    single-lever batches do this) takes the reference population's scale
+    instead, so matching stays defined.
     k is clamped to the reference size; ties break toward the earlier
     reference row.
     """

@@ -315,7 +315,7 @@ def _assert_same_plans(got, want):
 
 def test_array_planner_matches_per_row_oracle_on_random_dags():
     rng = np.random.default_rng(808)
-    seen = dict.fromkeys(("plans", "clamped", "met", "at_bound", "tied", "no_lever"), 0)
+    seen = dict.fromkeys(("plans", "clamped", "met", "at_bound", "met_at_bound", "tied", "no_lever"), 0)
     for case in range(300):
         d = int(rng.integers(2, 13))
         kind = ("float", "dyadic", "tied")[case % 3]
@@ -356,10 +356,11 @@ def test_array_planner_matches_per_row_oracle_on_random_dags():
             _assert_same_plans([one], want[:1])
             seen["plans"] += len(got)
             seen["clamped"] += sum(p.clamped for p in got)
-            seen["met"] += sum(p.intervened_value == p.original_value for p in got)
-            seen["at_bound"] += sum(
-                p.original_value in (bounds or {}).get(p.chosen_feature, ()) for p in got
-            )
+            at_bound = [p.original_value in (bounds or {}).get(p.chosen_feature, ()) for p in got]
+            met = [not p.clamped and p.intervened_value == p.original_value for p in got]
+            seen["at_bound"] += sum(at_bound)
+            seen["met"] += sum(met)
+            seen["met_at_bound"] += sum(a and m for a, m in zip(at_bound, met))
         seen["tied"] += kind == "tied" and len(levers) > 1
     # every situation the comparison is meant to cover occurred
     assert all(v > 0 for v in seen.values()), seen
@@ -368,7 +369,7 @@ def test_array_planner_matches_per_row_oracle_on_random_dags():
 
 def test_a_rows_plan_does_not_depend_on_the_rows_planned_with_it():
     rng = np.random.default_rng(809)
-    for d in (3, 9, 17, 24):  # past 16 nodes BLAS dot kernels take a vector path
+    for d in (3, 9, 17, 24):  # wide rows too, which a BLAS dot sums in vector blocks
         dag, table = _random_case(rng, d, "float")
         effects = total_effects(dag)
         while not effects.T[dag.index(dag.target)].any():  # a graph with a lever
