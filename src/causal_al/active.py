@@ -27,7 +27,6 @@ from .errors import (
     DuplicateRowId,
     InsufficientData,
     MissingColumn,
-    SchemaError,
 )
 from .graphdist import spectral_distance
 from .util import parallel_map
@@ -213,8 +212,8 @@ def random_baseline(
 def exhausted_candidates(run: ActiveLearningRun, subset_sizes) -> int:
     """Candidate slots skipped because the subset's pool held fewer than M rows.
 
-    Replays the pool sizes from the committed choices, so it also works on a
-    run read back from its CSV, where such a slot shows only as loss +inf.
+    Replays the pool sizes from the committed choices; in the run itself
+    such a slot shows only as loss +inf.
     """
     sizes = list(subset_sizes)
     skipped = 0
@@ -238,14 +237,12 @@ def summarize_runs(runs) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def selection_counts(runs, n_subsets: int | None = None) -> np.ndarray:
+def selection_counts(runs) -> np.ndarray:
     """How many times each subset was committed, summed over runs."""
     runs = list(runs)
     if not runs:
         raise ConfigError("no runs to count")
-    if n_subsets is None:
-        n_subsets = runs[0].n_subsets
-    counts = np.zeros(n_subsets, dtype=np.int64)
+    counts = np.zeros(runs[0].n_subsets, dtype=np.int64)
     for r in runs:
         for rec in r.records:
             counts[rec.chosen] += 1
@@ -257,38 +254,13 @@ def selection_counts(runs, n_subsets: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _run_header(n_subsets: int) -> tuple[str, ...]:
-    return ("iter", *(f"loss_{k}" for k in range(n_subsets)), "chosen", "size")
-
-
 def save_run(path, run: ActiveLearningRun) -> None:
     """Run record CSV: iter, per-subset losses, chosen subset, dataset size."""
     artifacts.write(
         path,
         meta=[("mode", run.mode), ("seed", run.seed), ("m", run.m_per_iter)],
-        header=_run_header(run.n_subsets),
+        header=("iter", *(f"loss_{k}" for k in range(run.n_subsets)), "chosen", "size"),
         rows=((rec.iteration, *rec.losses, rec.chosen, rec.size) for rec in run.records),
-    )
-
-
-def load_run(path, selected_row_ids=()) -> ActiveLearningRun:
-    def record(iteration, *cells):
-        losses = tuple(float(v) for v in cells[:-2])
-        chosen = int(cells[-2])
-        return IterationRecord(int(iteration), losses, chosen, losses[chosen], int(cells[-1]))
-
-    art = artifacts.read(path, lambda found: _run_header(len(found) - 3), record)
-    records = tuple(art.rows)
-    if not records:
-        raise SchemaError(f"{path}: no iteration records")
-    return ActiveLearningRun(
-        mode=art.get("mode", default="active"),
-        seed=art.get("seed", int, 0),
-        m_per_iter=art.get("m", int, 0),
-        n_iter=len(records),
-        n_subsets=len(art.header) - 3,
-        selected_row_ids=tuple(selected_row_ids),
-        records=records,
     )
 
 

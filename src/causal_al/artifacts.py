@@ -5,8 +5,10 @@ header line and rows. When a CSV body follows, each `key = value` line
 carries a `# ` prefix; in a file of `key = value` lines only (configs,
 schemas, models, manifests) a line starting with `#` is a comment. Cells
 are `str`, `int`, or floats written with 17 significant digits (`fmt`),
-so save/load round trips are bit identical. A text cell may not hold `,`,
-`"`, CR or LF: the writer rejects one before it opens the file, so no
+so save/load round trips are bit identical. The writer streams lines into
+a temporary file beside the target and renames it over the target only
+once every line is written, so a failed write leaves no partial artifact.
+A text cell may not hold `,`, `"`, CR or LF: the writer refuses one, so no
 artifact is written that cannot be read back. The reader checks the
 header and each row's cell count and names the file and line at fault.
 Artifacts raise SchemaError; configs and schemas pass ConfigError.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 import numbers
+import os
 import re
 from dataclasses import dataclass
 
@@ -73,15 +76,24 @@ def write(path, *, meta=(), header=None, rows=()) -> None:
     """Write `meta` pairs (keys may repeat, None values are left out), then
     `header` and `rows` if given.
 
-    Every line is formatted and checked before the file is opened.
+    Lines go to `<path>.<pid>.tmp` as they are formatted; that file replaces
+    `path` once all are written, and is deleted if any line fails.
     """
     prefix = "" if header is None else "# "
-    lines = [f"{prefix}{k} = {_value(v, path)}\n" for k, v in meta if v is not None]
-    if header is not None:
-        lines.append(",".join([_cell(h, path) for h in header]) + "\n")
-    lines.extend(",".join([_cell(v, path) for v in row]) + "\n" for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+    lines = itertools.chain(
+        (f"{prefix}{k} = {_value(v, path)}\n" for k, v in meta if v is not None),
+        () if header is None else (",".join([_cell(h, path) for h in header]) + "\n",),
+        (",".join([_cell(v, path) for v in row]) + "\n" for row in rows),
+    )
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ stderr, prefixed E_CONFIG / E_IO / E_DATA / E_NUMERIC.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -117,9 +118,12 @@ class Config:
 
     def float(self, key: str) -> float:
         try:
-            return float(self.values[key])
+            v = float(self.values[key])
         except ValueError:
             raise ConfigError(f"{key} must be a number, got {self.values[key]!r}") from None
+        if not math.isfinite(v):
+            raise ConfigError(f"{key} must be a finite number, got {self.values[key]!r}")
+        return v
 
     def bool(self, key: str) -> bool:
         value = self.values[key].lower()
@@ -202,7 +206,11 @@ def cmd_select_features(cfg: Config, outdir: Path):
     selected = causal.select_top_k(ranking, cfg.int("k_features", 1))
     artifacts.write(outdir / "ranking.csv", header=("feature", "strength"), rows=ranking.entries)
     active.write_id_list(outdir / "selected_features.txt", selected)
-    params = {"intermediate_target": intermediate, "k_features": cfg.int("k_features")}
+    params = {
+        "intermediate_target": intermediate,
+        "k_features": cfg.int("k_features"),
+        "prune_threshold": cfg.float("prune_threshold"),
+    }
     return _table_inputs(cfg), params, {}
 
 
@@ -278,6 +286,7 @@ def cmd_active_learn(cfg: Config, outdir: Path):
 
 
 def cmd_intervene(cfg: Config, outdir: Path):
+    goal = cfg.float("goal")  # a bad goal stops the stage before it writes anything
     table, target, columns = _discovery_columns(cfg, outdir)
     features = columns[:-1]
     dal_ids = active.read_id_list(outdir / "dal_ids.txt")
@@ -294,7 +303,7 @@ def cmd_intervene(cfg: Config, outdir: Path):
     bounds = intervene.feature_bounds(table, features)
     plans = intervene.plan_interventions(
         dal_table, dag,
-        goal_value=cfg.float("goal"),
+        goal_value=goal,
         interventable=interventable,
         bounds=bounds,
     )
@@ -302,9 +311,10 @@ def cmd_intervene(cfg: Config, outdir: Path):
     intervened_table = intervene.apply_interventions(dal_table.select_columns(features), plans)
     dataio.save_feature_table(outdir / "intervened.csv", intervened_table)
     params = {
-        "goal": cfg.float("goal"),
+        "goal": goal,
         "interventable": ",".join(interventable),
         "prune_threshold": cfg.float("prune_threshold"),
+        "destandardize": int(cfg.bool("destandardize")),
     }
     return [cfg.existing_path("features"), outdir / "dal_ids.txt"], params, {}
 
@@ -389,7 +399,7 @@ def cmd_report(cfg: Config, outdir: Path):
             present = [r for r in ref_fps.row_ids if r in matched_ids]
             if present:
                 bits = np.array([ref_fps.row(r) for r in present])
-                projected = match.project_onto(proj, bits, query_fps)
+                projected = match.project_onto(proj, bits)
                 coords += [(rid, p1, p2, "matched") for rid, (p1, p2) in zip(present, projected)]
         artifacts.write(
             outdir / "pca_coords.csv", header=("id", "phi1", "phi2", "role"), rows=coords

@@ -20,7 +20,6 @@ from .errors import (
     DegenerateComponent,
     InsufficientData,
     MissingColumn,
-    SchemaError,
 )
 
 COVARIANCE_FLOOR = 1e-6
@@ -217,29 +216,6 @@ def save_gmm(path, model: GmmModel) -> None:
         meta += [("component", k), ("mean", model.means[k])]
         meta += [("cov", row) for row in model.covariances[k]]
     artifacts.write(path, meta=meta)
-
-
-def load_gmm(path) -> GmmModel:
-    art = artifacts.read(path)
-    pivots = art.get("pivot_features", artifacts.names)
-    try:
-        means = np.array([artifacts.floats(v) for k, v in art.meta if k == "mean"], dtype=float)
-        covs = np.array([artifacts.floats(v) for k, v in art.meta if k == "cov"], dtype=float)
-        covs = covs.reshape(len(means), len(pivots), len(pivots))
-    except ValueError:
-        raise SchemaError(f"{path}: malformed component block") from None
-    if not len(means):
-        raise SchemaError(f"{path}: no components found")
-    return GmmModel(
-        weights=np.array(art.get("weights", artifacts.floats)),
-        means=means,
-        covariances=covs,
-        pivot_features=pivots,
-        pivot_means=np.array(art.get("pivot_means", artifacts.floats)),
-        pivot_stds=np.array(art.get("pivot_stds", artifacts.floats)),
-        seed=art.get("seed", int, 0),
-        log_likelihoods=art.get("log_likelihoods", artifacts.floats, ()),
-    )
 
 
 def write_labels(path, row_ids, labels) -> None:

@@ -212,7 +212,7 @@ def save_feature_table(path, table: FeatureTable, id_column: str = "id") -> None
     artifacts.write(
         path,
         header=(id_column, *table.feature_names),
-        rows=((rid, *row) for rid, row in zip(table.row_ids, table.values.tolist())),
+        rows=((rid, *row.tolist()) for rid, row in zip(table.row_ids, table.values)),
     )
 
 
@@ -249,17 +249,6 @@ def fit_normalizer(table: FeatureTable, columns=None) -> Normalizer:
         if s == 0.0:
             raise DegenerateFeature(name)
     return Normalizer(columns=columns, mean=mean, std=std)
-
-
-def apply_normalizer(normalizer: Normalizer, table: FeatureTable) -> FeatureTable:
-    """z = (x - mean) / std on the fitted columns; other columns untouched."""
-    try:
-        idx = [table.index(c) for c in normalizer.columns]
-    except MissingColumn as exc:
-        raise MissingColumn(f"normalizer column mismatch: {exc}") from None
-    values = table.values.copy()
-    values[:, idx] = (values[:, idx] - normalizer.mean) / normalizer.std
-    return FeatureTable(table.row_ids, table.feature_names, values, table.target_names)
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,6 @@ class InterventionPlan:
 
 
 def _row_vector(dag: WeightedDag, row) -> np.ndarray:
-    if isinstance(row, dict):
-        try:
-            return np.array([float(row[n]) for n in dag.node_names])
-        except KeyError as exc:
-            raise NodeMismatch(f"row is missing value for node {exc.args[0]!r}") from None
     vec = np.asarray(row, dtype=np.float64)
     if vec.shape != (dag.n_nodes,):
         raise SchemaError(f"row must have {dag.n_nodes} entries, got {vec.shape}")

@@ -1,9 +1,9 @@
 """Map intervened feature vectors back to real molecules.
 
 Matching is exact k-nearest-neighbor search under Euclidean distance in a
-normalized feature space; normalization statistics come from the
-intervened population itself (pooled statistics are available behind a
-flag). Distances are computed for blocks of query rows of at most
+normalized feature space over the plain feature columns both tables
+share; normalization statistics come from the intervened population
+itself. Distances are computed for blocks of query rows of at most
 `_BLOCK_DISTANCES` values (one query row at least), so memory stays
 bounded whatever the query count. Structural similarity is reported
 through Tanimoto scores over ingested fingerprints, and fingerprint
@@ -49,16 +49,16 @@ def nearest_in_reference(
     intervened: FeatureTable,
     reference: FeatureTable,
     k: int = 1,
-    features=None,
     ref_target: str | None = None,
     jobs: int = 1,
 ) -> list[NeighborResult]:
     """Exact k-NN of each intervened row against the reference table.
 
-    Both tables are normalized with the intervened population's statistics.
-    A column left constant in the intervened population (clamped
-    single-lever batches do this) takes the reference population's scale
-    instead, so matching stays defined.
+    Rows are compared on the intervened table's plain feature columns that
+    the reference also holds. Both tables are normalized with the
+    intervened population's statistics. A column left constant in the
+    intervened population (clamped single-lever batches do this) takes the
+    reference population's scale instead, so matching stays defined.
     k is clamped to the reference size; ties break toward the earlier
     reference row.
     """
@@ -68,17 +68,10 @@ def nearest_in_reference(
         raise SchemaError("reference table is empty")
     if intervened.n_rows < 2:
         raise InsufficientData("need at least 2 intervened rows for population statistics")
-    if features is None:
-        ref_names = set(reference.feature_names)
-        features = tuple(
-            f for f in intervened.plain_feature_names if f in ref_names
-        )
-    features = tuple(features)
+    ref_names = set(reference.feature_names)
+    features = tuple(f for f in intervened.plain_feature_names if f in ref_names)
     if not features:
         raise DisjointFeatures("no shared feature columns to match on")
-    for f in features:
-        if f not in reference.feature_names:
-            raise MissingColumn(f"reference lacks feature {f!r}")
 
     xq = intervened.matrix(features)
     xr = reference.matrix(features)
@@ -165,6 +158,7 @@ class PcaProjection:
     components: np.ndarray           # n_components x dim, orthonormal rows
     explained_variances: np.ndarray  # nonincreasing
     coordinates: np.ndarray          # rows x n_components
+    center: np.ndarray               # mean of the fitted rows
 
 
 # Smallest kept Gram eigenvalue, relative to the largest, that may be divided
@@ -174,8 +168,6 @@ _GRAM_RANK_TOL = 1e-8
 
 
 def _as_matrix(data) -> np.ndarray:
-    if isinstance(data, FeatureTable):
-        return data.values.astype(np.float64)
     if isinstance(data, FingerprintTable):
         return data.bits.astype(np.float64)
     return np.asarray(data, dtype=np.float64)
@@ -220,17 +212,13 @@ def pca_project(data, n_components: int = 2) -> PcaProjection:
         components=comps,
         explained_variances=np.maximum(variances, 0.0),
         coordinates=xc @ comps.T,
+        center=center,
     )
 
 
-def project_onto(projection: PcaProjection, data, center_source) -> np.ndarray:
-    """Project new rows with an existing projection's components.
-
-    `center_source` supplies the mean used at fit time (the original data).
-    """
-    x = _as_matrix(data)
-    mean = _as_matrix(center_source).mean(axis=0)
-    return (x - mean) @ projection.components.T
+def project_onto(projection: PcaProjection, data) -> np.ndarray:
+    """Project new rows with an existing projection's center and components."""
+    return (_as_matrix(data) - projection.center) @ projection.components.T
 
 
 # ---------------------------------------------------------------------------

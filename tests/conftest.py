@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from causal_al import FeatureTable
+from causal_al.dataio import FeatureTable
 
 
 @pytest.fixture
@@ -22,3 +26,12 @@ def make_table(values, feature_names, target_names=(), prefix="r"):
         values=values,
         target_names=tuple(target_names),
     )
+
+
+def modules_after(statement: str) -> set[str]:
+    """The names in sys.modules after `statement` runs in a fresh interpreter."""
+    code = f"import sys; {statement}; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return set(out.stdout.split())

@@ -196,15 +196,6 @@ def test_summarize_empty_and_mismatched():
         summarize_runs([r1, r2])
 
 
-def test_run_csv_round_trip(tmp_path):
-    subsets, _, dag = small_world()
-    run = active_learn(subsets, dag, "y", m=20, n_iter=3, seed=5)
-    p = tmp_path / "run.csv"
-    active.save_run(p, run)
-    loaded = active.load_run(p, selected_row_ids=run.selected_row_ids)
-    assert loaded == run
-
-
 def test_id_list_round_trip(tmp_path):
     p = tmp_path / "ids.txt"
     active.write_id_list(p, ("a", "b", "c"))

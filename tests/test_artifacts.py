@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ def _write(tmp_path, name, text):
         (causal.load_dag, "g.csv", "# causal_order = a,b\nx,y\n", "g.csv:2:"),
         (causal.load_dag, "g.csv",
          "# causal_order = a,b\n\nchild,parent,weight\nb,a,w\n", "g.csv:4:"),
-        (active.load_run, "run.csv", "iter,loss_0,loss_9,chosen,size\n", "run.csv:1:"),
+        (lambda p: dataio.load_fingerprints(p, 8), "fp.csv", "mol,fp_bits\n", "fp.csv:1:"),
         (match.load_neighbors, "n.csv",
          f"{','.join(match.NEIGHBORS_HEADER)}\nq,1,r\n", "n.csv:2:"),
         (lambda p: dataio.load_fingerprints(p, 8), "fp.csv", "id,fp_hex\na,zz\n", "fp.csv:2:"),
@@ -174,7 +175,37 @@ def test_writer_rejects_unwritable_text_before_opening(tmp_path, bad):
     dag = causal.WeightedDag((f"x{bad}", "y"), np.zeros((2, 2)), (0, 1))
     with pytest.raises(SchemaError):
         causal.save_dag(tmp_path / "g.csv", dag)
-    assert not (tmp_path / "g.csv").exists()
+    assert list(tmp_path.iterdir()) == []  # no temporary file left either
+
+
+def test_refused_row_keeps_the_old_artifact_and_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "labels.csv"
+    cluster.write_labels(path, ("a", "b"), np.array([0, 1]))
+    before = path.read_bytes()
+    ids = tuple(f"m{i}" for i in range(5000)) + ("bad,id",)
+    with pytest.raises(SchemaError):
+        cluster.write_labels(path, ids, np.zeros(len(ids), dtype=int))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_table_is_written_without_holding_its_text(tmp_path):
+    rng = np.random.default_rng(0)
+    table = dataio.FeatureTable(
+        tuple(f"m{i}" for i in range(3000)), tuple(f"f{j}" for j in range(11)),
+        rng.normal(size=(3000, 11)),
+    )
+    tracemalloc.start()
+    try:
+        dataio.save_feature_table(tmp_path / "t.csv", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text is about 680 kB; lines are streamed, so the peak stays far below it
+    assert peak < 2**17
+    loaded, _ = dataio.load_feature_table(tmp_path / "t.csv", dataio.TableSchema())
+    assert loaded.row_ids == table.row_ids
+    assert np.array_equal(loaded.values, table.values)
 
 
 def test_headerless_id_list_round_trips_ids_that_start_with_hash(tmp_path):

@@ -1,7 +1,4 @@
-import os
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +6,7 @@ import pytest
 
 from causal_al import cli, intervene
 from causal_al.cli import run_cli
+from tests.conftest import modules_after
 
 # sized so every GMM-derived subset stays well above m_per_iter * n_iter rows
 SMALL = [
@@ -185,13 +183,32 @@ def test_stage_rerunnable_from_artifacts(tmp_path):
 
 def test_manifest_records_inputs_and_params(tmp_path):
     work = tmp_path / "w"
-    assert run_cli(["synth", "-o", str(work), "--seed", "1"] + SMALL) == 0
-    assert run_cli(["cluster", "-c", str(work / "pipeline.cfg")]) == 0
+    run_pipeline(work, seed=1)
     text = (work / "cluster.manifest").read_text()
     assert text.startswith("stage = cluster\n")
     assert "input = features.csv sha256=" in text
     assert "param n_components = 3" in text
     assert "duration_s = " in text
+    # the prune threshold and destandardize flag a stage uses are recorded
+    lines = (work / "select_features.manifest").read_text().splitlines()
+    assert "param prune_threshold = 0.05" in lines
+    lines = (work / "intervene.manifest").read_text().splitlines()
+    assert "param destandardize = 1" in lines
+    assert "param goal = 3.0" in lines
+
+
+@pytest.mark.parametrize("goal", ["nan", "inf", "-inf"])
+def test_non_finite_goal_is_E_CONFIG_and_writes_nothing(tmp_path, capsys, goal):
+    work = tmp_path / "w"
+    assert run_cli(["synth", "-o", str(work), "--seed", "3"] + SMALL) == 0
+    cfg = str(work / "pipeline.cfg")
+    for stage in PIPELINE[:PIPELINE.index("intervene")]:
+        assert run_cli([stage, "-c", cfg]) == 0, stage
+    before = sorted(p.name for p in work.iterdir())
+    capsys.readouterr()
+    assert run_cli(["intervene", "-c", cfg, "--set", f"goal={goal}"]) == 2
+    assert capsys.readouterr().err == f"E_CONFIG: goal must be a finite number, got {goal!r}\n"
+    assert sorted(p.name for p in work.iterdir()) == before
 
 
 def test_report_takes_goal_from_plans_not_config(tmp_path):
@@ -208,11 +225,14 @@ def test_report_takes_goal_from_plans_not_config(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, causal_al.cli; print('scipy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert "scipy" not in modules_after("import causal_al.cli")
+
+
+def test_cli_import_leaves_the_forest_unloaded():
+    # no stage fits a forest
+    loaded = modules_after("import causal_al.cli")
+    assert "causal_al.cli" in loaded
+    assert "causal_al.regress" not in loaded
 
 
 def _one_data_error(capsys):

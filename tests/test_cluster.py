@@ -141,19 +141,6 @@ def test_multivariate_fit_with_correlated_pivots():
     assert len(set(labels.tolist())) >= 2
 
 
-def test_model_round_trip(tmp_path):
-    table = two_cluster_table()
-    model = fit_gmm(table, ("p",), n_components=2, seed=7)
-    p = tmp_path / "gmm.txt"
-    cluster.save_gmm(p, model)
-    loaded = cluster.load_gmm(p)
-    assert loaded.pivot_features == model.pivot_features
-    assert np.array_equal(loaded.means, model.means)
-    assert np.array_equal(loaded.covariances, model.covariances)
-    assert np.array_equal(loaded.weights, model.weights)
-    assert loaded.log_likelihoods == model.log_likelihoods
-
-
 def test_labels_round_trip(tmp_path):
     p = tmp_path / "subsets.csv"
     cluster.write_labels(p, ("a", "b", "c"), [0, 2, 1])

@@ -124,17 +124,12 @@ def test_fit_normalizer_seeded_normal_sample():
     assert 0.85 < norm.std[0] < 1.15
 
 
-def test_apply_normalizer_hand_case(simple_table):
-    norm = dataio.fit_normalizer(simple_table, ("f1",))
-    out = dataio.apply_normalizer(norm, simple_table)
-    assert np.allclose(out.column("f1"), [-1.0, 0.0, 1.0])
-    assert np.array_equal(out.column("f2"), simple_table.column("f2"))
-
-
 def test_normalized_columns_have_zero_mean(simple_table):
-    norm = dataio.fit_normalizer(simple_table)
-    out = dataio.apply_normalizer(norm, simple_table)
-    assert np.all(np.abs(out.values.mean(axis=0)) < 1e-10)
+    norm = dataio.fit_normalizer(simple_table)  # every column by default
+    assert norm.columns == simple_table.feature_names
+    z = (simple_table.values - norm.mean) / norm.std  # as cluster.fit_gmm standardizes
+    assert np.all(np.abs(z.mean(axis=0)) < 1e-10)
+    assert np.allclose(z.std(axis=0, ddof=1), 1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -155,18 +150,12 @@ def test_normalizer_round_trip_property(rows):
         values=arr,
     )
     norm = dataio.fit_normalizer(table)
-    back = dataio.apply_normalizer(norm, table).values * norm.std + norm.mean
+    # cluster.fit_gmm standardizes with these statistics and maps back the same way
+    back = (table.values - norm.mean) / norm.std * norm.std + norm.mean
     # relative to the column scale: entries near zero in a wide column
     # cannot beat cancellation at the entry's own magnitude
     scale = np.maximum(np.abs(table.values), np.abs(norm.mean) + norm.std)
     assert np.all(np.abs(back - table.values) / scale < 1e-10)
-
-
-def test_apply_normalizer_column_mismatch(simple_table):
-    norm = dataio.fit_normalizer(simple_table, ("f1",))
-    other = dataio.FeatureTable(("a",), ("g",), np.array([[1.0]]))
-    with pytest.raises(MissingColumn):
-        dataio.apply_normalizer(norm, other)
 
 
 # --- fingerprints ---

@@ -103,14 +103,6 @@ def test_predict_zero_vector_zero_intercept():
     assert predict_target_sem(effects, dag, np.zeros(3)) == 0.0
 
 
-def test_predict_accepts_dict_rows():
-    dag = chain_dag()
-    effects = total_effects(dag)
-    assert predict_target_sem(
-        effects, dag, {"x1": 1.0, "x2": 0.7, "y": 0.0}
-    ) == pytest.approx(0.35, abs=1e-12)
-
-
 def test_predict_multi_do_rejected():
     dag = chain_dag()
     effects = total_effects(dag)

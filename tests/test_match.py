@@ -108,7 +108,7 @@ def test_normalization_uses_intervened_population():
 def test_ref_targets_attached():
     q = make_table([[1.0, 5.0], [8.0, 0.0]], ("a", "y"), target_names=("y",), prefix="q")
     r = make_table([[1.0, 2.5], [9.0, 7.5]], ("a", "y"), target_names=("y",), prefix="ref")
-    res = nearest_in_reference(q, r, k=2, features=("a",), ref_target="y")[0]
+    res = nearest_in_reference(q, r, k=2, ref_target="y")[0]  # matched on `a` alone
     assert res.ref_targets == (2.5, 7.5)
 
 
@@ -328,6 +328,15 @@ def test_pca_fingerprints_as_reals():
     )
     proj = pca_project(fps)
     assert proj.coordinates.shape == (30, 2)
+
+
+def test_project_onto_uses_the_fitted_center():
+    rng = np.random.default_rng(6)
+    bits = (rng.random((30, 16)) < 0.4).astype(np.uint8)
+    proj = pca_project(FingerprintTable(tuple(f"m{i}" for i in range(30)), bits))
+    assert np.array_equal(proj.center, bits.astype(np.float64).mean(axis=0))
+    # the fitted rows land on their own coordinates, bit for bit
+    assert np.array_equal(match.project_onto(proj, bits), proj.coordinates)
 
 
 def test_pca_fewer_rows_than_columns_matches_covariance():
