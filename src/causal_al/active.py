@@ -5,8 +5,10 @@ graph on each augmented candidate, scores it by spectral distance to the
 global graph, and commits the candidate with the smallest loss (random
 choice in baseline mode). Sampling is without replacement within a run;
 rows sampled for unchosen subsets return to their pools. Every candidate
-draws from its own RNG substream derived from (seed, iteration, subset),
-so per-subset evaluations can run in parallel without changing results.
+draws from its own RNG substream derived from (seed, iteration, subset).
+The candidates of an iteration share one shape, so their graphs come from
+one call of the stacked discovery kernel, or one per contiguous group of
+candidates on `jobs` threads; each graph is the same either way.
 """
 
 from __future__ import annotations
@@ -19,11 +21,16 @@ from . import artifacts
 
 # The loop calls the plain-array kernel. `discover_lingam` and `FeatureTable`
 # stay module attributes because perfbench/spans.py wraps them by these names.
-from .causal import WeightedDag, _check_fit_rows, _discover, discover_lingam  # noqa: F401
+from .causal import (  # noqa: F401
+    WeightedDag,
+    _column_stats,
+    _constant_column,
+    _discover,
+    discover_lingam,
+)
 from .dataio import FeatureTable  # noqa: F401
 from .errors import (
     ConfigError,
-    DegenerateFeature,
     DuplicateRowId,
     InsufficientData,
     MissingColumn,
@@ -117,6 +124,13 @@ def _run(
     acc_ids: list[str] = []
     records: list[IterationRecord] = []
 
+    def evaluate(x, mean, std) -> list[float]:
+        b, orders = _discover(x, mean, std, t_idx, prune_threshold, destandardize)
+        return [
+            spectral_distance(WeightedDag(features, b_s, order.tolist()), global_graph, n=top_n)
+            for b_s, order in zip(b, orders)
+        ]
+
     for it in range(n_iter):
         # a subset whose pool holds fewer than m rows is not sampled and scores +inf
         eligible = [k for k in range(n_subsets) if pools[k].size >= m]
@@ -126,24 +140,40 @@ def _run(
             sel = rng.choice(pools[k].size, size=m, replace=False)
             picks[k] = pools[k][np.sort(sel)]
 
-        def evaluate(k: int) -> float:
-            if k not in picks:
-                return float("inf")
-            rows = np.vstack([acc_rows, mats[k][picks[k]]])
-            try:
-                _check_fit_rows(rows, features)
-            except (InsufficientData, DegenerateFeature):
-                return float("inf")
-            b, order, *_ = _discover(rows, t_idx, prune_threshold, destandardize)
-            return spectral_distance(WeightedDag(features, b, order), global_graph, n=top_n)
+        # every candidate is the committed rows plus its subset's m new ones
+        n_acc = len(acc_ids)
+        x = np.empty((len(eligible), n_acc + m, len(features)))
+        x[:, :n_acc] = acc_rows
+        for row, k in enumerate(eligible):
+            x[row, n_acc:] = mats[k][picks[k]]
+        # a candidate too small or with a constant column scores +inf
+        losses = [float("inf")] * n_subsets
+        try:
+            mean, std = _column_stats(x)
+        except InsufficientData:  # every candidate has the same row count
+            fit = []
+        else:
+            fit = [row for row, s in enumerate(std) if _constant_column(s, features) is None]
+        if fit:
+            if len(fit) < len(eligible):
+                x, mean, std = x[fit], mean[fit], std[fit]
+            # one kernel call per contiguous group of candidates
+            n_groups = min(jobs, len(fit))
+            cuts = [len(fit) * g // n_groups for g in range(n_groups + 1)]
+            groups = [(x[a:b], mean[a:b], std[a:b]) for a, b in zip(cuts, cuts[1:])]
+            found = parallel_map(lambda group: evaluate(*group), groups, jobs=jobs)
+            for row, loss in zip(fit, (v for part in found for v in part)):
+                losses[eligible[row]] = loss
+        losses = tuple(losses)
 
-        losses = tuple(parallel_map(evaluate, range(n_subsets), jobs=jobs))
         if mode == "active":
             # first minimum = lowest index
             chosen = eligible[int(np.argmin([losses[k] for k in eligible]))]
         else:
-            # with every subset eligible this is integers(n_subsets), as before
-            chosen = eligible[int(_substream(seed, it, n_subsets).integers(len(eligible)))]
+            # a degenerate candidate is not drawn while a finite one is; with
+            # every candidate finite this is integers(n_subsets), as before
+            drawn = [k for k in eligible if np.isfinite(losses[k])] or eligible
+            chosen = drawn[int(_substream(seed, it, n_subsets).integers(len(drawn)))]
 
         acc_rows = np.vstack([acc_rows, mats[chosen][picks[chosen]]])
         acc_ids.extend(ids[chosen][i] for i in picks[chosen])
@@ -221,6 +251,15 @@ def exhausted_candidates(run: ActiveLearningRun, subset_sizes) -> int:
         skipped += sum(size < run.m_per_iter for size in sizes)
         sizes[rec.chosen] -= run.m_per_iter
     return skipped
+
+
+def degenerate_candidates(run: ActiveLearningRun, subset_sizes) -> int:
+    """Sampled candidates that discovery could not take: too few rows or a
+    constant column. They score +inf, like exhausted slots, and the random
+    baseline does not draw them while a finite candidate exists.
+    """
+    inf = sum(loss == float("inf") for rec in run.records for loss in rec.losses)
+    return inf - exhausted_candidates(run, subset_sizes)
 
 
 def summarize_runs(runs) -> tuple[np.ndarray, np.ndarray]:

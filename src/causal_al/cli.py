@@ -21,12 +21,17 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import active, artifacts, causal, cluster, dataio, graphdist, intervene, match, synth
+# Each stage imports the modules it runs, so a stage process loads only those.
+from . import artifacts
 from .errors import NUMERIC_ERRORS, CausalAlError, ConfigError, SchemaError
 from .util import file_sha256, fmt
+
+if TYPE_CHECKING:
+    from .dataio import TableSchema
 
 SEED_ENV_VAR = "CAUSAL_AL_SEED"
 
@@ -141,12 +146,14 @@ class Config:
 
 
 def _load_features(cfg: Config):
+    from . import dataio
+
     schema = dataio.read_schema(cfg.existing_path("schema"))
     table, report = dataio.load_feature_table(cfg.existing_path("features"), schema)
     return schema, table, report
 
 
-def _main_target(schema: dataio.TableSchema) -> str:
+def _main_target(schema: TableSchema) -> str:
     if not schema.target_columns:
         raise ConfigError("schema declares no target columns")
     return schema.target_columns[0]
@@ -154,6 +161,8 @@ def _main_target(schema: dataio.TableSchema) -> str:
 
 def _discovery_columns(cfg: Config, outdir: Path):
     """The feature table, its main target, and the selected features, target last."""
+    from . import active
+
     schema, table, _ = _load_features(cfg)
     target = _main_target(schema)
     sel_path = outdir / "selected_features.txt"
@@ -172,6 +181,8 @@ def _table_inputs(cfg: Config) -> list[Path]:
 
 
 def cmd_cluster(cfg: Config, outdir: Path):
+    from . import cluster, dataio
+
     schema, table, report = _load_features(cfg)
     pivots = cfg.list("pivot_features") or table.plain_feature_names[:3]
     model = cluster.fit_gmm(
@@ -192,6 +203,8 @@ def cmd_cluster(cfg: Config, outdir: Path):
 
 
 def cmd_select_features(cfg: Config, outdir: Path):
+    from . import active, causal
+
     schema, table, _ = _load_features(cfg)
     intermediate = cfg.raw("intermediate_target") or _main_target(schema)
     if intermediate not in table.feature_names:
@@ -215,6 +228,8 @@ def cmd_select_features(cfg: Config, outdir: Path):
 
 
 def cmd_discover(cfg: Config, outdir: Path):
+    from . import causal
+
     table, target, columns = _discovery_columns(cfg, outdir)
     dag = causal.discover_lingam(
         table.select_columns(columns), target,
@@ -233,6 +248,8 @@ def cmd_discover(cfg: Config, outdir: Path):
 
 
 def cmd_active_learn(cfg: Config, outdir: Path):
+    from . import active, causal, cluster
+
     table, target, features = _discovery_columns(cfg, outdir)
     labels = cluster.read_labels(outdir / "subsets.csv")
     missing = [rid for rid in table.row_ids if rid not in labels]
@@ -277,15 +294,20 @@ def cmd_active_learn(cfg: Config, outdir: Path):
         rows=enumerate(active.selection_counts(active_runs)),
     )
     sizes = [sub.n_rows for sub in subsets]
-    exhausted = sum(active.exhausted_candidates(run, sizes) for run in active_runs + random_runs)
+    runs = active_runs + random_runs
     return (
         [cfg.existing_path("features"), outdir / "subsets.csv", outdir / "global_graph.csv"],
         {**{k: v for k, v in params.items() if v is not None}, "n_realizations": n_real},
-        {"exhausted_candidates": exhausted},
+        {
+            "exhausted_candidates": sum(active.exhausted_candidates(r, sizes) for r in runs),
+            "degenerate_candidates": sum(active.degenerate_candidates(r, sizes) for r in runs),
+        },
     )
 
 
 def cmd_intervene(cfg: Config, outdir: Path):
+    from . import active, causal, dataio, intervene
+
     goal = cfg.float("goal")  # a bad goal stops the stage before it writes anything
     table, target, columns = _discovery_columns(cfg, outdir)
     features = columns[:-1]
@@ -319,12 +341,16 @@ def cmd_intervene(cfg: Config, outdir: Path):
     return [cfg.existing_path("features"), outdir / "dal_ids.txt"], params, {}
 
 
-def _reference_table(cfg: Config, schema: dataio.TableSchema):
+def _reference_table(cfg: Config, schema: TableSchema):
+    from . import dataio
+
     ref_path = cfg.existing_path("reference" if cfg.raw("reference") else "features")
     return ref_path, dataio.load_feature_table(ref_path, schema)[0]
 
 
 def cmd_match(cfg: Config, outdir: Path):
+    from . import dataio, match
+
     schema = dataio.read_schema(cfg.existing_path("schema"))
     target = _main_target(schema)
     intervened_path = outdir / "intervened.csv"
@@ -343,6 +369,8 @@ def cmd_match(cfg: Config, outdir: Path):
 
 
 def cmd_report(cfg: Config, outdir: Path):
+    from . import active, dataio, intervene, match
+
     schema = dataio.read_schema(cfg.existing_path("schema"))
     target = _main_target(schema)
     plans = intervene.load_plans(outdir / "plans.csv")
@@ -409,6 +437,8 @@ def cmd_report(cfg: Config, outdir: Path):
 
 
 def cmd_graph_dist(cfg: Config, g1: str, g2: str, top_n: int | None) -> None:
+    from . import causal, graphdist
+
     a = causal.load_dag(Path(g1))
     b = causal.load_dag(Path(g2))
     print(fmt(graphdist.spectral_distance(a, b, n=top_n)))
@@ -416,6 +446,8 @@ def cmd_graph_dist(cfg: Config, g1: str, g2: str, top_n: int | None) -> None:
 
 def cmd_synth(cfg: Config, outdir: Path):
     """Generate a heterogeneous synthetic world plus a ready-to-run config."""
+    from . import causal, dataio, synth
+
     seed = cfg.int("seed")
     n_features = cfg.int("synth_features", 2)
     n_subsets = cfg.int("synth_subsets", 1)

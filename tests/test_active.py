@@ -92,18 +92,23 @@ def test_missing_feature():
 
 
 def test_constant_column_subset_scores_inf_without_aborting():
-    # subset 2 holds f1 constant, so its first candidate has a zero-variance column
+    # subset 2 holds f1 constant, so its first candidate has a zero-variance column;
+    # at seed 0 the random draw of the first iteration is subset 2
     subsets, _, dag = small_world()
     sub = subsets[2]
     values = sub.values.copy()
     values[:, sub.index("f1")] = 1.5
     subsets[2] = FeatureTable(sub.row_ids, sub.feature_names, values, sub.target_names)
-    run = active_learn(subsets, dag, "y", m=30, n_iter=3, seed=4)
-    first = run.records[0]
-    assert first.losses[2] == float("inf")
-    assert np.isfinite(first.losses[:2]).all()
-    assert first.chosen != 2
-    assert len(run.records) == 3
+    for loop, seed in ((active_learn, 4), (random_baseline, 0)):
+        run = loop(subsets, dag, "y", m=30, n_iter=3, seed=seed)
+        first = run.records[0]
+        assert first.losses[2] == float("inf")
+        assert np.isfinite(first.losses[:2]).all()
+        assert len(run.records) == 3
+        for rec in run.records:  # a degenerate candidate is never committed
+            assert np.isfinite(rec.loss)
+        assert active.degenerate_candidates(run, [400, 400, 400]) == 1
+        assert active.exhausted_candidates(run, [400, 400, 400]) == 0
 
 
 def test_duplicate_ids_across_subsets_rejected():
@@ -140,10 +145,11 @@ def test_determinism_bit_identical():
 
 
 def test_jobs_do_not_change_results():
-    subsets, _, dag = small_world()
-    r1 = active_learn(subsets, dag, "y", m=20, n_iter=4, seed=9, jobs=1)
-    r4 = active_learn(subsets, dag, "y", m=20, n_iter=4, seed=9, jobs=4)
-    assert r1 == r4
+    # 4 candidates in 1, 2, 3 or 4 kernel calls per iteration
+    subsets, _, dag = small_world(perturbations=(0.3, 1.0, 1.9, 0.6))
+    for loop in (active_learn, random_baseline):
+        runs = [loop(subsets, dag, "y", m=20, n_iter=4, seed=9, jobs=j) for j in (1, 2, 3, 4)]
+        assert all(run == runs[0] for run in runs[1:])
 
 
 def test_matching_subset_wins_majority():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,11 +152,17 @@ def test_discovery_deterministic():
 # same entropy approximation and fallbacks as the array search in `causal`.
 
 
+def _ref_entropy_terms(u):
+    a = np.abs(u)
+    return a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0), u * np.exp(-(u**2) / 2.0)
+
+
 def _ref_entropy(u):
+    log_cosh, moment = _ref_entropy_terms(u)
     return (
         (1.0 + np.log(2.0 * np.pi)) / 2.0
-        - causal._K1 * (np.mean(causal._log_cosh(u)) - causal._GAMMA) ** 2
-        - causal._K2 * np.mean(u * np.exp(-(u**2) / 2.0)) ** 2
+        - causal._K1 * (np.mean(log_cosh) - causal._GAMMA) ** 2
+        - causal._K2 * np.mean(moment) ** 2
     )
 
 
@@ -259,17 +267,78 @@ def test_zero_variance_regressor_matches_scalar_reference():
     w[3] = 4.0 * w[0]  # zero residual against row 0
     remaining, candidates = [0, 1, 2, 3, 4], [0, 1, 2, 3]
     expected = _ref_most_exogenous(w.T.copy(), remaining, candidates)
-    assert causal._most_exogenous(w, remaining, candidates) == expected
+    cand = np.array([[True, True, True, True, False]])
+    found = causal._most_exogenous(w[None].copy(), cand, causal._workspace(1, 5, 150))
+    assert found.tolist() == [expected]
+
+
+def test_fused_entropy_matches_scalar_reference():
+    rng = np.random.default_rng(12)
+    u = rng.laplace(size=(7, 333)) * rng.uniform(1e-3, 1e3, size=(7, 1))
+    u[2] = 5.0  # a flat row standardizes to zeros
+    u[4] = rng.uniform(-40.0, 40.0, size=333)  # large |u|: exp(-2|u|) underflows
+    expected = [_ref_entropy(_ref_standardize(row)) for row in u]
+    z = u.copy()
+    t1, t2 = np.empty_like(u), np.empty_like(u)
+    sums = np.empty((2, 7))
+    causal._standardize(z, t1)
+    causal._entropy_sums(z, t1, t2, *sums)
+    assert np.array_equal(z, [_ref_standardize(row) for row in u])
+    terms = [_ref_entropy_terms(_ref_standardize(row)) for row in u]
+    assert np.array_equal(sums, [[t.sum() for t in row_terms] for row_terms in zip(*terms)])
+    assert np.array_equal(causal._entropy(*sums, 333), expected)
+
+
+def _stack_discover(x, target_idx, destandardize=False):
+    mean, std = causal._column_stats(x)
+    return causal._discover(x, mean, std, target_idx, causal.DEFAULT_PRUNE_THRESHOLD, destandardize)
+
+
+def _diverging_stack(seed):
+    """3-5 random LiNGAM tables of one shape; one has columns that are exact
+    multiples of another, one a column that is an exact combination of two
+    others, so its working row has no variance once both are roots."""
+    rng = np.random.default_rng(seed)
+    s, n, d = int(rng.integers(3, 6)), int(rng.integers(20, 400)), 6
+    x = np.stack([_random_lingam_table(n, d, 100 * seed + k).values for k in range(s)])
+    x[0, :, 1] = 3.0 * x[0, :, 0]
+    x[0, :, 2] = -0.7 * x[0, :, 0]
+    x[1, :, 3] = x[1, :, 0] - 2.0 * x[1, :, 2]
+    return x
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_search_matches_scalar_reference_per_table(seed):
+    x = _diverging_stack(seed)
+    b, orders = _stack_discover(x, 5)
+    assert len({tuple(o) for o in orders.tolist()}) > 1  # the tables' searches diverge
+    for k in range(len(x)):
+        b_ref, order_ref = _ref_discover(x[k], 5)
+        assert tuple(orders[k].tolist()) == order_ref
+        assert np.array_equal(b[k], b_ref)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_root_search_block_invariance(monkeypatch, seed):
-    table = _random_lingam_table(200, 6, seed)
-    whole = discover_lingam(table, "x5")
-    monkeypatch.setattr(causal, "_BLOCK_SAMPLES", 1)  # one regressand per block
-    blocked = discover_lingam(table, "x5")
-    assert blocked.causal_order == whole.causal_order
-    assert np.array_equal(blocked.B, whole.B)
+    x = _diverging_stack(seed)
+    whole = _stack_discover(x, 5, destandardize=True)
+    for block in (1, 2**40):  # one regressand per block; the whole stack in one block
+        monkeypatch.setattr(causal, "_BLOCK_SAMPLES", block)
+        blocked = _stack_discover(x, 5, destandardize=True)
+        assert np.array_equal(blocked[1], whole[1])
+        assert np.array_equal(blocked[0], whole[0])
+
+
+def test_kernel_memory_is_bounded():
+    x = np.stack([_random_lingam_table(1000, 10, k).values for k in range(3)])
+    mean, std = causal._column_stats(x)
+    tracemalloc.start()
+    try:
+        causal._discover(x, mean, std, 9, causal.DEFAULT_PRUNE_THRESHOLD, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

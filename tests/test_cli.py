@@ -84,6 +84,7 @@ def test_readme_quick_start_runs_at_defaults(tmp_path, monkeypatch):
         assert run_cli(argv) == 0, f"{argv[0]} failed"
     manifest = (tmp_path / "work" / "active_learn.manifest").read_text(encoding="utf-8")
     assert "count exhausted_candidates = " in manifest
+    assert "count degenerate_candidates = 0" in manifest.splitlines()
     # EM on the quick-start data runs to max_iter without meeting its tolerance
     manifest = (tmp_path / "work" / "cluster.manifest").read_text(encoding="utf-8").splitlines()
     assert "count em_iterations = 200" in manifest
@@ -233,6 +234,13 @@ def test_cli_import_leaves_the_forest_unloaded():
     loaded = modules_after("import causal_al.cli")
     assert "causal_al.cli" in loaded
     assert "causal_al.regress" not in loaded
+
+
+def test_cli_import_leaves_the_stage_modules_unloaded():
+    # each stage imports the modules it runs
+    loaded = modules_after("import causal_al.cli")
+    stages = ("active", "cluster", "match", "intervene", "synth", "graphdist", "regress")
+    assert loaded.isdisjoint(f"causal_al.{name}" for name in stages)
 
 
 def _one_data_error(capsys):
