@@ -301,11 +301,3 @@ def save_run(path, run: ActiveLearningRun) -> None:
         header=("iter", *(f"loss_{k}" for k in range(run.n_subsets)), "chosen", "size"),
         rows=((rec.iteration, *rec.losses, rec.chosen, rec.size) for rec in run.records),
     )
-
-
-def write_id_list(path, ids) -> None:
-    artifacts.write(path, rows=((rid,) for rid in ids))
-
-
-def read_id_list(path) -> tuple[str, ...]:
-    return tuple(artifacts.read(path, 1, str).rows)

@@ -117,6 +117,15 @@ class Artifact:
             raise self.error(f"{self.path}: invalid `{key} = {value}`") from None
 
 
+def write_id_list(path, ids) -> None:
+    """One id per line, no header."""
+    write(path, rows=((rid,) for rid in ids))
+
+
+def read_id_list(path) -> tuple[str, ...]:
+    return tuple(read(path, 1, str).rows)
+
+
 def read(path, header=None, row=None, *, error=SchemaError) -> Artifact:
     """Read an artifact; blank lines are skipped.
 

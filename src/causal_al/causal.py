@@ -14,8 +14,8 @@ per call, so memory stays bounded whatever the row count. The designated
 target is withheld from root selection until every feature is ordered,
 which forces it to be a sink by construction. Edge weights then come from
 sequential least squares over causal-order predecessors, followed by
-magnitude pruning. Total effects (I - B)^-1 - I of a weighted DAG, used
-for ranking here and for interventions downstream, are computed here too.
+magnitude pruning. Features are ranked by their total effects on a target,
+which `intervene` computes.
 """
 
 from __future__ import annotations
@@ -114,23 +114,6 @@ class WeightedDag:
         else:
             std = np.ones(d)
         return np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class EffectMatrix:
-    """T[i, j] = total causal effect of node j on node i (self effect 0)."""
-
-    node_names: tuple[str, ...]
-    T: np.ndarray
-
-    def index(self, name: str) -> int:
-        try:
-            return self.node_names.index(name)
-        except ValueError:
-            raise NodeMismatch(f"no node named {name!r}") from None
-
-    def effect(self, source: str, sink: str) -> float:
-        return float(self.T[self.index(sink), self.index(source)])
 
 
 @dataclass(frozen=True)
@@ -440,26 +423,10 @@ def discover_lingam(
 # ---------------------------------------------------------------------------
 
 
-def total_effects(dag: WeightedDag) -> EffectMatrix:
-    """Total effects (I - B)^-1 - I of an acyclic weighted adjacency."""
-    dag.validate()
-    d = dag.n_nodes
-    eye = np.eye(d)
-    t = np.linalg.solve(eye - dag.B, eye) - eye
-    return EffectMatrix(node_names=dag.node_names, T=t)
-
-
-def rank_by_effect(effects: EffectMatrix, target: str, nodes) -> tuple[tuple[str, float], ...]:
-    """(node, |total effect on `target`|) for each of `nodes`, strongest
-    first, ties alphabetical. An unknown name raises NodeMismatch."""
-    t = effects.index(target)
-    items = [(name, abs(float(effects.T[t, effects.index(name)]))) for name in nodes]
-    items.sort(key=lambda kv: (-kv[1], kv[0]))
-    return tuple(items)
-
-
 def rank_features(dag: WeightedDag, target: str) -> FeatureRanking:
     """Rank non-target nodes by |total effect| on `target`, ties alphabetical."""
+    from .intervene import rank_by_effect, total_effects
+
     t = dag.index(target)
     others = [name for i, name in enumerate(dag.node_names) if i != t]
     return FeatureRanking(entries=rank_by_effect(total_effects(dag), target, others))

@@ -161,12 +161,10 @@ def _main_target(schema: TableSchema) -> str:
 
 def _discovery_columns(cfg: Config, outdir: Path):
     """The feature table, its main target, and the selected features, target last."""
-    from . import active
-
     schema, table, _ = _load_features(cfg)
     target = _main_target(schema)
     sel_path = outdir / "selected_features.txt"
-    selected = active.read_id_list(sel_path) if sel_path.exists() else table.plain_feature_names
+    selected = artifacts.read_id_list(sel_path) if sel_path.exists() else table.plain_feature_names
     return table, target, tuple(f for f in selected if f != target) + (target,)
 
 
@@ -203,7 +201,7 @@ def cmd_cluster(cfg: Config, outdir: Path):
 
 
 def cmd_select_features(cfg: Config, outdir: Path):
-    from . import active, causal
+    from . import causal
 
     schema, table, _ = _load_features(cfg)
     intermediate = cfg.raw("intermediate_target") or _main_target(schema)
@@ -218,7 +216,7 @@ def cmd_select_features(cfg: Config, outdir: Path):
     ranking = causal.rank_features(dag, intermediate)
     selected = causal.select_top_k(ranking, cfg.int("k_features", 1))
     artifacts.write(outdir / "ranking.csv", header=("feature", "strength"), rows=ranking.entries)
-    active.write_id_list(outdir / "selected_features.txt", selected)
+    artifacts.write_id_list(outdir / "selected_features.txt", selected)
     params = {
         "intermediate_target": intermediate,
         "k_features": cfg.int("k_features"),
@@ -280,7 +278,7 @@ def cmd_active_learn(cfg: Config, outdir: Path):
             active.save_run(outdir / f"{mode}_run_{r}.csv", run)
             runs.append(run)
 
-    active.write_id_list(outdir / "dal_ids.txt", active_runs[0].selected_row_ids)
+    artifacts.write_id_list(outdir / "dal_ids.txt", active_runs[0].selected_row_ids)
     a_mean, a_std = active.summarize_runs(active_runs)
     r_mean, r_std = active.summarize_runs(random_runs)
     artifacts.write(
@@ -306,12 +304,12 @@ def cmd_active_learn(cfg: Config, outdir: Path):
 
 
 def cmd_intervene(cfg: Config, outdir: Path):
-    from . import active, causal, dataio, intervene
+    from . import causal, dataio, intervene
 
     goal = cfg.float("goal")  # a bad goal stops the stage before it writes anything
     table, target, columns = _discovery_columns(cfg, outdir)
     features = columns[:-1]
-    dal_ids = active.read_id_list(outdir / "dal_ids.txt")
+    dal_ids = artifacts.read_id_list(outdir / "dal_ids.txt")
     dal_table = table.select_by_ids(dal_ids).select_columns(columns)
 
     dag = causal.discover_lingam(
@@ -369,7 +367,7 @@ def cmd_match(cfg: Config, outdir: Path):
 
 
 def cmd_report(cfg: Config, outdir: Path):
-    from . import active, dataio, intervene, match
+    from . import dataio, intervene, match
 
     schema = dataio.read_schema(cfg.existing_path("schema"))
     target = _main_target(schema)
@@ -417,7 +415,7 @@ def cmd_report(cfg: Config, outdir: Path):
     if query_fps is not None:
         proj = match.pca_project(query_fps)
         dal_path = outdir / "dal_ids.txt"
-        dal_ids = set(active.read_id_list(dal_path)) if dal_path.exists() else set()
+        dal_ids = set(artifacts.read_id_list(dal_path)) if dal_path.exists() else set()
         coords = [
             (rid, p1, p2, "selected" if rid in dal_ids else "dataset")
             for rid, (p1, p2) in zip(query_fps.row_ids, proj.coordinates)

@@ -44,36 +44,32 @@ class GmmModel:
         return len(self.weights)
 
 
-def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(a))) along `axis`, without overflow.
-
-    Every entry equal to the maximum is taken out of the sum and counted:
-    with m maxima and s the sum of exp(a - max) over the other entries, the
-    result is log1p(s / m) + log(m) + max. Where that is not finite (an
-    infinite or NaN maximum) the direct log(sum(exp(a))) is returned.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    a_max = np.max(a, axis=axis, keepdims=True)
-    is_max = a == a_max
-    m = np.sum(is_max, axis=axis, keepdims=True, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
-        out = np.log1p(s / m) + np.log(m) + a_max
-        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
-    return np.squeeze(np.where(np.isfinite(out), out, direct), axis=axis)
-
-
-def _log_gauss(z: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of rows of z under N(mean, cov), via Cholesky."""
-    dim = z.shape[1]
+def _log_probs(zt: np.ndarray, weights: np.ndarray, means: np.ndarray,
+               covs: np.ndarray) -> np.ndarray:
+    """(K, n) log weight plus log density of each column of `zt` (d x n)
+    under every component, by forward substitution on the Cholesky factors."""
     try:
-        chol = np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
         raise DegenerateComponent("covariance is not positive definite") from None
-    diff = z - mean
-    sol = np.linalg.solve(chol, diff.T)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (dim * np.log(2.0 * np.pi) + log_det + np.sum(sol**2, axis=0))
+    dim = zt.shape[0]
+    sol = zt - means[:, :, None]  # (K, d, n), solved row by row in place
+    maha = np.zeros((len(weights), zt.shape[1]))
+    for i in range(dim):
+        sol[:, i] -= (chol[:, i, None, :i] @ sol[:, :i])[:, 0]
+        sol[:, i] /= chol[:, i, i, None]
+        maha += sol[:, i] ** 2
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    const = dim * np.log(2.0 * np.pi) + log_det
+    return np.log(weights)[:, None] - 0.5 * (const[:, None] + maha)
+
+
+def _log_normalizer(log_probs: np.ndarray) -> np.ndarray:
+    """log(sum(exp(log_probs), axis=0)), shifted by the column max so it
+    cannot overflow; NaN where a column is all -inf."""
+    top = log_probs.max(axis=0)
+    with np.errstate(invalid="ignore"):
+        return top + np.log(np.sum(np.exp(log_probs - top), axis=0))
 
 
 def _kmeanspp_centers(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -107,6 +103,10 @@ def fit_gmm(
     pivots = tuple(pivot_features)
     if n_components < 1:
         raise ConfigError(f"n_components must be >= 1, got {n_components}")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
+    if not (tol >= 0.0 and np.isfinite(tol)):
+        raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
     for p in pivots:
         if p not in table.feature_names:
             raise MissingColumn(f"pivot feature {p!r} not in table")
@@ -116,6 +116,7 @@ def fit_gmm(
 
     norm = fit_normalizer(table, pivots)  # raises DegenerateFeature on constant pivots
     z = (table.matrix(pivots) - norm.mean) / norm.std
+    zt = np.ascontiguousarray(z.T)
     dim = z.shape[1]
 
     rng = np.random.default_rng(seed)
@@ -127,10 +128,8 @@ def fit_gmm(
     trajectory: list[float] = []
     prev_ll = -np.inf
     for _ in range(max_iter):
-        log_probs = np.column_stack(
-            [np.log(weights[k]) + _log_gauss(z, means[k], covs[k]) for k in range(n_components)]
-        )
-        row_norm = logsumexp(log_probs, axis=1)
+        log_probs = _log_probs(zt, weights, means, covs)
+        row_norm = _log_normalizer(log_probs)
         ll = float(np.sum(row_norm))
         if not np.isfinite(ll):
             raise DegenerateComponent("log-likelihood diverged")
@@ -139,21 +138,19 @@ def fit_gmm(
             break
         prev_ll = ll
 
-        resp = np.exp(log_probs - row_norm[:, None])
-        nk = resp.sum(axis=0)
+        resp = np.exp(log_probs - row_norm)
+        nk = resp.sum(axis=1)
         if np.any(nk <= 0.0):
             raise DegenerateComponent("a component lost all responsibility")
         weights = nk / n
-        means = (resp.T @ z) / nk[:, None]
-        for k in range(n_components):
-            diff = z - means[k]
-            cov = (resp[:, k][:, None] * diff).T @ diff / nk[k]
-            covs[k] = 0.5 * (cov + cov.T) + COVARIANCE_FLOOR * np.eye(dim)
+        means = (resp @ z) / nk[:, None]
+        diff = zt - means[:, :, None]
+        cov = (resp[:, None, :] * diff) @ diff.transpose(0, 2, 1) / nk[:, None, None]
+        covs = 0.5 * (cov + cov.transpose(0, 2, 1)) + COVARIANCE_FLOOR * np.eye(dim)
 
     # report parameters on the raw pivot scale
-    scale = np.diag(norm.std)
     raw_means = means * norm.std + norm.mean
-    raw_covs = np.array([scale @ c @ scale for c in covs])
+    raw_covs = norm.std[:, None] * covs * norm.std
     return GmmModel(
         weights=weights,
         means=raw_means,
@@ -182,14 +179,9 @@ def responsibilities(model: GmmModel, table: FeatureTable) -> np.ndarray:
     for p in model.pivot_features:
         if p not in table.feature_names:
             raise MissingColumn(f"pivot feature {p!r} not in table")
-    x = table.matrix(model.pivot_features)
-    log_probs = np.column_stack(
-        [
-            np.log(model.weights[k]) + _log_gauss(x, model.means[k], model.covariances[k])
-            for k in range(model.n_components)
-        ]
-    )
-    return np.exp(log_probs - logsumexp(log_probs, axis=1)[:, None])
+    xt = np.ascontiguousarray(table.matrix(model.pivot_features).T)
+    log_probs = _log_probs(xt, model.weights, model.means, model.covariances)
+    return np.exp(log_probs - _log_normalizer(log_probs)).T
 
 
 def assign_subsets(model: GmmModel, table: FeatureTable) -> np.ndarray:

@@ -12,17 +12,57 @@ array computation (`_plan_rows`); a single row is a one-row call of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import artifacts
-from .causal import EffectMatrix, WeightedDag, rank_by_effect, total_effects
 from .dataio import FeatureTable
 from .errors import ConfigError, NoCausalLever, NodeMismatch, SchemaError
+
+# `causal` is imported for annotations only, so the stages that read plans
+# (`match`, `report`) do not load the discovery kernel.
+if TYPE_CHECKING:
+    from .causal import WeightedDag
 
 DEFAULT_GOAL = 3.0  # target shift goal in the target's own units
 
 INTERVENED_SUFFIX = "::do"
+
+
+@dataclass(frozen=True)
+class EffectMatrix:
+    """T[i, j] = total causal effect of node j on node i (self effect 0)."""
+
+    node_names: tuple[str, ...]
+    T: np.ndarray
+
+    def index(self, name: str) -> int:
+        try:
+            return self.node_names.index(name)
+        except ValueError:
+            raise NodeMismatch(f"no node named {name!r}") from None
+
+    def effect(self, source: str, sink: str) -> float:
+        return float(self.T[self.index(sink), self.index(source)])
+
+
+def total_effects(dag: WeightedDag) -> EffectMatrix:
+    """Total effects (I - B)^-1 - I of an acyclic weighted adjacency."""
+    dag.validate()
+    d = dag.n_nodes
+    eye = np.eye(d)
+    t = np.linalg.solve(eye - dag.B, eye) - eye
+    return EffectMatrix(node_names=dag.node_names, T=t)
+
+
+def rank_by_effect(effects: EffectMatrix, target: str, nodes) -> tuple[tuple[str, float], ...]:
+    """(node, |total effect on `target`|) for each of `nodes`, strongest
+    first, ties alphabetical. An unknown name raises NodeMismatch."""
+    t = effects.index(target)
+    items = [(name, abs(float(effects.T[t, effects.index(name)]))) for name in nodes]
+    items.sort(key=lambda kv: (-kv[1], kv[0]))
+    return tuple(items)
 
 
 @dataclass(frozen=True)

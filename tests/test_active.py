@@ -200,9 +200,3 @@ def test_summarize_empty_and_mismatched():
     r2 = active_learn(subsets, dag, "y", m=20, n_iter=3, seed=0)
     with pytest.raises(ConfigError):
         summarize_runs([r1, r2])
-
-
-def test_id_list_round_trip(tmp_path):
-    p = tmp_path / "ids.txt"
-    active.write_id_list(p, ("a", "b", "c"))
-    assert active.read_id_list(p) == ("a", "b", "c")

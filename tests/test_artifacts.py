@@ -67,7 +67,7 @@ def test_artifact_bytes_are_pinned(tmp_path):
     dataio.write_schema(tmp_path / "schema.cfg", dataio.TableSchema("id", ("y", "z"), 16))
     dataio.write_load_report(tmp_path / "load_report.txt", dataio.LoadReport(2, 1))
     cluster.write_labels(tmp_path / "labels.csv", ("m1", "m2"), np.array([0, 2]))
-    active.write_id_list(tmp_path / "ids.txt", ("m1", "m2::do"))
+    artifacts.write_id_list(tmp_path / "ids.txt", ("m1", "m2::do"))
 
     expected = {
         "dag.csv": (
@@ -210,10 +210,10 @@ def test_table_is_written_without_holding_its_text(tmp_path):
 
 def test_headerless_id_list_round_trips_ids_that_start_with_hash(tmp_path):
     ids = ("#a", "b c", "C(C)O::do")
-    active.write_id_list(tmp_path / "ids.txt", ids)
-    assert active.read_id_list(tmp_path / "ids.txt") == ids
-    active.write_id_list(tmp_path / "empty.txt", ())
-    assert active.read_id_list(tmp_path / "empty.txt") == ()
+    artifacts.write_id_list(tmp_path / "ids.txt", ids)
+    assert artifacts.read_id_list(tmp_path / "ids.txt") == ids
+    artifacts.write_id_list(tmp_path / "empty.txt", ())
+    assert artifacts.read_id_list(tmp_path / "empty.txt") == ()
 
 
 def test_undecodable_file_raises_schema_error_naming_it(tmp_path):

@@ -243,6 +243,19 @@ def test_cli_import_leaves_the_stage_modules_unloaded():
     assert loaded.isdisjoint(f"causal_al.{name}" for name in stages)
 
 
+def test_match_and_report_stages_leave_the_discovery_modules_unloaded(tmp_path):
+    # both stages read plans and id lists; neither runs discovery
+    work = tmp_path / "w"
+    run_pipeline(work)
+    cfg = str(work / "pipeline.cfg")
+    for stage in ("match", "report"):
+        loaded = modules_after(
+            f"from causal_al.cli import run_cli; assert run_cli([{stage!r}, '-c', {cfg!r}]) == 0"
+        )
+        assert "causal_al.match" in loaded
+        assert loaded.isdisjoint({"causal_al.causal", "causal_al.active"}), stage
+
+
 def _one_data_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("E_DATA: ")

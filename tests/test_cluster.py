@@ -3,7 +3,13 @@ import pytest
 
 from causal_al import cluster
 from causal_al.cluster import assign_subsets, fit_gmm, responsibilities
-from causal_al.errors import DegenerateFeature, InsufficientData, MissingColumn
+from causal_al.errors import (
+    ConfigError,
+    DegenerateComponent,
+    DegenerateFeature,
+    InsufficientData,
+    MissingColumn,
+)
 from tests.conftest import make_table
 
 
@@ -45,6 +51,22 @@ def test_constant_pivot_degenerate():
     table = make_table([[1.0], [1.0], [1.0], [1.0]], ("p",))
     with pytest.raises(DegenerateFeature):
         fit_gmm(table, ("p",), n_components=1)
+
+
+@pytest.mark.parametrize("setting", [
+    {"max_iter": 0}, {"max_iter": -3},
+    {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")},
+], ids=["max_iter=0", "max_iter=-3", "tol=nan", "tol=-1", "tol=inf"])
+def test_bad_em_settings_are_config_errors(setting):
+    # max_iter=0 used to return the k-means++ seeds as a fitted model, and a
+    # NaN or negative tol never stopped
+    with pytest.raises(ConfigError):
+        fit_gmm(two_cluster_table(), ("p",), n_components=2, seed=7, **setting)
+
+
+def test_zero_tol_runs_to_max_iter():
+    model = fit_gmm(two_cluster_table(), ("p",), n_components=2, seed=7, max_iter=5, tol=0.0)
+    assert len(model.log_likelihoods) == 5
 
 
 def test_log_likelihood_monotone():
@@ -147,32 +169,99 @@ def test_labels_round_trip(tmp_path):
     assert cluster.read_labels(p) == {"a": 0, "b": 2, "c": 1}
 
 
-def test_logsumexp_bit_identical_to_scipy():
-    special = pytest.importorskip("scipy.special")
+def _ref_logsumexp_rows(a):
+    # the per-row normalizer the fit used before the batched kernel,
+    # identical to scipy.special.logsumexp(a, axis=1)
+    a_max = np.max(a, axis=1, keepdims=True)
+    is_max = a == a_max
+    m = np.sum(is_max, axis=1, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        direct = np.log(np.sum(np.exp(a), axis=1, keepdims=True))
+    return np.squeeze(np.where(np.isfinite(out), out, direct), axis=1)
+
+
+def _ref_log_gauss(z, mean, cov):
+    # one component at a time, rows of z, a general solve on the factor
+    chol = np.linalg.cholesky(cov)
+    sol = np.linalg.solve(chol, (z - mean).T)
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (z.shape[1] * np.log(2.0 * np.pi) + log_det + np.sum(sol**2, axis=0))
+
+
+def _ref_log_probs(z, weights, means, covs):
+    return np.column_stack(
+        [np.log(w) + _ref_log_gauss(z, m, c) for w, m, c in zip(weights, means, covs)]
+    )
+
+
+def _random_mixture(rng, k, d, n):
+    a = rng.normal(size=(k, d, d))
+    covs = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    weights = rng.dirichlet(np.ones(k))
+    return rng.normal(0.0, 3.0, (n, d)), weights, rng.normal(0.0, 2.0, (k, d)), covs
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_batched_kernel_matches_per_component_reference(d, k):
+    rng = np.random.default_rng(10 * d + k)
+    z, weights, means, covs = _random_mixture(rng, k, d, 400)
+    ref = _ref_log_probs(z, weights, means, covs)
+    got = cluster._log_probs(np.ascontiguousarray(z.T), weights, means, covs)
+    np.testing.assert_allclose(got, ref.T, rtol=1e-13, atol=0.0)
+
+    model = cluster.GmmModel(
+        weights=weights, means=means, covariances=covs,
+        pivot_features=tuple(f"p{j}" for j in range(d)),
+        pivot_means=np.zeros(d), pivot_stds=np.ones(d), seed=0, log_likelihoods=(),
+    )
+    table = make_table(z, model.pivot_features)
+    want = np.exp(ref - _ref_logsumexp_rows(ref)[:, None])
+    # exp turns the exponent's absolute rounding into relative error, so
+    # responsibilities far below 1 are compared in absolute terms
+    np.testing.assert_allclose(responsibilities(model, table), want, rtol=1e-13, atol=1e-15)
+    assert np.array_equal(assign_subsets(model, table), np.argmax(want, axis=1))
+
+
+def test_one_non_positive_definite_component_is_degenerate():
+    rng = np.random.default_rng(4)
+    z, weights, means, covs = _random_mixture(rng, 3, 2, 50)
+    covs[1] = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues 3 and -1
+    with pytest.raises(DegenerateComponent, match="not positive definite"):
+        cluster._log_probs(np.ascontiguousarray(z.T), weights, means, covs)
+
+
+def test_log_normalizer_against_direct_formula_and_scipy():
+    norm = cluster._log_normalizer
+    # the max shift keeps exp from overflowing or underflowing to log(0)
+    big = np.array([[1000.0, -1000.0, 1000.0], [1000.0, -1000.0, -1000.0]])
+    assert norm(big).tolist() == [1000.0 + np.log(2.0), -1000.0 + np.log(2.0), 1000.0]
     rng = np.random.default_rng(0)
-    plain = rng.normal(scale=30.0, size=(200, 5))
-    tied = rng.normal(size=(60, 4))
-    tied[:, 2] = tied.max(axis=1)  # two maxima per row
-    tied[:10] = 1.5                # every entry a maximum
-    with_inf = rng.normal(size=(60, 6))
-    with_inf[rng.random(with_inf.shape) < 0.4] = -np.inf
-    with_inf[0] = -np.inf          # nothing but -inf
-    for a in (plain, tied, with_inf):
-        for axis in (1, 0):
-            got = cluster.logsumexp(a, axis=axis)
-            assert got.tobytes() == special.logsumexp(a, axis=axis).tobytes()
+    moderate = rng.normal(scale=5.0, size=(4, 300))
+    direct = np.log(np.sum(np.exp(moderate), axis=0))
+    np.testing.assert_allclose(norm(moderate), direct, rtol=1e-14, atol=0.0)
+    # a column of nothing but -inf has no normalizer; the fit reports divergence
+    col = np.array([[-np.inf, 0.0], [-np.inf, 0.0]])
+    assert np.isnan(norm(col)[0]) and norm(col)[1] == np.log(2.0)
+    special = pytest.importorskip("scipy.special")
+    wide = rng.normal(scale=30.0, size=(5, 300))
+    np.testing.assert_allclose(norm(wide), special.logsumexp(wide, axis=0), rtol=1e-15, atol=0.0)
 
 
 def test_fixed_fit_log_likelihood_trajectory_unchanged():
-    # recorded from the same fit with scipy.special.logsumexp
+    # recorded from the same fit with scipy.special.logsumexp and a solve per
+    # component; the batched kernel rounds differently in the last bits
     rng = np.random.default_rng(5)
     mix = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
     x = np.concatenate([rng.normal(m, 1.0, (80, 3)) for m in (-3.0, 0.0, 4.0)]) @ mix
     model = fit_gmm(make_table(x, ("a", "b", "c")), ("a", "b", "c"),
                     n_components=3, seed=2, max_iter=12)
-    assert [v.hex() for v in model.log_likelihoods] == [
+    recorded = [float.fromhex(h) for h in (
         "-0x1.f883b3b0c014bp+8", "-0x1.bbd99414bb0b8p+8", "-0x1.b6641d053a620p+8",
         "-0x1.b3e66855014b2p+8", "-0x1.b2a585efcd7d5p+8", "-0x1.b1b95d9401790p+8",
         "-0x1.b0a288c83829ap+8", "-0x1.aee73f28ad6b9p+8", "-0x1.ab99cf193b99bp+8",
         "-0x1.a43febe1ba9e2p+8", "-0x1.92be7ef9a628ep+8", "-0x1.81e41d885152dp+8",
-    ]
+    )]
+    np.testing.assert_allclose(model.log_likelihoods, recorded, rtol=1e-14, atol=0.0)
