@@ -21,13 +21,7 @@ from . import artifacts
 
 # The loop calls the plain-array kernel. `discover_lingam` and `FeatureTable`
 # stay module attributes because perfbench/spans.py wraps them by these names.
-from .causal import (  # noqa: F401
-    WeightedDag,
-    _column_stats,
-    _constant_column,
-    _discover,
-    discover_lingam,
-)
+from .causal import WeightedDag, _column_stats, _discover, discover_lingam  # noqa: F401
 from .dataio import FeatureTable  # noqa: F401
 from .errors import (
     ConfigError,
@@ -149,11 +143,11 @@ def _run(
         # a candidate too small or with a constant column scores +inf
         losses = [float("inf")] * n_subsets
         try:
-            mean, std = _column_stats(x)
+            mean, std, constant = _column_stats(x)
         except InsufficientData:  # every candidate has the same row count
             fit = []
         else:
-            fit = [row for row, s in enumerate(std) if _constant_column(s, features) is None]
+            fit = np.flatnonzero(~constant.any(axis=1)).tolist()
         if fit:
             if len(fit) < len(eligible):
                 x, mean, std = x[fit], mean[fit], std[fit]

@@ -14,8 +14,7 @@ per call, so memory stays bounded whatever the row count. The designated
 target is withheld from root selection until every feature is ordered,
 which forces it to be a sink by construction. Edge weights then come from
 sequential least squares over causal-order predecessors, followed by
-magnitude pruning. Features are ranked by their total effects on a target,
-which `intervene` computes.
+magnitude pruning.
 """
 
 from __future__ import annotations
@@ -27,9 +26,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import artifacts
-from .dataio import FeatureTable
+from .dataio import FeatureTable, column_stats
 from .errors import (
-    ConfigError,
     CyclicGraph,
     DegenerateFeature,
     InsufficientData,
@@ -114,26 +112,6 @@ class WeightedDag:
         else:
             std = np.ones(d)
         return np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class FeatureRanking:
-    """Features ordered by descending causal strength toward a target."""
-
-    entries: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        strengths = [s for _, s in self.entries]
-        if any(s < 0 for s in strengths):
-            raise SchemaError("strengths must be nonnegative")
-        if any(a < b for a, b in zip(strengths, strengths[1:])):
-            raise SchemaError("ranking must be sorted descending")
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +273,13 @@ def _most_exogenous(w: np.ndarray, cand: np.ndarray, ws) -> np.ndarray:
     return np.argmin(penalty, axis=1)
 
 
-def _column_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and sample standard deviations of the tables stacked in
-    `x` (S, rows, columns). Raises InsufficientData below d + 10 rows."""
+def _column_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`column_stats` of the tables stacked in `x` (S, rows, columns).
+    Raises InsufficientData below d + 10 rows."""
     n, d = x.shape[1:]
     if n < d + 10:
         raise InsufficientData(f"need at least {d + 10} rows for {d} columns, got {n}")
-    return x.mean(axis=1), x.std(axis=1, ddof=1)
-
-
-def _constant_column(std: np.ndarray, names) -> str | None:
-    """Name of a table's first constant column (sample standard deviation 0), if any."""
-    return next((name for name, s in zip(names, std) if s == 0.0), None)
+    return column_stats(x)
 
 
 def _causal_orders(x: np.ndarray, mean: np.ndarray, std: np.ndarray, target_idx: int):
@@ -367,7 +340,7 @@ def _discover(
     """Plain-array discovery kernel over the tables stacked in `x` (S, rows, columns).
 
     `mean` and `std` are the tables' `_column_stats`, and no table has a
-    `_constant_column`. Returns the pruned adjacencies B (S, d, d) and the
+    constant column. Returns the pruned adjacencies B (S, d, d) and the
     causal orders (S, d). The weights are one least-squares fit per node
     and table.
     """
@@ -402,10 +375,9 @@ def discover_lingam(
     if target not in names:
         raise MissingColumn(f"target {target!r} not in table")
     x = table.values[None]
-    mean, std = _column_stats(x)
-    constant = _constant_column(std[0], names)
-    if constant is not None:
-        raise DegenerateFeature(constant)
+    mean, std, constant = _column_stats(x)
+    if constant.any():
+        raise DegenerateFeature(names[int(np.argmax(constant[0]))])
     b, order = _discover(x, mean, std, names.index(target), prune_threshold, destandardize)
     return WeightedDag(
         node_names=names,
@@ -416,26 +388,6 @@ def discover_lingam(
         node_stds=std[0],
         standardized=not destandardize,
     )
-
-
-# ---------------------------------------------------------------------------
-# Ranking
-# ---------------------------------------------------------------------------
-
-
-def rank_features(dag: WeightedDag, target: str) -> FeatureRanking:
-    """Rank non-target nodes by |total effect| on `target`, ties alphabetical."""
-    from .intervene import rank_by_effect, total_effects
-
-    t = dag.index(target)
-    others = [name for i, name in enumerate(dag.node_names) if i != t]
-    return FeatureRanking(entries=rank_by_effect(total_effects(dag), target, others))
-
-
-def select_top_k(ranking: FeatureRanking, k: int) -> tuple[str, ...]:
-    if k < 1 or k > len(ranking):
-        raise ConfigError(f"k must be in [1, {len(ranking)}], got {k}")
-    return ranking.names()[:k]
 
 
 # ---------------------------------------------------------------------------

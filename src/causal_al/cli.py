@@ -195,13 +195,13 @@ def cmd_cluster(cfg: Config, outdir: Path):
         {"pivot_features": ",".join(pivots), "n_components": cfg.int("n_components")},
         {
             "em_iterations": len(model.log_likelihoods),
-            "em_converged": int(cluster.em_converged(model)),
+            "em_converged": int(model.converged),
         },
     )
 
 
 def cmd_select_features(cfg: Config, outdir: Path):
-    from . import causal
+    from . import causal, intervene
 
     schema, table, _ = _load_features(cfg)
     intermediate = cfg.raw("intermediate_target") or _main_target(schema)
@@ -213,13 +213,15 @@ def cmd_select_features(cfg: Config, outdir: Path):
         table.select_columns(columns), intermediate,
         prune_threshold=cfg.float("prune_threshold"),
     )
-    ranking = causal.rank_features(dag, intermediate)
-    selected = causal.select_top_k(ranking, cfg.int("k_features", 1))
-    artifacts.write(outdir / "ranking.csv", header=("feature", "strength"), rows=ranking.entries)
-    artifacts.write_id_list(outdir / "selected_features.txt", selected)
+    ranking = intervene.rank_features(dag, intermediate)
+    k = cfg.int("k_features", 1)
+    if k > len(ranking):
+        raise ConfigError(f"k_features must be at most {len(ranking)}, got {k}")
+    artifacts.write(outdir / "ranking.csv", header=("feature", "strength"), rows=ranking)
+    artifacts.write_id_list(outdir / "selected_features.txt", [name for name, _ in ranking[:k]])
     params = {
         "intermediate_target": intermediate,
-        "k_features": cfg.int("k_features"),
+        "k_features": k,
         "prune_threshold": cfg.float("prune_threshold"),
     }
     return _table_inputs(cfg), params, {}

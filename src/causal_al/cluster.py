@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .dataio import FeatureTable, fit_normalizer
+from .dataio import FeatureTable, column_stats
 from .errors import (
     ConfigError,
     DegenerateComponent,
+    DegenerateFeature,
     InsufficientData,
     MissingColumn,
 )
@@ -38,6 +39,7 @@ class GmmModel:
     pivot_stds: np.ndarray
     seed: int
     log_likelihoods: tuple[float, ...]  # per-iteration trajectory (standardized space)
+    converged: bool  # EM stopped on its tolerance, not at max_iter
 
     @property
     def n_components(self) -> int:
@@ -97,8 +99,9 @@ def fit_gmm(
 ) -> GmmModel:
     """Fit a full-covariance mixture by EM on standardized pivot columns.
 
-    The per-iteration log-likelihood trajectory is recorded on the model;
-    it is non-decreasing up to a small numerical slack.
+    The model records the per-iteration log-likelihood trajectory, which
+    is non-decreasing up to a small numerical slack, and whether EM stopped
+    on `tol` rather than at `max_iter`.
     """
     pivots = tuple(pivot_features)
     if n_components < 1:
@@ -113,9 +116,14 @@ def fit_gmm(
     n = table.n_rows
     if n < n_components:
         raise InsufficientData(f"{n} rows cannot support {n_components} components")
+    if n < 2:
+        raise InsufficientData("need at least 2 rows to standardize the pivots")
 
-    norm = fit_normalizer(table, pivots)  # raises DegenerateFeature on constant pivots
-    z = (table.matrix(pivots) - norm.mean) / norm.std
+    x = table.matrix(pivots)
+    center, scale, constant = column_stats(x)
+    if constant.any():
+        raise DegenerateFeature(pivots[int(np.argmax(constant))])
+    z = (x - center) / scale
     zt = np.ascontiguousarray(z.T)
     dim = z.shape[1]
 
@@ -127,6 +135,7 @@ def fit_gmm(
 
     trajectory: list[float] = []
     prev_ll = -np.inf
+    converged = False
     for _ in range(max_iter):
         log_probs = _log_probs(zt, weights, means, covs)
         row_norm = _log_normalizer(log_probs)
@@ -135,6 +144,7 @@ def fit_gmm(
             raise DegenerateComponent("log-likelihood diverged")
         trajectory.append(ll)
         if ll - prev_ll < tol and np.isfinite(prev_ll):
+            converged = True
             break
         prev_ll = ll
 
@@ -149,29 +159,19 @@ def fit_gmm(
         covs = 0.5 * (cov + cov.transpose(0, 2, 1)) + COVARIANCE_FLOOR * np.eye(dim)
 
     # report parameters on the raw pivot scale
-    raw_means = means * norm.std + norm.mean
-    raw_covs = norm.std[:, None] * covs * norm.std
+    raw_means = means * scale + center
+    raw_covs = scale[:, None] * covs * scale
     return GmmModel(
         weights=weights,
         means=raw_means,
         covariances=raw_covs,
         pivot_features=pivots,
-        pivot_means=norm.mean,
-        pivot_stds=norm.std,
+        pivot_means=center,
+        pivot_stds=scale,
         seed=seed,
         log_likelihoods=tuple(trajectory),
+        converged=converged,
     )
-
-
-def em_converged(model: GmmModel, tol: float = DEFAULT_TOL) -> bool:
-    """Whether EM stopped on `tol` rather than at `max_iter`.
-
-    `fit_gmm` stops after the first iteration whose log-likelihood gain
-    over the one before is below `tol`, so the last two entries of the
-    recorded trajectory tell.
-    """
-    ll = model.log_likelihoods
-    return len(ll) >= 2 and ll[-1] - ll[-2] < tol
 
 
 def responsibilities(model: GmmModel, table: FeatureTable) -> np.ndarray:

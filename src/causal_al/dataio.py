@@ -1,4 +1,4 @@
-"""Tabular feature ingestion, validation, normalization, persistence.
+"""Tabular feature ingestion, validation, column statistics, persistence.
 
 Tables are dense float matrices with named columns and opaque string row ids
 (molecule identifiers such as SMILES strings are treated as labels, never
@@ -18,10 +18,8 @@ import numpy as np
 from . import artifacts
 from .errors import (
     ConfigError,
-    DegenerateFeature,
     DuplicateRowId,
     EmptyTable,
-    InsufficientData,
     MissingColumn,
     SchemaError,
 )
@@ -223,32 +221,19 @@ def write_load_report(path, report: LoadReport) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Normalization
+# Column statistics
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Normalizer:
-    """Per-column mean / standard deviation (n-1 denominator)."""
+def column_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, sample standard deviation, constant) of the columns of `x`
+    (..., rows, columns), reduced over the rows.
 
-    columns: tuple[str, ...]
-    mean: np.ndarray
-    std: np.ndarray
-
-
-def fit_normalizer(table: FeatureTable, columns=None) -> Normalizer:
-    if columns is None:
-        columns = table.feature_names
-    columns = tuple(columns)
-    if table.n_rows < 2:
-        raise InsufficientData("need at least 2 rows to fit a normalizer")
-    x = table.matrix(columns)
-    mean = x.mean(axis=0)
-    std = x.std(axis=0, ddof=1)
-    for name, s in zip(columns, std):
-        if s == 0.0:
-            raise DegenerateFeature(name)
-    return Normalizer(columns=columns, mean=mean, std=std)
+    This is the one place that decides whether a column is constant: its
+    sample standard deviation is exactly 0.
+    """
+    std = x.std(axis=-2, ddof=1)
+    return x.mean(axis=-2), std, std == 0.0
 
 
 # ---------------------------------------------------------------------------

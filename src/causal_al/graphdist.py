@@ -8,40 +8,22 @@ singular values are real, ordered, and invariant under node relabeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .causal import WeightedDag
 from .errors import ConfigError, NodeMismatch
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Top-N spectrum values, sorted descending, zero-padded to length N."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ConfigError("spectrum must be a vector")
-        if np.any(v[:-1] < v[1:]):
-            raise ConfigError("spectrum must be sorted descending")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
-def spectrum(dag: WeightedDag, n: int) -> Spectrum:
-    """Top-n singular values of the weighted adjacency, zero-padded below node count."""
+def spectrum(dag: WeightedDag, n: int) -> np.ndarray:
+    """Top-n singular values of the weighted adjacency, descending, zero-padded
+    below node count."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     b = np.asarray(dag.B, dtype=np.float64)
     vals = np.linalg.svd(b, compute_uv=False) if b.size else np.zeros(0)
     if vals.size < n:
         vals = np.concatenate([vals, np.zeros(n - vals.size)])
-    return Spectrum(values=vals[:n])
+    return vals[:n]
 
 
 def spectral_distance(
@@ -60,6 +42,6 @@ def spectral_distance(
         raise NodeMismatch("graphs share no nodes")
     if n is None:
         n = max(len(s1 | s2), 1)
-    a = spectrum(g1, n).values
-    b = spectrum(g2, n).values
+    a = spectrum(g1, n)
+    b = spectrum(g2, n)
     return float(np.sqrt(np.sum((a - b) ** 2)))

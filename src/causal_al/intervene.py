@@ -2,7 +2,9 @@
 
 The total effect of node j on node i is the path-weight sum, equal to
 entry (i, j) of (I - B)^-1 - I; the series terminates because B is
-nilpotent under the causal order. An intervention fixes one chosen
+nilpotent under the causal order. Features are ranked by the size of
+their total effect on a target (`rank_features`), which selects the
+features to keep and the lever to shift. An intervention fixes one chosen
 feature and propagates through downstream mediators (do-semantics), so
 on the fitted linear model the target lands exactly on the requested
 value unless clamping interferes. All rows of a call are planned in one
@@ -65,6 +67,13 @@ def rank_by_effect(effects: EffectMatrix, target: str, nodes) -> tuple[tuple[str
     return tuple(items)
 
 
+def rank_features(dag: WeightedDag, target: str) -> tuple[tuple[str, float], ...]:
+    """`rank_by_effect` of every node but `target` on `target`."""
+    t = dag.index(target)
+    others = [name for i, name in enumerate(dag.node_names) if i != t]
+    return rank_by_effect(total_effects(dag), target, others)
+
+
 @dataclass(frozen=True)
 class InterventionPlan:
     row_id: str
@@ -74,7 +83,6 @@ class InterventionPlan:
     predicted_target_before: float
     predicted_target_after: float
     target_goal: float
-    effect: float  # total effect of the chosen feature on the target, raw scale
     clamped: bool = False
 
 
@@ -118,7 +126,7 @@ def _plan_rows(x: np.ndarray, dag: WeightedDag, effects: EffectMatrix, goal: flo
     new value, NaN where unbounded. Each row shifts its lever by whatever
     drives its fitted target to `goal`, clamped to the lever's bounds.
     Returns arrays over rows: lever, old and new value, target before and
-    after, the lever's raw total effect, and whether the value was clamped.
+    after, and whether the value was clamped.
     """
     before, effects_raw = _fitted(x, dag, effects)
     lever = np.full(len(x), levers[0])  # the same lever for every row
@@ -130,7 +138,7 @@ def _plan_rows(x: np.ndarray, dag: WeightedDag, effects: EffectMatrix, goal: flo
     bounded = np.where(hi[lever] < bounded, hi[lever], bounded)
     clamped = (bounded != new) & ~np.isnan(lo[lever])
     after = _do(before, effect, old, bounded)
-    return lever, old, bounded, before, after, effect, clamped
+    return lever, old, bounded, before, after, clamped
 
 
 def _plans(row_ids, x, dag, effects, goal_value, interventable, bounds) -> list[InterventionPlan]:
@@ -148,8 +156,8 @@ def _plans(row_ids, x, dag, effects, goal_value, interventable, bounds) -> list[
     lo, hi = np.array([(bounds or {}).get(n, unbounded) for n in dag.node_names]).T
     lever, *fields, clamped = _plan_rows(x, dag, effects, goal_value, levers, lo, hi)
     return [
-        InterventionPlan(rid, dag.node_names[f], old, new, before, after, goal_value, e, c)
-        for rid, f, old, new, before, after, e, c in zip(
+        InterventionPlan(rid, dag.node_names[f], old, new, before, after, goal_value, c)
+        for rid, f, old, new, before, after, c in zip(
             row_ids, lever.tolist(), *(a.tolist() for a in fields), clamped.tolist()
         )
     ]
@@ -275,10 +283,6 @@ def load_plans(path) -> list[InterventionPlan]:
 
     def plan(rid, feature, old, new, before, after, clamped, goal) -> InterventionPlan:
         old, new, before, after, goal = map(float, (old, new, before, after, goal))
-        delta = new - old
-        effect = (after - before) / delta if delta != 0.0 else 0.0
-        return InterventionPlan(
-            rid, feature, old, new, before, after, goal, effect, bool(int(clamped))
-        )
+        return InterventionPlan(rid, feature, old, new, before, after, goal, bool(int(clamped)))
 
     return artifacts.read(path, PLANS_HEADER, plan).rows

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .dataio import FeatureTable, FingerprintTable
+from .dataio import FeatureTable, FingerprintTable, column_stats
 from .errors import (
     ConfigError,
     DisjointFeatures,
@@ -75,11 +75,10 @@ def nearest_in_reference(
 
     xq = intervened.matrix(features)
     xr = reference.matrix(features)
-    mean = xq.mean(axis=0)
-    std = xq.std(axis=0, ddof=1)
-    fallback = xr.std(axis=0, ddof=1) if reference.n_rows > 1 else np.ones(len(features))
-    std = np.where(std == 0.0, fallback, std)
-    std = np.where(std == 0.0, 1.0, std)
+    mean, std, constant = column_stats(xq)
+    # a query column's fallback scale: the reference's, or 1.0 where that is constant too
+    _, ref_std, ref_constant = column_stats(xr) if reference.n_rows > 1 else (None, 1.0, True)
+    std = np.where(constant, np.where(ref_constant, 1.0, ref_std), std)
     zq = (xq - mean) / std
     zr = (xr - mean) / std
 

@@ -422,6 +422,8 @@ def r2(model: ForestModel, test: FeatureTable) -> float:
 def r2_of(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """R-squared of arbitrary predictions (same definition as `r2`)."""
     y_true = np.asarray(y_true, dtype=np.float64)
+    if y_true.size == 0:
+        raise EmptyTable("no target values")
     if np.all(y_true == y_true[0]):
         raise DegenerateTarget("target is constant")
     ss_res = float(np.sum((y_true - y_pred) ** 2))

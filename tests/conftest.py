@@ -18,6 +18,11 @@ def simple_table():
     )
 
 
+# 1000 copies of either value have a sample standard deviation of about
+# 1e-17, not 0, because their mean rounds (ROADMAP H)
+ROUNDED_CONSTANTS = (-0.49994593130499265, 0.1)
+
+
 def make_table(values, feature_names, target_names=(), prefix="r"):
     values = np.asarray(values, dtype=np.float64)
     return FeatureTable(

@@ -11,6 +11,7 @@ from causal_al.active import (
 from causal_al.dataio import FeatureTable
 from causal_al.errors import ConfigError, DuplicateRowId, InsufficientData, MissingColumn
 from causal_al.synth import SemSpec, make_heterogeneous_world
+from tests.conftest import ROUNDED_CONSTANTS
 
 NODES = ("f1", "f2", "f3", "y")
 EDGES = (("f1", "f2", 0.8), ("f2", "f3", 0.6), ("f3", "y", 0.7), ("f1", "y", -0.4))
@@ -109,6 +110,22 @@ def test_constant_column_subset_scores_inf_without_aborting():
             assert np.isfinite(rec.loss)
         assert active.degenerate_candidates(run, [400, 400, 400]) == 1
         assert active.exhausted_candidates(run, [400, 400, 400]) == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP H")
+def test_rounded_constant_column_subset_scores_inf():
+    # each candidate is one whole 1000-row subset; subset 2 holds f1 at a
+    # value whose 1000 copies have a sample standard deviation of about 1e-17
+    for value in ROUNDED_CONSTANTS:
+        subsets, _, dag = small_world(n_rows=1000)
+        sub = subsets[2]
+        values = sub.values.copy()
+        values[:, sub.index("f1")] = value
+        subsets[2] = FeatureTable(sub.row_ids, sub.feature_names, values, sub.target_names)
+        run = active_learn(subsets, dag, "y", m=1000, n_iter=1, seed=0)
+        assert run.records[0].losses[2] == float("inf")
+        assert np.isfinite(run.records[0].losses[:2]).all()
+        assert active.degenerate_candidates(run, [1000, 1000, 1000]) == 1
 
 
 def test_duplicate_ids_across_subsets_rejected():

@@ -39,10 +39,11 @@ def test_artifact_bytes_are_pinned(tmp_path):
         pivot_stds=np.array([2.0, 0.9]),
         seed=5,
         log_likelihoods=(-10.5, -9.1),
+        converged=True,
     )
     plans = [
-        intervene.InterventionPlan("m1", "a", 0.1, 1.5, 0.2, 3.0, 3.0, 2.0, clamped=False),
-        intervene.InterventionPlan("m2", "b", -1.0, 0.3, 0.0, 2.6, 3.0, 2.0, clamped=True),
+        intervene.InterventionPlan("m1", "a", 0.1, 1.5, 0.2, 3.0, 3.0, clamped=False),
+        intervene.InterventionPlan("m2", "b", -1.0, 0.3, 0.0, 2.6, 3.0, clamped=True),
     ]
     neighbors = [
         match.NeighborResult("m1::do", ("r1", "r2"), (0.5, 0.1 + 0.2), (1.0, 2.5)),

@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 
 from causal_al import causal
-from causal_al.causal import (
-    FeatureRanking,
-    WeightedDag,
-    discover_lingam,
-    rank_features,
-    select_top_k,
-)
+from causal_al.causal import WeightedDag, discover_lingam
 from causal_al.errors import (
-    ConfigError,
+    DegenerateFeature,
     InsufficientData,
     MissingColumn,
     NodeMismatch,
 )
+from causal_al.intervene import rank_features
 from causal_al.synth import SemSpec, sample_sem
 from tests.conftest import make_table
 
@@ -95,6 +90,15 @@ def test_insufficient_rows():
     table = sample_sem(CHAIN, 12, target_names=("x3",))
     with pytest.raises(InsufficientData):
         discover_lingam(table, "x3")
+
+
+def test_constant_column_is_degenerate_naming_the_first():
+    x = np.random.default_rng(9).normal(size=(100, 4))
+    x[:, 2] = 1.5
+    x[:, 1] = 5.0
+    table = make_table(x, ("a", "b", "c", "y"), target_names=("y",))
+    with pytest.raises(DegenerateFeature, match="^b$"):
+        discover_lingam(table, "y")
 
 
 def test_missing_target():
@@ -290,7 +294,7 @@ def test_fused_entropy_matches_scalar_reference():
 
 
 def _stack_discover(x, target_idx, destandardize=False):
-    mean, std = causal._column_stats(x)
+    mean, std, _ = causal._column_stats(x)
     return causal._discover(x, mean, std, target_idx, causal.DEFAULT_PRUNE_THRESHOLD, destandardize)
 
 
@@ -331,7 +335,7 @@ def test_root_search_block_invariance(monkeypatch, seed):
 
 def test_kernel_memory_is_bounded():
     x = np.stack([_random_lingam_table(1000, 10, k).values for k in range(3)])
-    mean, std = causal._column_stats(x)
+    mean, std, _ = causal._column_stats(x)
     tracemalloc.start()
     try:
         causal._discover(x, mean, std, 9, causal.DEFAULT_PRUNE_THRESHOLD, True)
@@ -356,8 +360,7 @@ def chain_dag():
 
 
 def test_rank_features_total_effect_chain():
-    ranking = rank_features(chain_dag(), "t")
-    assert ranking.entries == (("x2", 0.5), ("x1", pytest.approx(0.35)))
+    assert rank_features(chain_dag(), "t") == (("x2", 0.5), ("x1", pytest.approx(0.35)))
 
 
 def test_rank_features_no_path_zero_strength():
@@ -367,8 +370,7 @@ def test_rank_features_no_path_zero_strength():
         causal_order=(0, 1, 2),
         target="t",
     )
-    ranking = rank_features(dag, "t")
-    assert dict(ranking.entries)["a"] == 0.0
+    assert dict(rank_features(dag, "t"))["a"] == 0.0
 
 
 def test_rank_features_tie_break_alphabetical():
@@ -378,7 +380,7 @@ def test_rank_features_tie_break_alphabetical():
         causal_order=(0, 1, 2),
         target="t",
     )
-    assert rank_features(dag, "t").names() == ("a", "b")
+    assert [name for name, _ in rank_features(dag, "t")] == ["a", "b"]
 
 
 def test_rank_features_unknown_target():
@@ -395,18 +397,8 @@ def test_nine_of_twenty_selection():
     for f in connected:
         b[20, f] = rng.uniform(0.3, 1.0)
     dag = WeightedDag(node_names=names, B=b, causal_order=tuple(range(21)), target="t")
-    ranking = rank_features(dag, "t")
-    selected = select_top_k(ranking, 9)
+    selected = [name for name, _ in rank_features(dag, "t")[:9]]
     assert sorted(selected) == [f"f{i:02d}" for i in connected]
-
-
-def test_select_top_k_bounds():
-    ranking = FeatureRanking(entries=(("a", 2.0), ("b", 1.0)))
-    assert select_top_k(ranking, 2) == ("a", "b")
-    with pytest.raises(ConfigError):
-        select_top_k(ranking, 0)
-    with pytest.raises(ConfigError):
-        select_top_k(ranking, 3)
 
 
 # ---------------------------------------------------------------------------

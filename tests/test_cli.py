@@ -157,6 +157,19 @@ def test_degenerate_data_is_E_NUMERIC(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("E_NUMERIC")
 
 
+def test_k_features_above_feature_count_is_E_CONFIG(tmp_path, capsys):
+    work = tmp_path / "w"
+    assert run_cli(["synth", "-o", str(work), "--seed", "3"] + SMALL) == 0
+    capsys.readouterr()
+    # SMALL ranks five features
+    for k, error in (("6", "k_features must be at most 5, got 6"),
+                     ("0", "k_features must be >= 1, got 0")):
+        argv = ["select-features", "-c", str(work / "pipeline.cfg"), "--set", f"k_features={k}"]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"E_CONFIG: {error}\n"
+    assert not (work / "ranking.csv").exists()
+
+
 def test_seed_env_var_and_flag_precedence(tmp_path, monkeypatch):
     w_env = tmp_path / "env"
     monkeypatch.setenv(cli.SEED_ENV_VAR, "11")

@@ -79,11 +79,22 @@ def test_log_likelihood_monotone():
 def test_em_converged_tells_tolerance_stop_from_max_iter():
     table = two_cluster_table()
     stopped = fit_gmm(table, ("p",), n_components=2, seed=7)
-    assert len(stopped.log_likelihoods) < 200 and cluster.em_converged(stopped)
+    assert len(stopped.log_likelihoods) < 200 and stopped.converged
     capped = fit_gmm(table, ("p",), n_components=2, seed=7, max_iter=2)
-    assert len(capped.log_likelihoods) == 2 and not cluster.em_converged(capped)
-    # the same trajectory read against a looser tolerance did converge
-    assert cluster.em_converged(capped, tol=1e3)
+    assert len(capped.log_likelihoods) == 2 and not capped.converged
+    # the same two iterations under a looser tolerance do converge
+    loose = fit_gmm(table, ("p",), n_components=2, seed=7, max_iter=2, tol=1e3)
+    assert loose.log_likelihoods == capped.log_likelihoods and loose.converged
+
+
+def test_converged_is_judged_by_the_fits_own_tolerance():
+    # two overlapping clusters gain about 0.01 per iteration for a while, so
+    # a fit at tol=1e-2 stops on it long before max_iter
+    rng = np.random.default_rng(5)
+    pts = np.concatenate([rng.normal(-1.0, 1.0, 300), rng.normal(1.0, 1.0, 300)])
+    table = make_table(pts[:, None], ("p",))
+    model = fit_gmm(table, ("p",), n_components=2, seed=7, tol=1e-2)
+    assert len(model.log_likelihoods) < 200 and model.converged
 
 
 def test_responsibilities_sum_to_one():
@@ -137,6 +148,7 @@ def test_assignment_tie_breaks_to_lowest_index():
         pivot_stds=np.array([1.0]),
         seed=0,
         log_likelihoods=(),
+        converged=False,
     )
     probe = make_table([[0.0]], ("p",))
     assert assign_subsets(model, probe)[0] == 0
@@ -216,6 +228,7 @@ def test_batched_kernel_matches_per_component_reference(d, k):
         weights=weights, means=means, covariances=covs,
         pivot_features=tuple(f"p{j}" for j in range(d)),
         pivot_means=np.zeros(d), pivot_stds=np.ones(d), seed=0, log_likelihoods=(),
+        converged=False,
     )
     table = make_table(z, model.pivot_features)
     want = np.exp(ref - _ref_logsumexp_rows(ref)[:, None])

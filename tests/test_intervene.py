@@ -151,7 +151,9 @@ def test_plan_picks_max_abs_effect():
     effects = total_effects(dag)
     plan = optimal_individual_intervention(effects, dag, np.zeros(3), "m", 1.0)
     assert plan.chosen_feature == "b"
-    assert plan.effect == pytest.approx(-0.9)
+    # the shift that b's total effect of -0.9 needs to move y from 0 to 1
+    assert effects.effect("b", "y") == pytest.approx(-0.9)
+    assert plan.intervened_value == pytest.approx(1.0 / -0.9, abs=1e-12)
 
 
 def test_plan_tie_breaks_alphabetical():
@@ -210,7 +212,7 @@ def test_plan_clamping_flagged():
     # invariant holds with the clamped delta
     delta = plan.intervened_value - plan.original_value
     assert plan.predicted_target_after == pytest.approx(
-        plan.predicted_target_before + plan.effect * delta, abs=1e-9
+        plan.predicted_target_before + effects.effect("x", "y") * delta, abs=1e-9
     )
 
 
@@ -247,7 +249,7 @@ def _reference_plans(table, dag, goal, interventable=None, bounds=None):
             new_value = bounded
         pred_after = pred_before + eff_raw * (new_value - original)
         plans.append(InterventionPlan(
-            rid, chosen, original, new_value, pred_before, pred_after, goal, eff_raw, clamped
+            rid, chosen, original, new_value, pred_before, pred_after, goal, clamped
         ))
     return plans
 
@@ -299,7 +301,7 @@ def _assert_same_plans(got, want):
     assert [p.clamped for p in got] == [p.clamped for p in want]
     for g, w in zip(got, want):
         for field in ("original_value", "intervened_value", "predicted_target_before",
-                      "predicted_target_after", "target_goal", "effect"):
+                      "predicted_target_after", "target_goal"):
             a, b = getattr(g, field), getattr(w, field)
             same_nan = np.isnan(a) and np.isnan(b)
             assert same_nan or abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b)), (field, a, b)
@@ -447,7 +449,7 @@ def test_apply_interventions_unknown_row():
         intervene.InterventionPlan(
             row_id="ghost", chosen_feature="x", original_value=0.0,
             intervened_value=1.0, predicted_target_before=0.0,
-            predicted_target_after=0.5, target_goal=2.0, effect=0.5,
+            predicted_target_after=0.5, target_goal=2.0,
         )
     ]
     with pytest.raises(SchemaError):
@@ -505,8 +507,10 @@ def test_plans_round_trip(tmp_path):
     p = tmp_path / "plans.csv"
     intervene.save_plans(p, plans)
     loaded = intervene.load_plans(p)
-    assert loaded[0].row_id == plans[0].row_id
+    assert loaded == plans  # every field, to the bit
     assert loaded[0].target_goal == 3.0
     assert loaded[0].chosen_feature == "x"
-    assert loaded[0].intervened_value == plans[0].intervened_value
-    assert loaded[0].effect == pytest.approx(plans[0].effect, abs=1e-9)
+    shift = loaded[0].intervened_value - loaded[0].original_value
+    assert loaded[0].predicted_target_after == pytest.approx(
+        loaded[0].predicted_target_before + total_effects(dag).effect("x", "y") * shift, abs=1e-9
+    )

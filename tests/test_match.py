@@ -23,7 +23,7 @@ from causal_al.match import (
     pca_project,
     tanimoto,
 )
-from tests.conftest import make_table
+from tests.conftest import ROUNDED_CONSTANTS, make_table
 
 
 def brute_force_knn(zq, zr, k):
@@ -120,6 +120,23 @@ def test_constant_intervened_column_takes_reference_scale():
     res = nearest_in_reference(q, r, k=3)
     assert res[0].neighbor_ids[0] == "ref0"  # same `a`, nearest `b`
     assert all(np.isfinite(d) for nr in res for d in nr.distances)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP H")
+def test_rounded_constant_query_column_takes_reference_scale():
+    rng = np.random.default_rng(21)
+    r = rng.normal(size=(2000, 2))
+    ref = make_table(r, ("a", "b"), prefix="ref")
+    for value in ROUNDED_CONSTANTS:
+        q = np.column_stack([np.full(1000, value), rng.normal(size=1000)])
+        top1 = [nr.neighbor_ids[0] for nr in nearest_in_reference(make_table(q, ("a", "b")), ref)]
+        # oracle: column a scaled by the reference's spread
+        mean = q.mean(axis=0)
+        std = np.array([r[:, 0].std(ddof=1), q[:, 1].std(ddof=1)])
+        zq, zr = (q - mean) / std, (r - mean) / std
+        d = np.subtract.outer(zq[:, 0], zr[:, 0]) ** 2 + np.subtract.outer(zq[:, 1], zr[:, 1]) ** 2
+        assert top1 == [f"ref{j}" for j in np.argmin(d, axis=1)]
+        assert len(set(top1)) > 10  # not every query on one row
 
 
 def test_tie_breaks_toward_earlier_reference_row():
@@ -392,7 +409,7 @@ def plan(rid, before, after, goal=3.0):
     return InterventionPlan(
         row_id=rid, chosen_feature="x", original_value=0.0,
         intervened_value=after - before, predicted_target_before=before,
-        predicted_target_after=after, target_goal=goal, effect=1.0,
+        predicted_target_after=after, target_goal=goal,
     )
 
 

@@ -70,6 +70,12 @@ def test_r2_perfect_and_mean_predictor():
     assert regress.r2_of(y, np.full(4, y.mean())) == 0.0
 
 
+def test_r2_of_empty_target_is_empty_table():
+    # like r2 on an empty test table, not an IndexError from the constancy check
+    with pytest.raises(EmptyTable):
+        regress.r2_of(np.array([]), np.array([]))
+
+
 def test_r2_hand_computation():
     table = line_table(n=200, noise=0.3, seed=8)
     train, test = table.select_rows(range(150)), table.select_rows(range(150, 200))
