@@ -21,7 +21,8 @@ from . import artifacts
 
 # The loop calls the plain-array kernel. `discover_lingam` and `FeatureTable`
 # stay module attributes because perfbench/spans.py wraps them by these names.
-from .causal import WeightedDag, _column_stats, _discover, discover_lingam  # noqa: F401
+from .causal import DEFAULT_PRUNE_THRESHOLD, WeightedDag, _column_stats, _discover
+from .causal import discover_lingam  # noqa: F401
 from .dataio import FeatureTable  # noqa: F401
 from .errors import (
     ConfigError,
@@ -201,7 +202,7 @@ def active_learn(
     m: int = DEFAULT_M,
     n_iter: int = DEFAULT_N_ITER,
     seed: int = 0,
-    prune_threshold: float = 0.05,
+    prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
     top_n: int | None = None,
     destandardize: bool = True,
     jobs: int = 1,
@@ -221,7 +222,7 @@ def random_baseline(
     m: int = DEFAULT_M,
     n_iter: int = DEFAULT_N_ITER,
     seed: int = 0,
-    prune_threshold: float = 0.05,
+    prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
     top_n: int | None = None,
     destandardize: bool = True,
     jobs: int = 1,

@@ -72,6 +72,9 @@ class Config:
 
     Relative paths in a config file resolve against the file's directory;
     values set on the command line resolve against the working directory.
+    The config keeps the provenance of a stage: each value read through a
+    typed accessor, under its key and in the form the stage used it
+    (`params`), and each file read, in read order (`inputs`).
     """
 
     def __init__(self, values: dict[str, str], base_dir: Path):
@@ -80,6 +83,8 @@ class Config:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         self.values = dict(_DEFAULTS) | values
         self.bases = {k: base_dir for k in self.values}
+        self.params: dict[str, object] = {}
+        self.inputs: dict[Path, None] = {}
 
     @classmethod
     def from_file(cls, path: Path | None) -> "Config":
@@ -88,14 +93,23 @@ class Config:
         values = dict(artifacts.read(path, error=ConfigError).meta)
         return cls(values, Path(path).resolve().parent)
 
-    def override(self, key: str, value: str, base: Path | None = None) -> None:
+    def override(self, key: str, value: str) -> None:
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
         self.values[key] = value
-        self.bases[key] = base if base is not None else Path.cwd()
+        self.bases[key] = Path.cwd()
+
+    def _used(self, key: str, value):
+        self.params[key] = value
+        return value
+
+    def input(self, path: Path) -> Path:
+        """Record `path` as a file the stage reads, and return it."""
+        self.inputs.setdefault(Path(os.path.abspath(path)), None)
+        return path
 
     def raw(self, key: str) -> str:
-        return self.values[key]
+        return self._used(key, self.values[key])
 
     def path(self, key: str) -> Path | None:
         value = self.values[key]
@@ -110,7 +124,7 @@ class Config:
             raise ConfigError(f"config key {key!r} is required for this stage")
         if not p.exists():
             raise FileNotFoundError(f"{key} file not found: {p}")
-        return p
+        return self.input(p)
 
     def int(self, key: str, minimum: int | None = None) -> int:
         try:
@@ -119,7 +133,7 @@ class Config:
             raise ConfigError(f"{key} must be an integer, got {self.values[key]!r}") from None
         if minimum is not None and v < minimum:
             raise ConfigError(f"{key} must be >= {minimum}, got {v}")
-        return v
+        return self._used(key, v)
 
     def float(self, key: str) -> float:
         try:
@@ -128,18 +142,18 @@ class Config:
             raise ConfigError(f"{key} must be a number, got {self.values[key]!r}") from None
         if not math.isfinite(v):
             raise ConfigError(f"{key} must be a finite number, got {self.values[key]!r}")
-        return v
+        return self._used(key, v)
 
     def bool(self, key: str) -> bool:
         value = self.values[key].lower()
         if value in ("1", "true", "yes"):
-            return True
+            return self._used(key, True)
         if value in ("0", "false", "no"):
-            return False
+            return self._used(key, False)
         raise ConfigError(f"{key} must be a boolean, got {self.values[key]!r}")
 
     def list(self, key: str) -> tuple[str, ...]:
-        return artifacts.names(self.values[key])
+        return self._used(key, artifacts.names(self.values[key]))
 
     def opt_int(self, key: str) -> int | None:
         return self.int(key) if self.values[key] else None
@@ -148,8 +162,9 @@ class Config:
 def _load_features(cfg: Config):
     from . import dataio
 
+    features = cfg.existing_path("features")
     schema = dataio.read_schema(cfg.existing_path("schema"))
-    table, report = dataio.load_feature_table(cfg.existing_path("features"), schema)
+    table, report = dataio.load_feature_table(features, schema)
     return schema, table, report
 
 
@@ -164,17 +179,17 @@ def _discovery_columns(cfg: Config, outdir: Path):
     schema, table, _ = _load_features(cfg)
     target = _main_target(schema)
     sel_path = outdir / "selected_features.txt"
-    selected = artifacts.read_id_list(sel_path) if sel_path.exists() else table.plain_feature_names
+    if sel_path.exists():
+        selected = artifacts.read_id_list(cfg.input(sel_path))
+    else:
+        selected = table.plain_feature_names
     return table, target, tuple(f for f in selected if f != target) + (target,)
 
 
-def _table_inputs(cfg: Config) -> list[Path]:
-    return [cfg.existing_path("features"), cfg.existing_path("schema")]
-
-
 # ---------------------------------------------------------------------------
-# Stages: each takes the config and the output directory, writes its
-# artifacts, and returns the inputs, params and counts of its manifest.
+# Stages: each reads its config values and files through the config, which
+# records them, writes its artifacts into the output directory, and returns
+# the params it works out itself and the counts of its manifest.
 # ---------------------------------------------------------------------------
 
 
@@ -190,14 +205,8 @@ def cmd_cluster(cfg: Config, outdir: Path):
     cluster.save_gmm(outdir / "gmm_model.txt", model)
     cluster.write_labels(outdir / "subsets.csv", table.row_ids, labels)
     dataio.write_load_report(outdir / "load_report.txt", report)
-    return (
-        _table_inputs(cfg),
-        {"pivot_features": ",".join(pivots), "n_components": cfg.int("n_components")},
-        {
-            "em_iterations": len(model.log_likelihoods),
-            "em_converged": int(model.converged),
-        },
-    )
+    counts = {"em_iterations": len(model.log_likelihoods), "em_converged": model.converged}
+    return {"pivot_features": pivots}, counts
 
 
 def cmd_select_features(cfg: Config, outdir: Path):
@@ -219,12 +228,7 @@ def cmd_select_features(cfg: Config, outdir: Path):
         raise ConfigError(f"k_features must be at most {len(ranking)}, got {k}")
     artifacts.write(outdir / "ranking.csv", header=("feature", "strength"), rows=ranking)
     artifacts.write_id_list(outdir / "selected_features.txt", [name for name, _ in ranking[:k]])
-    params = {
-        "intermediate_target": intermediate,
-        "k_features": k,
-        "prune_threshold": cfg.float("prune_threshold"),
-    }
-    return _table_inputs(cfg), params, {}
+    return {"intermediate_target": intermediate}, {}
 
 
 def cmd_discover(cfg: Config, outdir: Path):
@@ -238,24 +242,18 @@ def cmd_discover(cfg: Config, outdir: Path):
     )
     causal.save_dag(outdir / "global_graph.csv", dag)
     causal.save_adjacency_csv(outdir / "global_adjacency.csv", dag)
-    params = {
-        "target": target,
-        "prune_threshold": cfg.float("prune_threshold"),
-        "destandardize": int(cfg.bool("destandardize")),
-        "features": ",".join(columns),
-    }
-    return _table_inputs(cfg), params, {}
+    return {"target": target, "features": columns}, {}
 
 
 def cmd_active_learn(cfg: Config, outdir: Path):
     from . import active, causal, cluster
 
     table, target, features = _discovery_columns(cfg, outdir)
-    labels = cluster.read_labels(outdir / "subsets.csv")
+    labels = cluster.read_labels(cfg.input(outdir / "subsets.csv"))
     missing = [rid for rid in table.row_ids if rid not in labels]
     if missing:
         raise SchemaError(f"rows without subset labels, e.g. {missing[:3]}")
-    global_graph = causal.load_dag(outdir / "global_graph.csv")
+    global_graph = causal.load_dag(cfg.input(outdir / "global_graph.csv"))
 
     subset_ids = sorted(set(labels.values()))
     subsets = [
@@ -271,9 +269,8 @@ def cmd_active_learn(cfg: Config, outdir: Path):
         top_n=cfg.opt_int("top_n"),
         destandardize=cfg.bool("destandardize"),
     )
-    n_real = cfg.int("n_realizations", 1)
     active_runs, random_runs = [], []
-    for r in range(n_real):
+    for r in range(cfg.int("n_realizations", 1)):
         for mode, loop, runs in (("active", active.active_learn, active_runs),
                                  ("random", active.random_baseline, random_runs)):
             run = loop(subsets, global_graph, target, features, seed=seed + r, jobs=jobs, **params)
@@ -295,14 +292,10 @@ def cmd_active_learn(cfg: Config, outdir: Path):
     )
     sizes = [sub.n_rows for sub in subsets]
     runs = active_runs + random_runs
-    return (
-        [cfg.existing_path("features"), outdir / "subsets.csv", outdir / "global_graph.csv"],
-        {**{k: v for k, v in params.items() if v is not None}, "n_realizations": n_real},
-        {
-            "exhausted_candidates": sum(active.exhausted_candidates(r, sizes) for r in runs),
-            "degenerate_candidates": sum(active.degenerate_candidates(r, sizes) for r in runs),
-        },
-    )
+    return {}, {
+        "exhausted_candidates": sum(active.exhausted_candidates(r, sizes) for r in runs),
+        "degenerate_candidates": sum(active.degenerate_candidates(r, sizes) for r in runs),
+    }
 
 
 def cmd_intervene(cfg: Config, outdir: Path):
@@ -311,7 +304,7 @@ def cmd_intervene(cfg: Config, outdir: Path):
     goal = cfg.float("goal")  # a bad goal stops the stage before it writes anything
     table, target, columns = _discovery_columns(cfg, outdir)
     features = columns[:-1]
-    dal_ids = artifacts.read_id_list(outdir / "dal_ids.txt")
+    dal_ids = artifacts.read_id_list(cfg.input(outdir / "dal_ids.txt"))
     dal_table = table.select_by_ids(dal_ids).select_columns(columns)
 
     dag = causal.discover_lingam(
@@ -332,20 +325,7 @@ def cmd_intervene(cfg: Config, outdir: Path):
     intervene.save_plans(outdir / "plans.csv", plans)
     intervened_table = intervene.apply_interventions(dal_table.select_columns(features), plans)
     dataio.save_feature_table(outdir / "intervened.csv", intervened_table)
-    params = {
-        "goal": goal,
-        "interventable": ",".join(interventable),
-        "prune_threshold": cfg.float("prune_threshold"),
-        "destandardize": int(cfg.bool("destandardize")),
-    }
-    return [cfg.existing_path("features"), outdir / "dal_ids.txt"], params, {}
-
-
-def _reference_table(cfg: Config, schema: TableSchema):
-    from . import dataio
-
-    ref_path = cfg.existing_path("reference" if cfg.raw("reference") else "features")
-    return ref_path, dataio.load_feature_table(ref_path, schema)[0]
+    return {"interventable": interventable}, {}
 
 
 def cmd_match(cfg: Config, outdir: Path):
@@ -353,9 +333,11 @@ def cmd_match(cfg: Config, outdir: Path):
 
     schema = dataio.read_schema(cfg.existing_path("schema"))
     target = _main_target(schema)
-    intervened_path = outdir / "intervened.csv"
-    intervened_table, _ = dataio.load_feature_table(intervened_path, dataio.TableSchema())
-    ref_path, reference = _reference_table(cfg, schema)
+    intervened_table, _ = dataio.load_feature_table(
+        cfg.input(outdir / "intervened.csv"), dataio.TableSchema()
+    )
+    ref_path = cfg.existing_path("reference" if cfg.path("reference") else "features")
+    reference, _ = dataio.load_feature_table(ref_path, schema)
     ref_target = target if target in reference.feature_names else None
     neighbors = match.nearest_in_reference(
         intervened_table, reference,
@@ -364,30 +346,28 @@ def cmd_match(cfg: Config, outdir: Path):
         jobs=cfg.int("jobs", 1),
     )
     match.save_neighbors(outdir / "neighbors.csv", neighbors)
-    params = {"knn_k": cfg.int("knn_k"), "ref_target": ref_target or ""}
-    return [intervened_path, ref_path], params, {}
+    return {"ref_target": ref_target or ""}, {}
 
 
 def cmd_report(cfg: Config, outdir: Path):
     from . import dataio, intervene, match
 
     schema = dataio.read_schema(cfg.existing_path("schema"))
-    target = _main_target(schema)
-    plans = intervene.load_plans(outdir / "plans.csv")
+    plans = intervene.load_plans(cfg.input(outdir / "plans.csv"))
     goals = {p.target_goal for p in plans}
     if len(goals) != 1:
         raise SchemaError(f"plans.csv must hold one goal, found {len(goals)}")
     goal = goals.pop()
-    neighbors = match.load_neighbors(outdir / "neighbors.csv")
-    ref_path, reference = _reference_table(cfg, schema)
-    if target not in reference.feature_names:
-        raise SchemaError(f"reference table lacks target column {target!r}")
-    ref_targets = dict(zip(reference.row_ids, reference.column(target)))
+    neighbors_path = cfg.input(outdir / "neighbors.csv")
+    neighbors = match.load_neighbors(neighbors_path)
+    if any(nr.ref_targets is None for nr in neighbors):
+        raise SchemaError(f"{neighbors_path}: the ref_target column is empty")
+    ref_targets = {nr.neighbor_ids[0]: nr.ref_targets[0] for nr in neighbors}
 
-    fp_path, ref_fp_path = cfg.path("fingerprints"), cfg.path("reference_fingerprints")
     query_fps, ref_fps = (
-        dataio.load_fingerprints(p, schema.fingerprint_width) if p and p.exists() else None
-        for p in (fp_path, ref_fp_path)
+        dataio.load_fingerprints(cfg.input(p), schema.fingerprint_width)
+        if p and p.exists() else None
+        for p in (cfg.path("fingerprints"), cfg.path("reference_fingerprints"))
     )
 
     report = match.intervention_report(
@@ -413,11 +393,10 @@ def cmd_report(cfg: Config, outdir: Path):
         ("above_threshold_ids", report.above_threshold_ids),
     ])
 
-    inputs = [outdir / "plans.csv", outdir / "neighbors.csv", ref_path]
     if query_fps is not None:
         proj = match.pca_project(query_fps)
         dal_path = outdir / "dal_ids.txt"
-        dal_ids = set(artifacts.read_id_list(dal_path)) if dal_path.exists() else set()
+        dal_ids = set(artifacts.read_id_list(cfg.input(dal_path))) if dal_path.exists() else set()
         coords = [
             (rid, p1, p2, "selected" if rid in dal_ids else "dataset")
             for rid, (p1, p2) in zip(query_fps.row_ids, proj.coordinates)
@@ -432,11 +411,10 @@ def cmd_report(cfg: Config, outdir: Path):
         artifacts.write(
             outdir / "pca_coords.csv", header=("id", "phi1", "phi2", "role"), rows=coords
         )
-        inputs.append(fp_path)
-    return inputs, {"threshold": goal}, {}
+    return {"threshold": goal}, {}
 
 
-def cmd_graph_dist(cfg: Config, g1: str, g2: str, top_n: int | None) -> None:
+def cmd_graph_dist(g1: str, g2: str, top_n: int | None) -> None:
     from . import causal, graphdist
 
     a = causal.load_dag(Path(g1))
@@ -511,11 +489,7 @@ def cmd_synth(cfg: Config, outdir: Path):
             "m_per_iter", "n_iter", "n_realizations", "goal", "knn_k", "prune_threshold",
         )),
     ])
-    params = {
-        "n_features": n_features, "n_subsets": n_subsets, "rows": rows,
-        "reference_rows": ref_rows, "spread": spread,
-    }
-    return [], params, {}
+    return {}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -534,22 +508,32 @@ _STAGES = {
 }
 
 
+def _shown(value) -> str:
+    """A manifest value: booleans as 0/1, name lists comma-joined."""
+    if isinstance(value, bool):
+        return str(int(value))
+    return ",".join(value) if isinstance(value, tuple) else str(value)
+
+
 def _run_stage(command: str, cfg: Config) -> None:
     """Run one stage in its output directory and write its `<stage>.manifest`.
 
-    The manifest records the stage's input hashes, params, counts, the seed
-    and the duration; it is the one artifact that is not byte-identical
-    across reruns.
+    The manifest records the hash of each file the stage read (in read
+    order), each config value it read under its key (bar the seed, which
+    has its own line) merged with the params it worked out itself, its
+    counts, the seed and the duration; it is the one artifact that is not
+    byte-identical across reruns.
     """
     t0 = time.monotonic()
     outdir = cfg.path("output_dir")
     outdir.mkdir(parents=True, exist_ok=True)
-    inputs, params, counts = _STAGES[command](cfg, outdir)
+    derived, counts = _STAGES[command](cfg, outdir)
+    params = {k: v for k, v in (cfg.params | derived).items() if k != "seed"}
     stage = command.replace("-", "_")
     meta = [("stage", stage)]
-    meta += [("input", f"{Path(p).name} sha256={file_sha256(p)}") for p in inputs]
-    meta += [(f"param {k}", str(params[k])) for k in sorted(params)]
-    meta += [(f"count {k}", str(counts[k])) for k in sorted(counts)]
+    meta += [("input", f"{p.name} sha256={file_sha256(p)}") for p in cfg.inputs]
+    meta += [(f"param {k}", _shown(params[k])) for k in sorted(params)]
+    meta += [(f"count {k}", _shown(counts[k])) for k in sorted(counts)]
     meta += [("seed", str(cfg.int("seed"))), ("duration_s", f"{time.monotonic() - t0:.3f}")]
     artifacts.write(outdir / f"{stage}.manifest", meta=meta)
 
@@ -561,7 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name in _STAGES:
+        p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("-c", "--config", help="plain-text key=value config file")
         p.add_argument("-o", "--output-dir", help="artifact directory (overrides config)")
         p.add_argument("--seed", type=int, help="master seed (overrides env and config)")
@@ -571,14 +556,10 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override any config key (repeatable)",
         )
 
-    for name in _STAGES:
-        add_common(sub.add_parser(name, help=f"run the {name} stage"))
-
     gd = sub.add_parser("graph-dist", help="spectral distance between two saved graphs")
     gd.add_argument("graph1")
     gd.add_argument("graph2")
     gd.add_argument("--top-n", type=int, default=None)
-    add_common(gd)
     return parser
 
 
@@ -615,11 +596,10 @@ _HANDLED = tuple(t for types, _, _ in _EXIT_CODES for t in types)
 def run_cli(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _make_config(args)
         if args.command == "graph-dist":
-            cmd_graph_dist(cfg, args.graph1, args.graph2, args.top_n)
+            cmd_graph_dist(args.graph1, args.graph2, args.top_n)
         else:
-            _run_stage(args.command, cfg)
+            _run_stage(args.command, _make_config(args))
         return 0
     except _HANDLED as exc:
         prefix, code = next((p, c) for types, p, c in _EXIT_CODES if isinstance(exc, types))

@@ -26,7 +26,7 @@ from .errors import (
     MissingColumn,
     SchemaError,
 )
-from .intervene import original_id
+from .intervene import DEFAULT_GOAL, original_id
 from .util import parallel_map
 
 # Query x reference distance values held per block (256 KiB of float64, so a
@@ -245,7 +245,7 @@ def intervention_report(
     plans,
     neighbors,
     reference_targets: dict[str, float],
-    threshold: float = 3.0,
+    threshold: float = DEFAULT_GOAL,
     query_fps: FingerprintTable | None = None,
     reference_fps: FingerprintTable | None = None,
 ) -> InterventionReport:

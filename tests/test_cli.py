@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causal_al import cli, intervene
+from causal_al import artifacts, cli, intervene, match
 from causal_al.cli import run_cli
+from causal_al.util import file_sha256
 from tests.conftest import modules_after
 
 # sized so every GMM-derived subset stays well above m_per_iter * n_iter rows
@@ -211,6 +212,45 @@ def test_manifest_records_inputs_and_params(tmp_path):
     assert "param goal = 3.0" in lines
 
 
+# the files each stage of the SMALL pipeline reads, by manifest name
+STAGE_INPUTS = {
+    "synth": set(),
+    "cluster": {"features.csv", "schema.cfg"},
+    "select_features": {"features.csv", "schema.cfg"},
+    "discover": {"features.csv", "schema.cfg", "selected_features.txt"},
+    "active_learn": {
+        "features.csv", "schema.cfg", "selected_features.txt", "subsets.csv", "global_graph.csv",
+    },
+    "intervene": {"features.csv", "schema.cfg", "selected_features.txt", "dal_ids.txt"},
+    "match": {"schema.cfg", "intervened.csv", "reference.csv"},
+    "report": {
+        "schema.cfg", "plans.csv", "neighbors.csv", "fingerprints.csv",
+        "reference_fingerprints.csv", "dal_ids.txt",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def small_pipeline(tmp_path_factory):
+    work = tmp_path_factory.mktemp("manifests") / "w"
+    run_pipeline(work, seed=3)
+    return work
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_INPUTS))
+def test_manifest_lists_every_file_the_stage_reads(small_pipeline, stage):
+    meta = artifacts.read(small_pipeline / f"{stage}.manifest").meta
+    inputs = [value.split(" sha256=") for key, value in meta if key == "input"]
+    names = [name for name, _ in inputs]
+    assert len(names) == len(set(names)), "an input is listed twice"
+    assert set(names) == STAGE_INPUTS[stage]
+    for name, digest in inputs:  # no later stage rewrites a stage's inputs
+        assert digest == file_sha256(small_pipeline / name), name
+    params = {key: value for key, value in meta if key.startswith("param ")}
+    assert "param seed" not in params
+    assert params.get("param destandardize", "1") == "1"
+
+
 @pytest.mark.parametrize("goal", ["nan", "inf", "-inf"])
 def test_non_finite_goal_is_E_CONFIG_and_writes_nothing(tmp_path, capsys, goal):
     work = tmp_path / "w"
@@ -236,6 +276,30 @@ def test_report_takes_goal_from_plans_not_config(tmp_path):
     assert (work / "report_summary.txt").read_text().startswith("threshold = 3\n")
     for name in outputs:
         assert (work / name).read_bytes() == before[name], name
+
+
+def test_report_takes_matched_targets_from_neighbors(tmp_path):
+    work = tmp_path / "w"
+    run_pipeline(work, seed=3)
+    outputs = ("report_summary.txt", "report_values.csv", "report_pairs.csv", "pca_coords.csv")
+    before = {name: (work / name).read_bytes() for name in outputs}
+    (work / "reference.csv").unlink()
+    assert run_cli(["report", "-c", str(work / "pipeline.cfg")]) == 0
+    for name in outputs:
+        assert (work / name).read_bytes() == before[name], name
+
+
+def test_report_on_neighbors_without_targets_is_E_DATA(tmp_path, capsys):
+    work = tmp_path / "w"
+    run_pipeline(work, seed=3)
+    neighbors = match.load_neighbors(work / "neighbors.csv")
+    match.save_neighbors(work / "neighbors.csv", [
+        match.NeighborResult(nr.query_id, nr.neighbor_ids, nr.distances) for nr in neighbors
+    ])
+    capsys.readouterr()
+    assert run_cli(["report", "-c", str(work / "pipeline.cfg")]) == 3
+    err = _one_data_error(capsys)
+    assert "neighbors.csv" in err and "ref_target" in err
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -326,3 +390,15 @@ def test_undecodable_input_is_E_DATA_naming_the_file(tmp_path, capsys):
     binary.write_bytes(b"\x89PNG")
     assert run_cli(["graph-dist", str(binary), str(binary)]) == 3
     assert f"{binary}: not UTF-8 text" in _one_data_error(capsys)
+
+
+def test_graph_dist_reads_no_config(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "g.csv"
+    graph.write_text("# causal_order = a,b\nchild,parent,weight\nb,a,0.5\n", encoding="utf-8")
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+    assert run_cli(["graph-dist", str(graph), str(graph)]) == 0
+    assert float(capsys.readouterr().out) == 0.0
+    # it takes no config options, so a setting it would ignore is refused
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["graph-dist", str(graph), str(graph), "--set", "top_n=2"])
+    assert exc.value.code == 2
