@@ -364,11 +364,13 @@ def cmd_report(cfg: Config, outdir: Path):
         raise SchemaError(f"{neighbors_path}: the ref_target column is empty")
     ref_targets = {nr.neighbor_ids[0]: nr.ref_targets[0] for nr in neighbors}
 
-    query_fps, ref_fps = (
-        dataio.load_fingerprints(cfg.input(p), schema.fingerprint_width)
-        if p and p.exists() else None
-        for p in (cfg.path("fingerprints"), cfg.path("reference_fingerprints"))
-    )
+    # Tanimoto pairs and the PCA use reference fingerprints only with query ones
+    query_fps = ref_fps = None
+    if cfg.path("fingerprints"):
+        width = schema.fingerprint_width
+        query_fps = dataio.load_fingerprints(cfg.existing_path("fingerprints"), width)
+        if cfg.path("reference_fingerprints"):
+            ref_fps = dataio.load_fingerprints(cfg.existing_path("reference_fingerprints"), width)
 
     report = match.intervention_report(
         plans, neighbors, ref_targets,
@@ -393,7 +395,10 @@ def cmd_report(cfg: Config, outdir: Path):
         ("above_threshold_ids", report.above_threshold_ids),
     ])
 
-    if query_fps is not None:
+    pca_path = outdir / "pca_coords.csv"
+    if query_fps is None:
+        pca_path.unlink(missing_ok=True)  # it would not match this run's report
+    else:
         proj = match.pca_project(query_fps)
         dal_path = outdir / "dal_ids.txt"
         dal_ids = set(artifacts.read_id_list(cfg.input(dal_path))) if dal_path.exists() else set()
@@ -408,9 +413,7 @@ def cmd_report(cfg: Config, outdir: Path):
                 bits = np.array([ref_fps.row(r) for r in present])
                 projected = match.project_onto(proj, bits)
                 coords += [(rid, p1, p2, "matched") for rid, (p1, p2) in zip(present, projected)]
-        artifacts.write(
-            outdir / "pca_coords.csv", header=("id", "phi1", "phi2", "role"), rows=coords
-        )
+        artifacts.write(pca_path, header=("id", "phi1", "phi2", "role"), rows=coords)
     return {"threshold": goal}, {}
 
 

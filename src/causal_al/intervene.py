@@ -2,13 +2,15 @@
 
 The total effect of node j on node i is the path-weight sum, equal to
 entry (i, j) of (I - B)^-1 - I; the series terminates because B is
-nilpotent under the causal order. Features are ranked by the size of
-their total effect on a target (`rank_features`), which selects the
-features to keep and the lever to shift. An intervention fixes one chosen
-feature and propagates through downstream mediators (do-semantics), so
-on the fitted linear model the target lands exactly on the requested
-value unless clamping interferes. All rows of a call are planned in one
-array computation (`_plan_rows`); a single row is a one-row call of it.
+nilpotent under the causal order. `total_effects` returns that (d, d)
+array in the dag's node order. Features are ranked by the size of their
+total effect on a target (`rank_features`), which selects the features
+to keep and the lever to shift. An intervention fixes one chosen feature
+and propagates through downstream mediators (do-semantics), so on the
+fitted linear model the target lands exactly on the requested value
+unless clamping interferes. `plan_interventions` is the one planner: all
+rows of a table are planned in one array computation (`_plan_rows`), and
+a single row is a one-row table.
 """
 
 from __future__ import annotations
@@ -32,37 +34,20 @@ DEFAULT_GOAL = 3.0  # target shift goal in the target's own units
 INTERVENED_SUFFIX = "::do"
 
 
-@dataclass(frozen=True)
-class EffectMatrix:
-    """T[i, j] = total causal effect of node j on node i (self effect 0)."""
-
-    node_names: tuple[str, ...]
-    T: np.ndarray
-
-    def index(self, name: str) -> int:
-        try:
-            return self.node_names.index(name)
-        except ValueError:
-            raise NodeMismatch(f"no node named {name!r}") from None
-
-    def effect(self, source: str, sink: str) -> float:
-        return float(self.T[self.index(sink), self.index(source)])
-
-
-def total_effects(dag: WeightedDag) -> EffectMatrix:
-    """Total effects (I - B)^-1 - I of an acyclic weighted adjacency."""
+def total_effects(dag: WeightedDag) -> np.ndarray:
+    """(I - B)^-1 - I of an acyclic weighted adjacency: entry (i, j) is the
+    total effect of node j on node i in `dag.node_names` order (self effect 0)."""
     dag.validate()
-    d = dag.n_nodes
-    eye = np.eye(d)
-    t = np.linalg.solve(eye - dag.B, eye) - eye
-    return EffectMatrix(node_names=dag.node_names, T=t)
+    eye = np.eye(dag.n_nodes)
+    return np.linalg.solve(eye - dag.B, eye) - eye
 
 
-def rank_by_effect(effects: EffectMatrix, target: str, nodes) -> tuple[tuple[str, float], ...]:
+def rank_by_effect(effects: np.ndarray, dag: WeightedDag, target: str,
+                   nodes) -> tuple[tuple[str, float], ...]:
     """(node, |total effect on `target`|) for each of `nodes`, strongest
     first, ties alphabetical. An unknown name raises NodeMismatch."""
-    t = effects.index(target)
-    items = [(name, abs(float(effects.T[t, effects.index(name)]))) for name in nodes]
+    t = dag.index(target)
+    items = [(name, abs(float(effects[t, dag.index(name)]))) for name in nodes]
     items.sort(key=lambda kv: (-kv[1], kv[0]))
     return tuple(items)
 
@@ -71,7 +56,7 @@ def rank_features(dag: WeightedDag, target: str) -> tuple[tuple[str, float], ...
     """`rank_by_effect` of every node but `target` on `target`."""
     t = dag.index(target)
     others = [name for i, name in enumerate(dag.node_names) if i != t]
-    return rank_by_effect(total_effects(dag), target, others)
+    return rank_by_effect(total_effects(dag), dag, target, others)
 
 
 @dataclass(frozen=True)
@@ -86,21 +71,16 @@ class InterventionPlan:
     clamped: bool = False
 
 
-def _row_vector(dag: WeightedDag, row) -> np.ndarray:
-    vec = np.asarray(row, dtype=np.float64)
-    if vec.shape != (dag.n_nodes,):
-        raise SchemaError(f"row must have {dag.n_nodes} entries, got {vec.shape}")
-    return vec
-
-
-def _check_model(effects: EffectMatrix, dag: WeightedDag) -> None:
+def _check_model(effects: np.ndarray, dag: WeightedDag) -> None:
     if dag.target is None:
         raise NodeMismatch("dag has no designated target")
-    if effects.node_names != dag.node_names:
-        raise NodeMismatch("effect matrix does not match dag nodes")
+    d = dag.n_nodes
+    if np.shape(effects) != (d, d):
+        raise NodeMismatch(f"effects must be ({d}, {d}) for the dag's nodes, "
+                           f"got shape {np.shape(effects)}")
 
 
-def _fitted(x: np.ndarray, dag: WeightedDag, effects: EffectMatrix):
+def _fitted(x: np.ndarray, dag: WeightedDag, effects: np.ndarray):
     """(target, effect): the target of each row of `x` (rows x nodes) read
     off its parent equation, and each node's total effect on it in raw units."""
     mean, scale = dag.scale_for_rows()
@@ -109,7 +89,7 @@ def _fitted(x: np.ndarray, dag: WeightedDag, effects: EffectMatrix):
     # row, so a row's prediction does not depend on the rows planned with it
     z = np.ascontiguousarray((x - mean) / scale)
     pred_z = (z[:, None, :] @ dag.B[t][:, None])[:, 0, 0]
-    return mean[t] + scale[t] * pred_z, effects.T[t] * scale[t] / scale
+    return mean[t] + scale[t] * pred_z, effects[t] * scale[t] / scale
 
 
 def _do(target, effect, old, new):
@@ -118,7 +98,7 @@ def _do(target, effect, old, new):
     return target + effect * (new - old)
 
 
-def _plan_rows(x: np.ndarray, dag: WeightedDag, effects: EffectMatrix, goal: float,
+def _plan_rows(x: np.ndarray, dag: WeightedDag, effects: np.ndarray, goal: float,
                levers: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Plan every row of `x` (rows x nodes, dag order) in one array computation.
 
@@ -141,30 +121,8 @@ def _plan_rows(x: np.ndarray, dag: WeightedDag, effects: EffectMatrix, goal: flo
     return lever, old, bounded, before, after, clamped
 
 
-def _plans(row_ids, x, dag, effects, goal_value, interventable, bounds) -> list[InterventionPlan]:
-    """Validate once, plan the rows of `x` in one call, and wrap each row."""
-    _check_model(effects, dag)
-    if interventable is None:
-        interventable = [n for n in dag.node_names if n != dag.target]
-    ranked = rank_by_effect(effects, dag.target, interventable)
-    if not ranked:
-        raise ConfigError("interventable feature set is empty")
-    if ranked[0][1] == 0.0:
-        raise NoCausalLever(f"no interventable feature affects {dag.target!r}")
-    levers = np.array([dag.index(name) for name, _ in ranked])
-    unbounded = (np.nan, np.nan)
-    lo, hi = np.array([(bounds or {}).get(n, unbounded) for n in dag.node_names]).T
-    lever, *fields, clamped = _plan_rows(x, dag, effects, goal_value, levers, lo, hi)
-    return [
-        InterventionPlan(rid, dag.node_names[f], old, new, before, after, goal_value, c)
-        for rid, f, old, new, before, after, c in zip(
-            row_ids, lever.tolist(), *(a.tolist() for a in fields), clamped.tolist()
-        )
-    ]
-
-
 def predict_target_sem(
-    effects: EffectMatrix,
+    effects: np.ndarray,
     dag: WeightedDag,
     row,
     do: dict[str, float] | None = None,
@@ -177,7 +135,9 @@ def predict_target_sem(
     intervention propagates through downstream mediators.
     """
     _check_model(effects, dag)
-    x = _row_vector(dag, row)[None]
+    x = np.asarray(row, dtype=np.float64)[None]
+    if x.shape != (1, dag.n_nodes):
+        raise SchemaError(f"row must have {dag.n_nodes} entries, got {x.shape[1:]}")
     target, effect = _fitted(x, dag, effects)
     if do:
         if len(do) != 1:
@@ -190,27 +150,6 @@ def predict_target_sem(
     return float(target[0])
 
 
-def optimal_individual_intervention(
-    effects: EffectMatrix,
-    dag: WeightedDag,
-    row,
-    row_id: str,
-    goal_value: float,
-    interventable=None,
-    bounds: dict[str, tuple[float, float]] | None = None,
-) -> InterventionPlan:
-    """Choose the strongest causal lever for one row and size its shift.
-
-    The chosen feature maximizes |total effect on the target| over the
-    interventable set (ties alphabetical); the shift is whatever drives
-    the predicted target to `goal_value`. When `bounds` are given the
-    shifted value is clamped to the feature's observed range and the
-    plan is flagged. This is `plan_interventions` on one row.
-    """
-    x = _row_vector(dag, row)[None]
-    return _plans((row_id,), x, dag, effects, goal_value, interventable, bounds)[0]
-
-
 def plan_interventions(
     table: FeatureTable,
     dag: WeightedDag,
@@ -218,10 +157,34 @@ def plan_interventions(
     interventable=None,
     bounds: dict[str, tuple[float, float]] | None = None,
 ) -> list[InterventionPlan]:
-    """One optimal intervention plan per table row, all rows planned at once."""
+    """One optimal intervention plan per table row, all rows planned at once.
+
+    Each row's lever is the interventable feature with the largest |total
+    effect on the target| (ties alphabetical); its shift is whatever drives
+    the row's predicted target to `goal_value`. A feature with `bounds` has
+    its shifted value clamped to them, and the plan is flagged.
+    """
     effects = total_effects(dag)
     x = table.values[:, [table.index(n) for n in dag.node_names]]
-    return _plans(table.row_ids, x, dag, effects, goal_value, interventable, bounds)
+    if dag.target is None:
+        raise NodeMismatch("dag has no designated target")
+    if interventable is None:
+        interventable = [n for n in dag.node_names if n != dag.target]
+    ranked = rank_by_effect(effects, dag, dag.target, interventable)
+    if not ranked:
+        raise ConfigError("interventable feature set is empty")
+    if ranked[0][1] == 0.0:
+        raise NoCausalLever(f"no interventable feature affects {dag.target!r}")
+    levers = np.array([dag.index(name) for name, _ in ranked])
+    unbounded = (np.nan, np.nan)
+    lo, hi = np.array([(bounds or {}).get(n, unbounded) for n in dag.node_names]).T
+    lever, *fields, clamped = _plan_rows(x, dag, effects, goal_value, levers, lo, hi)
+    return [
+        InterventionPlan(rid, dag.node_names[f], old, new, before, after, goal_value, c)
+        for rid, f, old, new, before, after, c in zip(
+            table.row_ids, lever.tolist(), *(a.tolist() for a in fields), clamped.tolist()
+        )
+    ]
 
 
 def feature_bounds(table: FeatureTable, features=None) -> dict[str, tuple[float, float]]:

@@ -16,11 +16,7 @@ from causal_al.causal import WeightedDag, discover_lingam
 from causal_al.cli import run_cli
 from causal_al.dataio import FeatureTable
 from causal_al.graphdist import spectral_distance
-from causal_al.intervene import (
-    optimal_individual_intervention,
-    predict_target_sem,
-    total_effects,
-)
+from causal_al.intervene import plan_interventions, predict_target_sem, total_effects
 from causal_al.synth import SemSpec, make_heterogeneous_world, sample_sem
 from tests.conftest import make_table
 
@@ -288,6 +284,7 @@ def test_criterion_06_intervention_exactness():
     rows[:, 3] = rng.uniform(-2, 2, 200)
     for i in (1, 2, 4):
         rows[:, i] = rows @ b[i, :]
+    table = make_table(rows, names, target_names=("y",), prefix="m")
 
     goal = 3.0
     exact = argmax_ok = 0
@@ -296,8 +293,9 @@ def test_criterion_06_intervention_exactness():
     oracle_best = max(oracle_strengths.values())
     oracle_choice = min(f for f, s in oracle_strengths.items() if s == oracle_best)
     for ridx in range(rows.shape[0]):
-        plan = optimal_individual_intervention(
-            effects, dag, rows[ridx], f"m{ridx}", goal, interventable=interventable
+        # each row planned on its own, as a one-row table
+        plan, = plan_interventions(
+            table.select_rows([ridx]), dag, goal, interventable=interventable
         )
         redone = predict_target_sem(
             effects, dag, rows[ridx], do={plan.chosen_feature: plan.intervened_value}
@@ -326,7 +324,7 @@ def test_criterion_07_total_effect_oracle():
                 if rng.random() < 0.5:
                     b[i, j] = rng.normal()
         dag = WeightedDag(tuple(f"n{i}" for i in range(d)), b, tuple(range(d)))
-        t_inv = total_effects(dag).T
+        t_inv = total_effects(dag)
         t_series = np.zeros((d, d))
         power = np.eye(d)
         for _ in range(d):

@@ -289,6 +289,46 @@ def test_report_takes_matched_targets_from_neighbors(tmp_path):
         assert (work / name).read_bytes() == before[name], name
 
 
+def _manifest_inputs(path):
+    return [value.split(" sha256=")[0] for key, value in artifacts.read(path).meta
+            if key == "input"]
+
+
+def test_report_without_fingerprints_reads_no_fingerprint_file(tmp_path):
+    # Tanimoto pairs and the PCA use reference fingerprints only with query ones
+    work = tmp_path / "w"
+    run_pipeline(work, seed=3)
+    assert run_cli(["report", "-c", str(work / "pipeline.cfg"), "--set", "fingerprints="]) == 0
+    inputs = _manifest_inputs(work / "report.manifest")
+    assert inputs == ["schema.cfg", "plans.csv", "neighbors.csv"]
+
+
+def test_report_rerun_without_fingerprints_removes_pca_coords(tmp_path):
+    work = tmp_path / "w"
+    run_pipeline(work, seed=3)
+    assert (work / "pca_coords.csv").exists()
+    assert run_cli(["report", "-c", str(work / "pipeline.cfg"), "--set", "fingerprints="]) == 0
+    assert not (work / "pca_coords.csv").exists()
+    # the pairs carry no Tanimoto value without fingerprints
+    pairs = artifacts.read(work / "report_pairs.csv", ("id", "tanimoto", "distance")).rows
+    assert pairs and all(row[1] == "" for row in pairs)
+
+
+@pytest.mark.parametrize("key", ["fingerprints", "reference_fingerprints"])
+def test_report_on_a_missing_fingerprint_file_is_E_IO(tmp_path, capsys, key):
+    work = tmp_path / "w"
+    run_pipeline(work, seed=3)
+    outputs = ("report_summary.txt", "report_values.csv", "report_pairs.csv", "pca_coords.csv")
+    before = {name: (work / name).read_bytes() for name in outputs}
+    capsys.readouterr()
+    assert run_cli(["report", "-c", str(work / "pipeline.cfg"), "--set", f"{key}=nope.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("E_IO") and "nope.csv" in err
+    assert "\n" not in err.strip()
+    for name in outputs:
+        assert (work / name).read_bytes() == before[name], name
+
+
 def test_report_on_neighbors_without_targets_is_E_DATA(tmp_path, capsys):
     work = tmp_path / "w"
     run_pipeline(work, seed=3)

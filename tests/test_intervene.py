@@ -7,7 +7,6 @@ from causal_al.intervene import (
     InterventionPlan,
     apply_interventions,
     feature_bounds,
-    optimal_individual_intervention,
     original_id,
     plan_interventions,
     predict_target_sem,
@@ -28,12 +27,25 @@ def chain_dag():
     )
 
 
+def effect(dag, source, sink):
+    """The total effect of `source` on `sink`: T[sink, source]."""
+    return float(total_effects(dag)[dag.index(sink), dag.index(source)])
+
+
+def plan_row(dag, row, goal_value, **kw):
+    """The plan of one row, planned as a one-row table in dag node order."""
+    table = make_table([row], dag.node_names, target_names=(dag.target,))
+    return plan_interventions(table, dag, goal_value, **kw)[0]
+
+
 def test_total_effects_chain():
-    t = total_effects(chain_dag())
-    assert t.effect("x1", "y") == pytest.approx(0.35, abs=1e-12)
-    assert t.effect("x1", "x2") == pytest.approx(0.7, abs=1e-12)
-    assert t.effect("y", "x1") == 0.0  # no path
-    assert t.effect("x1", "x1") == 0.0  # self effect is zero by convention
+    dag = chain_dag()
+    t = total_effects(dag)
+    assert isinstance(t, np.ndarray) and t.shape == (3, 3)
+    assert effect(dag, "x1", "y") == pytest.approx(0.35, abs=1e-12)
+    assert effect(dag, "x1", "x2") == pytest.approx(0.7, abs=1e-12)
+    assert effect(dag, "y", "x1") == 0.0  # no path
+    assert effect(dag, "x1", "x1") == 0.0  # self effect is zero by convention
 
 
 def test_total_effects_parallel_paths():
@@ -44,7 +56,7 @@ def test_total_effects_parallel_paths():
         causal_order=(0, 1, 2),
         target="y",
     )
-    assert total_effects(dag).effect("x", "y") == pytest.approx(0.4, abs=1e-12)
+    assert effect(dag, "x", "y") == pytest.approx(0.4, abs=1e-12)
 
 
 def test_total_effects_rejects_cycle():
@@ -63,7 +75,7 @@ def test_nilpotency_series_agrees_with_inverse():
                 if rng.random() < 0.5:
                     b[i, j] = rng.normal()
         dag = WeightedDag(tuple(f"n{i}" for i in range(d)), b, tuple(range(d)))
-        t_inv = total_effects(dag).T
+        t_inv = total_effects(dag)
         power = np.eye(d)
         t_series = np.zeros((d, d))
         for _ in range(d):
@@ -110,6 +122,17 @@ def test_predict_multi_do_rejected():
         predict_target_sem(effects, dag, np.zeros(3), do={"x1": 1.0, "x2": 1.0})
 
 
+def test_predict_rejects_effects_of_another_shape():
+    dag = chain_dag()
+    effects = total_effects(dag)
+    for wrong in (effects[:2, :2], effects[:, :2], np.zeros((4, 4)), effects[0]):
+        with pytest.raises(NodeMismatch):
+            predict_target_sem(wrong, dag, np.zeros(3))
+    no_target = WeightedDag(dag.node_names, dag.B, dag.causal_order)
+    with pytest.raises(NodeMismatch):
+        predict_target_sem(effects, no_target, np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # planning
 # ---------------------------------------------------------------------------
@@ -123,10 +146,7 @@ def test_plan_hand_arithmetic():
         causal_order=(0, 1),
         target="y",
     )
-    effects = total_effects(dag)
-    plan = optimal_individual_intervention(
-        effects, dag, np.array([2.0, 1.0]), "m1", goal_value=3.0
-    )
+    plan = plan_row(dag, [2.0, 1.0], goal_value=3.0)
     assert plan.chosen_feature == "x"
     assert plan.intervened_value - plan.original_value == pytest.approx(4.0, abs=1e-9)
     assert plan.predicted_target_after == pytest.approx(3.0, abs=1e-9)
@@ -134,9 +154,7 @@ def test_plan_hand_arithmetic():
 
 def test_plan_zero_delta_when_goal_met():
     dag = chain_dag()
-    effects = total_effects(dag)
-    row = np.array([1.0, 0.7, 0.35])
-    plan = optimal_individual_intervention(effects, dag, row, "m", goal_value=0.35)
+    plan = plan_row(dag, [1.0, 0.7, 0.35], goal_value=0.35)
     assert plan.intervened_value == pytest.approx(plan.original_value, abs=1e-12)
     assert plan.predicted_target_after == pytest.approx(0.35, abs=1e-12)
 
@@ -148,11 +166,10 @@ def test_plan_picks_max_abs_effect():
         causal_order=(0, 1, 2),
         target="y",
     )
-    effects = total_effects(dag)
-    plan = optimal_individual_intervention(effects, dag, np.zeros(3), "m", 1.0)
+    plan = plan_row(dag, np.zeros(3), 1.0)
     assert plan.chosen_feature == "b"
     # the shift that b's total effect of -0.9 needs to move y from 0 to 1
-    assert effects.effect("b", "y") == pytest.approx(-0.9)
+    assert effect(dag, "b", "y") == pytest.approx(-0.9)
     assert plan.intervened_value == pytest.approx(1.0 / -0.9, abs=1e-12)
 
 
@@ -163,8 +180,7 @@ def test_plan_tie_breaks_alphabetical():
         causal_order=(0, 1, 2),
         target="y",
     )
-    effects = total_effects(dag)
-    plan = optimal_individual_intervention(effects, dag, np.zeros(3), "m", 1.0)
+    plan = plan_row(dag, np.zeros(3), 1.0)
     assert plan.chosen_feature == "a"
 
 
@@ -175,9 +191,8 @@ def test_plan_no_causal_lever():
         causal_order=(0, 1),
         target="y",
     )
-    effects = total_effects(dag)
     with pytest.raises(NoCausalLever):
-        optimal_individual_intervention(effects, dag, np.zeros(2), "m", 1.0)
+        plan_row(dag, np.zeros(2), 1.0)
 
 
 def test_plan_respects_interventable_subset():
@@ -187,10 +202,7 @@ def test_plan_respects_interventable_subset():
         causal_order=(0, 1, 2),
         target="y",
     )
-    effects = total_effects(dag)
-    plan = optimal_individual_intervention(
-        effects, dag, np.zeros(3), "m", 1.0, interventable=("a",)
-    )
+    plan = plan_row(dag, np.zeros(3), 1.0, interventable=("a",))
     assert plan.chosen_feature == "a"
 
 
@@ -201,18 +213,14 @@ def test_plan_clamping_flagged():
         causal_order=(0, 1),
         target="y",
     )
-    effects = total_effects(dag)
-    plan = optimal_individual_intervention(
-        effects, dag, np.array([0.0, 0.0]), "m", goal_value=10.0,
-        bounds={"x": (-1.0, 1.0)},
-    )
+    plan = plan_row(dag, [0.0, 0.0], goal_value=10.0, bounds={"x": (-1.0, 1.0)})
     assert plan.clamped
     assert plan.intervened_value == 1.0
     assert plan.predicted_target_after == pytest.approx(0.5, abs=1e-12)
     # invariant holds with the clamped delta
     delta = plan.intervened_value - plan.original_value
     assert plan.predicted_target_after == pytest.approx(
-        plan.predicted_target_before + effects.effect("x", "y") * delta, abs=1e-9
+        plan.predicted_target_before + effect(dag, "x", "y") * delta, abs=1e-9
     )
 
 
@@ -233,13 +241,13 @@ def _reference_plans(table, dag, goal, interventable=None, bounds=None):
     plans = []
     for rid, row in zip(table.row_ids, table.values):
         vec = row[idx]
-        strengths = {f: abs(float(effects.T[t, dag.index(f)])) for f in interventable}
+        strengths = {f: abs(float(effects[t, dag.index(f)])) for f in interventable}
         best = max(strengths.values())
         chosen = min(f for f, s in strengths.items() if s == best)
         f = dag.index(chosen)
         original = float(vec[f])
         pred_before = float(mean[t] + scale[t] * float(dag.B[t, :] @ ((vec - mean) / scale)))
-        eff_raw = float(effects.T[t, f]) * scale[t] / scale[f]
+        eff_raw = float(effects[t, f]) * scale[t] / scale[f]
         new_value = original + (goal - pred_before) / eff_raw
         clamped = False
         if bounds is not None and chosen in bounds:
@@ -329,7 +337,7 @@ def test_array_planner_matches_per_row_oracle_on_random_dags():
         effects = total_effects(dag)
         t = dag.index(dag.target)
         levers = features if interventable is None else interventable
-        if max(abs(effects.T[t, dag.index(f)]) for f in levers) == 0.0:
+        if max(abs(effects[t, dag.index(f)]) for f in levers) == 0.0:
             with pytest.raises(NoCausalLever):
                 plan_interventions(table, dag, 1.0, interventable, bounds)
             seen["no_lever"] += 1
@@ -343,11 +351,8 @@ def test_array_planner_matches_per_row_oracle_on_random_dags():
             want = _reference_plans(table, dag, goal, interventable, bounds)
             got = plan_interventions(table, dag, goal, interventable, bounds)
             _assert_same_plans(got, want)
-            row = table.values[0, [table.index(n) for n in dag.node_names]]
-            one = optimal_individual_intervention(
-                effects, dag, row, table.row_ids[0], goal, interventable, bounds
-            )
-            _assert_same_plans([one], want[:1])
+            one = plan_interventions(table.select_rows([0]), dag, goal, interventable, bounds)
+            _assert_same_plans(one, want[:1])
             seen["plans"] += len(got)
             seen["clamped"] += sum(p.clamped for p in got)
             at_bound = [p.original_value in (bounds or {}).get(p.chosen_feature, ()) for p in got]
@@ -366,24 +371,22 @@ def test_a_rows_plan_does_not_depend_on_the_rows_planned_with_it():
     for d in (3, 9, 17, 24):  # wide rows too, which a BLAS dot sums in vector blocks
         dag, table = _random_case(rng, d, "float")
         effects = total_effects(dag)
-        while not effects.T[dag.index(dag.target)].any():  # a graph with a lever
+        while not effects[dag.index(dag.target)].any():  # a graph with a lever
             dag, table = _random_case(rng, d, "float")
             effects = total_effects(dag)
-        idx = [table.index(n) for n in dag.node_names]
         bounds = intervene.feature_bounds(table)
         batch = plan_interventions(table, dag, 1.5, bounds=bounds)
         one_by_one = [
-            optimal_individual_intervention(effects, dag, row[idx], rid, 1.5, bounds=bounds)
-            for rid, row in zip(table.row_ids, table.values)
+            plan_interventions(table.select_rows([i]), dag, 1.5, bounds=bounds)[0]
+            for i in range(table.n_rows)
         ]
         assert batch == one_by_one
 
 
 @pytest.mark.parametrize("plan", [
     lambda table, dag, **kw: plan_interventions(table, dag, 1.0, **kw),
-    lambda table, dag, **kw: optimal_individual_intervention(
-        total_effects(dag), dag, table.values[0], "r0", 1.0, **kw),
-], ids=["plan_interventions", "optimal_individual_intervention"])
+    lambda table, dag, **kw: plan_interventions(table.select_rows([0]), dag, 1.0, **kw),
+], ids=["plan_interventions", "one_row_table"])
 def test_planner_errors(plan):
     table = make_table([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0]], ("a", "b", "y"), target_names=("y",))
     dag = WeightedDag(
@@ -512,5 +515,5 @@ def test_plans_round_trip(tmp_path):
     assert loaded[0].chosen_feature == "x"
     shift = loaded[0].intervened_value - loaded[0].original_value
     assert loaded[0].predicted_target_after == pytest.approx(
-        loaded[0].predicted_target_before + total_effects(dag).effect("x", "y") * shift, abs=1e-9
+        loaded[0].predicted_target_before + effect(dag, "x", "y") * shift, abs=1e-9
     )

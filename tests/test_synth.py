@@ -9,6 +9,7 @@ from causal_al.synth import (
     perturb_spec,
     sample_sem,
 )
+from tests.conftest import modules_after
 
 CHAIN = SemSpec(
     node_names=("x1", "x2", "x3"),
@@ -113,3 +114,8 @@ def test_zero_perturbation_subsets_statistically_identical():
 def test_wrong_perturbation_count():
     with pytest.raises(ConfigError):
         make_heterogeneous_world(3, CHAIN, [1.0, 1.0], seed=0, n_rows=10)
+
+
+def test_synth_import_leaves_the_planner_unloaded():
+    # analytic_covariance imports total_effects where it is called
+    assert "causal_al.intervene" not in modules_after("import causal_al.synth")
