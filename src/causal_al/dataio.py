@@ -275,20 +275,20 @@ def load_fingerprints(path, width: int = 2048) -> FingerprintTable:
     if width <= 0 or width % 8 != 0:
         raise ConfigError(f"fingerprint width must be a positive multiple of 8, got {width}")
 
-    def bits(rid: str, hexstr: str) -> tuple[str, np.ndarray]:
+    def packed(rid: str, hexstr: str) -> tuple[str, bytes]:
         hexstr = hexstr.strip()
         if len(hexstr) != width // 4:
             raise ValueError(
                 f"fingerprint for {rid!r} has {len(hexstr) * 4} bits, expected {width}"
             )
-        return rid, np.unpackbits(np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8))
+        return rid, bytes.fromhex(hexstr)
 
-    rows = artifacts.read(path, lambda found: (*found[:1], "fp_hex"), bits).rows
+    rows = artifacts.read(path, lambda found: (*found[:1], "fp_hex"), packed).rows
     if not rows:
         raise EmptyTable(f"{path}: no fingerprints loaded")
-    return FingerprintTable(
-        row_ids=tuple(rid for rid, _ in rows), bits=np.array([b for _, b in rows], dtype=np.uint8)
-    )
+    row_ids, packs = zip(*rows)
+    bits = np.unpackbits(np.frombuffer(b"".join(packs), dtype=np.uint8)).reshape(len(rows), width)
+    return FingerprintTable(row_ids=row_ids, bits=bits)
 
 
 def save_fingerprints(path, fps: FingerprintTable) -> None:

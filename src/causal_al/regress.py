@@ -36,6 +36,8 @@ class _TreeNode:
 # Padded (candidate feature x cut position) values scored in one block; a
 # block always takes at least one node's candidates.
 _BLOCK_VALUES = 1 << 14
+# Candidate-feature sets a tree draws at a time (`_feature_sets`).
+_FEATURE_SETS = 64
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,33 @@ def _blocks(sizes, mtry):
             j += 1
         yield i, j
         i = j
+
+
+def _feature_sets(rng, d, mtry, k):
+    """k sorted draws of `rng.choice(d, mtry, replace=False)`, in one call.
+
+    For d <= 10 000, `Generator.choice` runs Floyd's algorithm: step s
+    draws an integer in [0, d - mtry + s] and keeps it, or keeps
+    d - mtry + s if the draw was taken before. It then shuffles the set
+    with draws in [0, mtry - 1], ..., [0, 1]. Every draw is one bounded
+    integer on a closed range, as `rng.integers` makes from an array of
+    bounds, so one call makes all k sets' draws in `choice`'s order and
+    leaves the stream where k `choice` calls would. The shuffle's draws
+    are made but not applied, since each set is sorted. Past d = 10 000,
+    `choice` shuffles a tail of range(d) instead when mtry > d // 50; the
+    sets are then still uniform draws, but from another stream. The
+    forest's mtry = floor(sqrt(d)) never gets there.
+    """
+    bounds = np.concatenate((np.arange(d - mtry, d), np.arange(mtry - 1, 0, -1)))
+    sets = rng.integers(0, np.tile(bounds, k), endpoint=True).reshape(k, -1)[:, :mtry]
+    rows = np.arange(k)
+    taken = np.zeros((k, d), dtype=bool)
+    for s in range(mtry):
+        pick = sets[:, s]  # a view: the draw is replaced by the value kept
+        np.copyto(pick, d - mtry + s, where=taken[rows, pick])
+        taken[rows, pick] = True
+    sets.sort(axis=1)
+    return sets
 
 
 def _best_splits(pool, m, feats, total, total_sq, xt, y, boot, lo):
@@ -175,11 +204,12 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
     feature, and row t of `boots` lists the rows of tree t's bootstrap
     sample. Each tree builds depth-first from its own stack, left child
     first, and draws its candidate features from its own `rngs` entry in
-    preorder, so each tree is the one a recursive builder would grow. The
-    stacks advance together, one node per tree per step. A step scores
-    its nodes in blocks of similar size (`_best_splits`), at most
-    `_BLOCK_VALUES` padded values per block, and partitions the split
-    nodes in pools of about that many positions.
+    preorder, `_FEATURE_SETS` sets at a time (`_feature_sets`), so each
+    tree is the one a recursive builder would grow. The stacks advance
+    together, one node per tree per step. A step scores its nodes in
+    blocks of similar size (`_best_splits`), at most `_BLOCK_VALUES`
+    padded values per block, and partitions the split nodes in pools of
+    about that many positions.
 
     A node holds bootstrap positions (tree t's sample j is t * nb + j) as
     one (d + 1, m) int32 block: per feature, its positions sorted stably
@@ -199,6 +229,8 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
     boot = boots.ravel()  # bootstrap position -> row of xt and y
     goes_left = np.empty(boot.size, dtype=bool)  # per position, at its tree's current split
     stacks = [[] for _ in range(n_trees)]
+    sets = np.empty((n_trees, _FEATURE_SETS, mtry), dtype=np.int64)  # drawn ahead, per tree
+    used = np.full(n_trees, _FEATURE_SETS)  # sets of `sets` taken, per tree
     n_nodes = np.ones(n_trees, dtype=np.int64)
     made = []    # per batch of new nodes: trees, local ids, values
     splits = []  # per batch of split nodes: trees, local ids, features, thresholds, left ids
@@ -281,9 +313,12 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
             live.sort(key=lambda t: stacks[t][-1][3], reverse=True)  # widest node first
             ids, depths, blocks, sizes, total, total_sq = (
                 list(c) for c in zip(*[stacks[t].pop() for t in live]))
-            feats = np.array([rngs[t].choice(d, mtry, replace=False) for t in live])
-            feats.sort(axis=1)
             live, ids, depths, m = np.array(live), np.array(ids), np.array(depths), np.array(sizes)
+            for t in live[used[live] == _FEATURE_SETS].tolist():
+                sets[t] = _feature_sets(rngs[t], d, mtry, _FEATURE_SETS)
+                used[t] = 0
+            feats = sets[live, used[live]]
+            used[live] += 1
             total, total_sq = np.array(total), np.array(total_sq)
             parts, held = [], 0
             for i, j in _blocks(sizes, mtry):

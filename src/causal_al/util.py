@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 
 
 def fmt(x: float) -> str:
@@ -23,10 +22,14 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
     """Apply `fn` over `items`, optionally on a thread pool.
 
     Results are collected in input order, so the output is identical for
-    any `jobs` value; tasks must not share mutable state.
+    any `jobs` value; tasks must not share mutable state. The pool's
+    module is imported only when a pool starts, so a stage at `jobs` 1
+    does not load it.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))

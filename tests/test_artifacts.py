@@ -158,6 +158,7 @@ def _write(tmp_path, name, text):
         (match.load_neighbors, "n.csv",
          f"{','.join(match.NEIGHBORS_HEADER)}\nq,1,r\n", "n.csv:2:"),
         (lambda p: dataio.load_fingerprints(p, 8), "fp.csv", "id,fp_hex\na,zz\n", "fp.csv:2:"),
+        (lambda p: dataio.load_fingerprints(p, 8), "fp.csv", "id,fp_hex\na,00\nb,f\n", "fp.csv:3:"),
     ],
 )
 def test_reader_names_the_file_and_line_at_fault(tmp_path, load, name, text, where):

@@ -346,6 +346,11 @@ def test_cli_import_leaves_scipy_unloaded():
     assert "scipy" not in modules_after("import causal_al.cli")
 
 
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # a stage at jobs 1 starts no pool, so it need not import one
+    assert "concurrent.futures" not in modules_after("import causal_al.cli")
+
+
 def test_cli_import_leaves_the_forest_unloaded():
     # no stage fits a forest
     loaded = modules_after("import causal_al.cli")

@@ -387,3 +387,54 @@ def test_many_trees_of_different_shapes_match_reference_builder():
         boot = tree_rng.integers(0, 220, size=220)
         expected = _reference_build_tree(x[boot], y[boot], 0, 9, 1, 2, tree_rng)
         assert _preorder(tree) == _preorder(expected)
+
+
+# ---------------------------------------------------------------------------
+# batched feature draws vs one `rng.choice` per splitting node
+# ---------------------------------------------------------------------------
+
+
+def _next_draws(rng):
+    """32-bit draws, which read a buffered half of a 64-bit output, then a 64-bit one."""
+    return rng.integers(0, 1000, size=3, dtype=np.uint32).tolist(), int(rng.integers(0, 1 << 40))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 10, 16, 50, 200, 1000])
+def test_feature_sets_equal_sequential_choice_calls(d):
+    # the same sets and the same stream after them, also when the stream
+    # starts mid-way through a 64-bit output (an odd number of 32-bit draws)
+    for seed in range(50):
+        for mtry in sorted({1, max(1, int(np.sqrt(d))), min(3, d), d}):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for rng in (want_rng, got_rng):
+                rng.integers(0, 1000, size=2 * (seed % 3) + 1, dtype=np.uint32)
+            k = 1 + seed % 7
+            want = [np.sort(want_rng.choice(d, mtry, replace=False)) for _ in range(k)]
+            got = regress._feature_sets(got_rng, d, mtry, k)
+            assert got.shape == (k, mtry)
+            assert np.array_equal(got, want), (seed, mtry)
+            assert _next_draws(got_rng) == _next_draws(want_rng), (seed, mtry)
+
+
+@pytest.mark.parametrize("mtry", [201, 10_001])
+def test_feature_sets_stay_valid_past_floyds_range(mtry):
+    # past d = 10 000 `choice` may shuffle a tail of range(d) instead, so only
+    # the sets, not the stream, are checked: sorted, distinct and in range
+    d = 10_001
+    sets = regress._feature_sets(np.random.default_rng(3), d, mtry, 4)
+    assert sets.shape == (4, mtry)
+    assert np.all(np.diff(sets, axis=1) > 0)
+    assert sets.min() >= 0 and sets.max() < d
+    if mtry == d:
+        assert np.array_equal(sets, np.tile(np.arange(d), (4, 1)))
+
+
+@pytest.mark.parametrize("n_sets", [1, 2**20])
+def test_feature_set_chunk_does_not_change_the_forest(monkeypatch, n_sets):
+    # one set per draw call, or every tree's sets from a single call
+    table, features = heavy_tie_table(11, n=300)
+    want = fit_forest(table, features, "y", n_trees=3, max_depth=8, min_leaf=1, seed=6)
+    monkeypatch.setattr(regress, "_FEATURE_SETS", n_sets)
+    got = fit_forest(table, features, "y", n_trees=3, max_depth=8, min_leaf=1, seed=6)
+    for name in ("feature", "threshold", "left", "right", "value", "roots"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
