@@ -7,8 +7,7 @@ choice in baseline mode). Sampling is without replacement within a run;
 rows sampled for unchosen subsets return to their pools. Every candidate
 draws from its own RNG substream derived from (seed, iteration, subset).
 The candidates of an iteration share one shape, so their graphs come from
-one call of the stacked discovery kernel, or one per contiguous group of
-candidates on `jobs` threads; each graph is the same either way.
+one call of the stacked discovery kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .errors import (
     MissingColumn,
 )
 from .graphdist import spectral_distance
-from .util import parallel_map
 
 DEFAULT_M = 50
 DEFAULT_N_ITER = 20
@@ -79,7 +77,6 @@ def _run(
     prune_threshold: float,
     top_n: int | None,
     destandardize: bool,
-    jobs: int,
     mode: str,
 ) -> ActiveLearningRun:
     subsets = list(subsets)
@@ -119,13 +116,6 @@ def _run(
     acc_ids: list[str] = []
     records: list[IterationRecord] = []
 
-    def evaluate(x, mean, std) -> list[float]:
-        b, orders = _discover(x, mean, std, t_idx, prune_threshold, destandardize)
-        return [
-            spectral_distance(WeightedDag(features, b_s, order.tolist()), global_graph, n=top_n)
-            for b_s, order in zip(b, orders)
-        ]
-
     for it in range(n_iter):
         # a subset whose pool holds fewer than m rows is not sampled and scores +inf
         eligible = [k for k in range(n_subsets) if pools[k].size >= m]
@@ -152,13 +142,10 @@ def _run(
         if fit:
             if len(fit) < len(eligible):
                 x, mean, std = x[fit], mean[fit], std[fit]
-            # one kernel call per contiguous group of candidates
-            n_groups = min(jobs, len(fit))
-            cuts = [len(fit) * g // n_groups for g in range(n_groups + 1)]
-            groups = [(x[a:b], mean[a:b], std[a:b]) for a, b in zip(cuts, cuts[1:])]
-            found = parallel_map(lambda group: evaluate(*group), groups, jobs=jobs)
-            for row, loss in zip(fit, (v for part in found for v in part)):
-                losses[eligible[row]] = loss
+            b, orders = _discover(x, mean, std, t_idx, prune_threshold, destandardize)
+            for row, b_s, order in zip(fit, b, orders):
+                dag = WeightedDag(features, b_s, order.tolist())
+                losses[eligible[row]] = spectral_distance(dag, global_graph, n=top_n)
         losses = tuple(losses)
 
         if mode == "active":
@@ -207,10 +194,13 @@ def active_learn(
     destandardize: bool = True,
     jobs: int = 1,
 ) -> ActiveLearningRun:
-    """Grow a minimal dataset by greedy graph-loss selection over subsets."""
+    """Grow a minimal dataset by greedy graph-loss selection over subsets.
+
+    `jobs` is accepted and ignored: it does not change how the loop runs.
+    """
     return _run(
         subsets, global_graph, target, features, m, n_iter, seed,
-        prune_threshold, top_n, destandardize, jobs, mode="active",
+        prune_threshold, top_n, destandardize, mode="active",
     )
 
 
@@ -227,10 +217,13 @@ def random_baseline(
     destandardize: bool = True,
     jobs: int = 1,
 ) -> ActiveLearningRun:
-    """Same loop, but the committed subset is drawn uniformly at random."""
+    """Same loop, but the committed subset is drawn uniformly at random.
+
+    `jobs` is accepted and ignored, as in `active_learn`.
+    """
     return _run(
         subsets, global_graph, target, features, m, n_iter, seed,
-        prune_threshold, top_n, destandardize, jobs, mode="random",
+        prune_threshold, top_n, destandardize, mode="random",
     )
 
 

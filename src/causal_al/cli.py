@@ -152,8 +152,15 @@ class Config:
             return self._used(key, False)
         raise ConfigError(f"{key} must be a boolean, got {self.values[key]!r}")
 
-    def list(self, key: str) -> tuple[str, ...]:
-        return self._used(key, artifacts.names(self.values[key]))
+    def list(self, key: str, allowed) -> tuple[str, ...]:
+        """The names under `key`, each once and each one of `allowed`."""
+        names = artifacts.names(self.values[key])
+        for i, name in enumerate(names):
+            if name not in allowed:
+                raise ConfigError(f"{key}: {name!r} is not one of {','.join(allowed)}")
+            if name in names[:i]:
+                raise ConfigError(f"{key}: {name!r} is named twice")
+        return self._used(key, names)
 
     def opt_int(self, key: str) -> int | None:
         return self.int(key) if self.values[key] else None
@@ -197,7 +204,7 @@ def cmd_cluster(cfg: Config, outdir: Path):
     from . import cluster, dataio
 
     schema, table, report = _load_features(cfg)
-    pivots = cfg.list("pivot_features") or table.plain_feature_names[:3]
+    pivots = cfg.list("pivot_features", table.feature_names) or table.plain_feature_names[:3]
     model = cluster.fit_gmm(
         table, pivots, n_components=cfg.int("n_components", 1), seed=cfg.int("seed")
     )
@@ -261,7 +268,6 @@ def cmd_active_learn(cfg: Config, outdir: Path):
         for k in subset_ids
     ]
     seed = cfg.int("seed")
-    jobs = cfg.int("jobs", 1)
     params = dict(
         m=cfg.int("m_per_iter", 1),
         n_iter=cfg.int("n_iter", 1),
@@ -273,7 +279,7 @@ def cmd_active_learn(cfg: Config, outdir: Path):
     for r in range(cfg.int("n_realizations", 1)):
         for mode, loop, runs in (("active", active.active_learn, active_runs),
                                  ("random", active.random_baseline, random_runs)):
-            run = loop(subsets, global_graph, target, features, seed=seed + r, jobs=jobs, **params)
+            run = loop(subsets, global_graph, target, features, seed=seed + r, **params)
             active.save_run(outdir / f"{mode}_run_{r}.csv", run)
             runs.append(run)
 
@@ -304,6 +310,7 @@ def cmd_intervene(cfg: Config, outdir: Path):
     goal = cfg.float("goal")  # a bad goal stops the stage before it writes anything
     table, target, columns = _discovery_columns(cfg, outdir)
     features = columns[:-1]
+    interventable = cfg.list("interventable", features) or features
     dal_ids = artifacts.read_id_list(cfg.input(outdir / "dal_ids.txt"))
     dal_table = table.select_by_ids(dal_ids).select_columns(columns)
 
@@ -314,7 +321,6 @@ def cmd_intervene(cfg: Config, outdir: Path):
     )
     causal.save_dag(outdir / "dal_graph.csv", dag)
 
-    interventable = cfg.list("interventable") or features
     bounds = intervene.feature_bounds(table, features)
     plans = intervene.plan_interventions(
         dal_table, dag,
@@ -434,7 +440,9 @@ def cmd_synth(cfg: Config, outdir: Path):
     n_subsets = cfg.int("synth_subsets", 1)
     rows = cfg.int("synth_rows", 10)
     ref_rows = cfg.int("synth_reference_rows", 1)
-    fp_width = cfg.int("synth_fp_width", 8)
+    fp_width = cfg.int("synth_fp_width")
+    if fp_width < 8 or fp_width % 8:
+        raise ConfigError(f"synth_fp_width must be a positive multiple of 8, got {fp_width}")
     spread = cfg.float("synth_spread")
     noise_scale = cfg.float("synth_noise_scale")
 
@@ -553,7 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-c", "--config", help="plain-text key=value config file")
         p.add_argument("-o", "--output-dir", help="artifact directory (overrides config)")
         p.add_argument("--seed", type=int, help="master seed (overrides env and config)")
-        p.add_argument("--jobs", type=int, help="worker bound for parallel sections")
+        p.add_argument("--jobs", type=int, help="thread bound for the k-NN search of match")
         p.add_argument(
             "--set", action="append", default=[], metavar="KEY=VALUE",
             help="override any config key (repeatable)",

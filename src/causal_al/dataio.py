@@ -44,6 +44,7 @@ class FeatureTable:
         row_pos = {rid: i for i, rid in enumerate(self.row_ids)}
         if len(row_pos) != len(self.row_ids):
             raise DuplicateRowId("row ids are not unique")
+        _unique_columns(self.feature_names)
         missing = [t for t in self.target_names if t not in self.feature_names]
         if missing:
             raise MissingColumn(f"target columns not in table: {missing}")
@@ -103,6 +104,13 @@ class FeatureTable:
             values=self.matrix(names),
             target_names=tuple(t for t in self.target_names if t in names),
         )
+
+
+def _unique_columns(names, where: str = "") -> None:
+    """Refuse a repeated column name: only its first column could be read by name."""
+    if len(set(names)) < len(names):
+        name = next(name for name, n in Counter(names).items() if n > 1)
+        raise SchemaError(f"{where}column {name!r} appears twice")
 
 
 def concat_tables(tables) -> FeatureTable:
@@ -173,6 +181,7 @@ def load_feature_table(path, schema: TableSchema) -> tuple[FeatureTable, LoadRep
     def columns(found: tuple[str, ...]) -> tuple[str, ...]:
         """Any header that holds the declared columns; `parse` needs the id's place."""
         nonlocal id_pos
+        _unique_columns(found, f"{path}: header ")
         for column in (schema.id_column, *schema.target_columns):
             if column not in found:
                 raise MissingColumn(f"{path}: declared column {column!r} not in header")

@@ -3,10 +3,9 @@
 Plain CART regression trees: variance-reduction splits, midpoint
 thresholds between sorted unique values, bootstrap rows and sqrt(d)
 feature subsampling per split. Everything is seeded, so refits are
-bit-identical; trees may fit in parallel without changing results.
-The trees of a forest grow together, one node per tree per step
-(`_grow`), and are stored as flat node arrays that all rows descend
-together, one level per step (`tree_predictions`).
+bit-identical. The trees of a forest grow together on one thread, one
+node per tree per step (`_grow`), and are stored as flat node arrays
+that all rows descend together, one level per step (`tree_predictions`).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 
 from .dataio import FeatureTable
 from .errors import ConfigError, DegenerateTarget, EmptyTable, MissingColumn
-from .util import parallel_map
 
 DEFAULT_N_TREES = 100
 DEFAULT_MAX_DEPTH = 12
@@ -374,11 +372,12 @@ def fit_forest(
     seed: int = 0,
     jobs: int = 1,
 ) -> ForestModel:
-    """Fit a bootstrap forest; deterministic for a fixed seed at any jobs.
+    """Fit a bootstrap forest; deterministic for a fixed seed.
 
     Each tree draws its bootstrap and then its split features from its own
-    child of `SeedSequence(seed)`. With `jobs` > 1 the trees grow in that
-    many lockstep groups on a thread pool.
+    child of `SeedSequence(seed)`, and all trees grow in one lockstep call
+    of `_grow`. `jobs` is accepted and ignored: it does not change how the
+    work runs.
     """
     features = tuple(features)
     if not features:
@@ -398,17 +397,8 @@ def fit_forest(
     for boot, rng in zip(boots, rngs):
         boot[:] = rng.integers(0, n, size=n)
 
-    def grow(group) -> tuple:
-        return _grow(xt, y, boots[group], max_depth, min_leaf, mtry, rngs[group])
-
-    groups = [slice(g[0], g[-1] + 1) for g in np.array_split(np.arange(n_trees), max(jobs, 1)) if g.size]
-    parts = parallel_map(grow, groups, jobs=jobs)
-    # number the nodes of later groups after those of earlier ones
-    shift = np.cumsum([0] + [p[0].size for p in parts[:-1]])
-    feature, threshold, left, right, value, roots = (
-        np.concatenate([p[i] + s if i in (2, 3, 5) else p[i] for p, s in zip(parts, shift)])
-        for i in range(6)
-    )
+    feature, threshold, left, right, value, roots = _grow(
+        xt, y, boots, max_depth, min_leaf, mtry, rngs)
     return ForestModel(
         feature=feature,
         threshold=threshold,
@@ -476,7 +466,6 @@ def accuracy_trace(
     max_depth: int = DEFAULT_MAX_DEPTH,
     min_leaf: int = DEFAULT_MIN_LEAF,
     seed: int = 0,
-    jobs: int = 1,
 ) -> tuple[list[float], float]:
     """Refit on each committed-dataset snapshot and score a fixed test set.
 
@@ -486,7 +475,7 @@ def accuracy_trace(
     def score(train: FeatureTable) -> float:
         model = fit_forest(
             train, features, target,
-            n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf, seed=seed, jobs=jobs,
+            n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf, seed=seed,
         )
         return r2(model, test)
 

@@ -18,6 +18,17 @@ def simple_table():
     )
 
 
+@pytest.fixture
+def no_thread_pool(monkeypatch):
+    """Starting a thread pool fails the test."""
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+
+
 # 1000 copies of either value have a sample standard deviation of about
 # 1e-17, not 0, because their mean rounds (ROADMAP H)
 ROUNDED_CONSTANTS = (-0.49994593130499265, 0.1)

@@ -161,11 +161,11 @@ def test_determinism_bit_identical():
     assert r1 == r2
 
 
-def test_jobs_do_not_change_results():
-    # 4 candidates in 1, 2, 3 or 4 kernel calls per iteration
+def test_jobs_do_not_change_results(no_thread_pool):
+    # `jobs` does not change how the loop runs: one kernel call per iteration, no pool
     subsets, _, dag = small_world(perturbations=(0.3, 1.0, 1.9, 0.6))
     for loop in (active_learn, random_baseline):
-        runs = [loop(subsets, dag, "y", m=20, n_iter=4, seed=9, jobs=j) for j in (1, 2, 3, 4)]
+        runs = [loop(subsets, dag, "y", m=20, n_iter=4, seed=9, jobs=j) for j in (1, 0, 2, 3, 4)]
         assert all(run == runs[0] for run in runs[1:])
 
 

@@ -1,4 +1,5 @@
 import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,55 @@ def test_manifest_lists_every_file_the_stage_reads(small_pipeline, stage):
     params = {key: value for key, value in meta if key.startswith("param ")}
     assert "param seed" not in params
     assert params.get("param destandardize", "1") == "1"
+
+
+# once these ran (a repeated pivot, the target or a repeated lever) or stopped
+# with the code of whichever computation tripped over the name (3 or 4)
+@pytest.mark.parametrize("stage, key, value", [
+    ("cluster", "pivot_features", "f01,f01"),
+    ("cluster", "pivot_features", "nope"),
+    ("intervene", "interventable", "nope"),
+    ("intervene", "interventable", "f01,y"),
+    ("intervene", "interventable", "f01,f01"),
+])
+def test_bad_name_list_is_E_CONFIG_naming_the_key_and_writes_nothing(
+    small_pipeline, tmp_path, capsys, stage, key, value
+):
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    capsys.readouterr()
+    assert run_cli([stage, "-c", str(work / "pipeline.cfg"), "--set", f"{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"E_CONFIG: {key}: ")
+    assert "\n" not in err.strip()
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
+@pytest.mark.parametrize("width", ["12", "0", "-8"])
+def test_synth_fingerprint_width_off_the_byte_grid_is_E_CONFIG_and_writes_nothing(
+    tmp_path, capsys, width
+):
+    work = tmp_path / "w"
+    assert run_cli(["synth", "-o", str(work), "--set", f"synth_fp_width={width}"]) == 2
+    assert capsys.readouterr().err == (
+        f"E_CONFIG: synth_fp_width must be a positive multiple of 8, got {width}\n"
+    )
+    assert list(work.glob("*")) == []
+
+
+def test_features_file_with_a_repeated_column_is_E_DATA(tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    features.write_text("id,a,a,y\nr0,1,2,3\nr1,4,5,6\n", encoding="utf-8")
+    (tmp_path / "schema.cfg").write_text("target_columns = y\n", encoding="utf-8")
+    code = run_cli([
+        "cluster", "-o", str(tmp_path),
+        "--set", f"features={features}",
+        "--set", f"schema={tmp_path / 'schema.cfg'}",
+    ])
+    assert code == 3
+    err = _one_data_error(capsys)
+    assert str(features) in err and "'a'" in err
 
 
 @pytest.mark.parametrize("goal", ["nan", "inf", "-inf"])

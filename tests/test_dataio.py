@@ -12,6 +12,7 @@ from causal_al.errors import (
     DuplicateRowId,
     EmptyTable,
     MissingColumn,
+    SchemaError,
 )
 from tests.conftest import ROUNDED_CONSTANTS, make_table
 
@@ -45,6 +46,20 @@ def test_load_duplicate_id(tmp_path):
     p = write(tmp_path, "id,f1,y\na,1,2\na,3,4\n")
     with pytest.raises(DuplicateRowId):
         dataio.load_feature_table(p, SCHEMA)
+
+
+def test_table_refuses_a_repeated_feature_name():
+    # the second column could not be reached by name
+    with pytest.raises(SchemaError, match="'a'"):
+        make_table([[1.0, 2.0, 3.0]], ("a", "a", "y"), ("y",))
+
+
+@pytest.mark.parametrize("header", ["id,a,a,y", "id,a,id,y"])
+def test_load_repeated_column_names_the_file(tmp_path, header):
+    p = write(tmp_path, f"{header}\nr0,1,2,3\n")
+    with pytest.raises(SchemaError) as exc:
+        dataio.load_feature_table(p, SCHEMA)
+    assert str(p) in str(exc.value)
 
 
 def test_load_missing_target(tmp_path):

@@ -280,11 +280,14 @@ def test_fit_forest_trees_match_reference_builder():
         assert _preorder(tree) == _preorder(expected)
 
 
-def test_jobs_do_not_change_trees():
+def test_jobs_do_not_change_trees(no_thread_pool):
+    # `jobs` does not change how the trees grow: all of them in one lockstep call, no pool
     table = line_table(n=300, noise=0.5, seed=6)
     one = fit_forest(table, ("x",), "y", n_trees=8, max_depth=6, seed=2, jobs=1)
-    two = fit_forest(table, ("x",), "y", n_trees=8, max_depth=6, seed=2, jobs=2)
-    assert [_preorder(t) for t in one.trees] == [_preorder(t) for t in two.trees]
+    for jobs in (0, 2, 4):
+        got = fit_forest(table, ("x",), "y", n_trees=8, max_depth=6, seed=2, jobs=jobs)
+        for name in ("feature", "threshold", "left", "right", "value", "roots"):
+            assert np.array_equal(getattr(got, name), getattr(one, name)), (jobs, name)
 
 
 # ---------------------------------------------------------------------------
