@@ -154,16 +154,21 @@ class Config:
 
     def list(self, key: str, allowed) -> tuple[str, ...]:
         """The names under `key`, each once and each one of `allowed`."""
-        names = artifacts.names(self.values[key])
-        for i, name in enumerate(names):
-            if name not in allowed:
-                raise ConfigError(f"{key}: {name!r} is not one of {','.join(allowed)}")
-            if name in names[:i]:
-                raise ConfigError(f"{key}: {name!r} is named twice")
-        return self._used(key, names)
+        return self._used(key, _checked_names(
+            artifacts.names(self.values[key]), allowed, key, ConfigError))
 
     def opt_int(self, key: str) -> int | None:
         return self.int(key) if self.values[key] else None
+
+
+def _checked_names(names, allowed, where: str, error) -> tuple[str, ...]:
+    """`names` as given, after raising `error` at a repeated name or one not in `allowed`."""
+    for i, name in enumerate(names):
+        if name not in allowed:
+            raise error(f"{where}: {name!r} is not one of {','.join(allowed)}")
+        if name in names[:i]:
+            raise error(f"{where}: {name!r} is named twice")
+    return names
 
 
 def _load_features(cfg: Config):
@@ -187,7 +192,8 @@ def _discovery_columns(cfg: Config, outdir: Path):
     target = _main_target(schema)
     sel_path = outdir / "selected_features.txt"
     if sel_path.exists():
-        selected = artifacts.read_id_list(cfg.input(sel_path))
+        selected = _checked_names(artifacts.read_id_list(cfg.input(sel_path)),
+                                  table.feature_names, str(sel_path), SchemaError)
     else:
         selected = table.plain_feature_names
     return table, target, tuple(f for f in selected if f != target) + (target,)

@@ -250,33 +250,49 @@ def column_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FingerprintTable:
-    """Fixed-width binary fingerprints keyed by row id (ingested, not computed)."""
+    """Fixed-width binary fingerprints keyed by row id (ingested, not computed).
 
-    row_ids: tuple[str, ...]
-    bits: np.ndarray  # rows x width, uint8 in {0, 1}
+    The bits are held packed 8 to a byte, most significant bit first, in the
+    read-only `packed` (rows x ceil(width / 8) uint8): 256 bytes a row at
+    width 2048. `bits` unpacks a full rows x width 0/1 copy on every access;
+    `row` unpacks one row.
+    """
 
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 2 or bits.shape[0] != len(self.row_ids):
+    def __init__(self, row_ids, bits):
+        bits = np.asarray(bits, dtype=np.uint8)
+        if bits.ndim != 2 or bits.shape[0] != len(row_ids):
             raise SchemaError("fingerprint matrix shape does not match row ids")
         if bits.size and bits.max() > 1:
             raise SchemaError("fingerprint bits must be 0/1")
-        row_pos = {rid: i for i, rid in enumerate(self.row_ids)}
-        if len(row_pos) != len(self.row_ids):
+        self._hold(row_ids, np.packbits(bits, axis=1), bits.shape[1])
+
+    @classmethod
+    def _from_packed(cls, row_ids, packed: np.ndarray, width: int) -> FingerprintTable:
+        table = cls.__new__(cls)
+        table._hold(row_ids, packed, width)
+        return table
+
+    def _hold(self, row_ids, packed: np.ndarray, width: int) -> None:
+        self.row_ids = tuple(row_ids)
+        self._row_pos = {rid: i for i, rid in enumerate(self.row_ids)}  # row id -> row index
+        if len(self._row_pos) != len(self.row_ids):
             raise DuplicateRowId("fingerprint row ids are not unique")
-        bits = bits.copy()
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "row_ids", tuple(self.row_ids))
-        object.__setattr__(self, "_row_pos", row_pos)  # row id -> row index
+        packed.setflags(write=False)
+        self.packed = packed
+        self.width = width
+
+    @property
+    def bits(self) -> np.ndarray:
+        """A new rows x width uint8 copy of the bits in {0, 1}."""
+        return np.unpackbits(self.packed, axis=1, count=self.width)
 
     def row(self, row_id: str) -> np.ndarray:
         try:
-            return self.bits[self._row_pos[row_id]]
+            i = self._row_pos[row_id]
         except KeyError:
             raise SchemaError(f"no fingerprint for id {row_id!r}") from None
+        return np.unpackbits(self.packed[i], count=self.width)
 
 
 def load_fingerprints(path, width: int = 2048) -> FingerprintTable:
@@ -296,14 +312,13 @@ def load_fingerprints(path, width: int = 2048) -> FingerprintTable:
     if not rows:
         raise EmptyTable(f"{path}: no fingerprints loaded")
     row_ids, packs = zip(*rows)
-    bits = np.unpackbits(np.frombuffer(b"".join(packs), dtype=np.uint8)).reshape(len(rows), width)
-    return FingerprintTable(row_ids=row_ids, bits=bits)
+    packed = np.frombuffer(b"".join(packs), dtype=np.uint8).reshape(len(rows), width // 8)
+    return FingerprintTable._from_packed(row_ids, packed, width)
 
 
 def save_fingerprints(path, fps: FingerprintTable) -> None:
-    packed = np.packbits(fps.bits, axis=1)
     artifacts.write(
         path,
         header=("id", "fp_hex"),
-        rows=((rid, row.tobytes().hex()) for rid, row in zip(fps.row_ids, packed)),
+        rows=((rid, row.tobytes().hex()) for rid, row in zip(fps.row_ids, fps.packed)),
     )

@@ -166,10 +166,20 @@ class PcaProjection:
 _GRAM_RANK_TOL = 1e-8
 
 
-def _as_matrix(data) -> np.ndarray:
+def _centred_rows(data, center: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A new float64 copy of the rows, centred in place, and the center.
+
+    The caller's array is never written. Given the same `center`, the rows
+    come out bit for bit as they did the first time.
+    """
     if isinstance(data, FingerprintTable):
-        return data.bits.astype(np.float64)
-    return np.asarray(data, dtype=np.float64)
+        x = data.bits.astype(np.float64)
+    else:
+        x = np.array(data, dtype=np.float64)
+    if center is None:
+        center = x.mean(axis=0)
+    x -= center
+    return x, center
 
 
 def pca_project(data, n_components: int = 2) -> PcaProjection:
@@ -181,23 +191,29 @@ def pca_project(data, n_components: int = 2) -> PcaProjection:
     If a kept eigenvalue is too small for that division, the covariance is
     decomposed after all. Each component's largest-magnitude loading is made
     positive, so the projection is reproducible and invariant to row order.
+
+    One float copy of the rows is held at a time: on the Gram path it is
+    released while `eigh` runs and rebuilt, bit for bit, afterwards.
     """
-    x = _as_matrix(data)
-    n, d = x.shape
+    xc, center = _centred_rows(data)
+    n, d = xc.shape
     if n_components < 1:
         raise ConfigError("n_components must be >= 1")
     if n < 2 or n < n_components:
         raise InsufficientData(f"{n} rows cannot support {n_components} components")
-    center = x.mean(axis=0)
-    xc = x - center
     variances = None
     if n < d:
-        gram_vals, u = np.linalg.eigh(xc @ xc.T)
+        gram = xc @ xc.T
+        del xc
+        gram_vals, u = np.linalg.eigh(gram)
+        del gram
         order = np.argsort(gram_vals)[::-1][:n_components]
         lam = gram_vals[order]
+        u = u[:, order]  # only the kept vectors outlive the rebuilt rows
+        xc, _ = _centred_rows(data, center)
         if lam[-1] > _GRAM_RANK_TOL * lam[0]:
             variances = lam / (n - 1)
-            comps = (xc.T @ (u[:, order] / np.sqrt(lam))).T
+            comps = (xc.T @ (u / np.sqrt(lam))).T
     if variances is None:
         eigvals, eigvecs = np.linalg.eigh(xc.T @ xc / (n - 1))
         order = np.argsort(eigvals)[::-1][:n_components]
@@ -217,7 +233,7 @@ def pca_project(data, n_components: int = 2) -> PcaProjection:
 
 def project_onto(projection: PcaProjection, data) -> np.ndarray:
     """Project new rows with an existing projection's center and components."""
-    return (_as_matrix(data) - projection.center) @ projection.components.T
+    return _centred_rows(data, projection.center)[0] @ projection.components.T
 
 
 # ---------------------------------------------------------------------------

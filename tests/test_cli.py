@@ -275,6 +275,41 @@ def test_bad_name_list_is_E_CONFIG_naming_the_key_and_writes_nothing(
     assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
 
+@pytest.mark.parametrize("stage", ["discover", "intervene"])
+@pytest.mark.parametrize("names, bad", [
+    (("f01", "f02", "f01"), "'f01'"),
+    (("f01", "nope"), "'nope'"),
+])
+def test_bad_selected_features_file_is_E_DATA_naming_the_file_and_writes_nothing(
+    small_pipeline, tmp_path, capsys, stage, names, bad
+):
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    artifacts.write_id_list(work / "selected_features.txt", names)
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    capsys.readouterr()
+    assert run_cli([stage, "-c", str(work / "pipeline.cfg")]) == 3
+    err = _one_data_error(capsys)
+    assert "selected_features.txt" in err and bad in err
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
+def test_report_pairs_hold_the_tanimoto_of_the_fingerprint_files(small_pipeline):
+    def hex_rows(name):
+        return {rid: int(hx, 16) for rid, hx in artifacts.read(
+            small_pipeline / name, ("id", "fp_hex")).rows}
+
+    queries, refs = hex_rows("fingerprints.csv"), hex_rows("reference_fingerprints.csv")
+    best = {nr.query_id.split("::")[0]: nr.neighbor_ids[0]
+            for nr in match.load_neighbors(small_pipeline / "neighbors.csv")}
+    pairs = artifacts.read(small_pipeline / "report_pairs.csv", ("id", "tanimoto", "distance")).rows
+    assert len(pairs) == len(best)
+    for qid, sim, _ in pairs:
+        a, b = queries[qid], refs[best[qid]]
+        union = bin(a | b).count("1")
+        assert float(sim) == (bin(a & b).count("1") / union if union else 1.0)
+
+
 @pytest.mark.parametrize("width", ["12", "0", "-8"])
 def test_synth_fingerprint_width_off_the_byte_grid_is_E_CONFIG_and_writes_nothing(
     tmp_path, capsys, width

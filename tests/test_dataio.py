@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from causal_al.errors import (
     MissingColumn,
     SchemaError,
 )
+from causal_al.match import tanimoto
 from tests.conftest import ROUNDED_CONSTANTS, make_table
 
 SCHEMA = dataio.TableSchema(id_column="id", target_columns=("y",))
@@ -204,3 +207,82 @@ def test_fingerprint_width_mismatch(tmp_path):
     p = write(tmp_path, "id,fp_hex\na,ff\n", "fp.csv")
     with pytest.raises(dataio.SchemaError):
         dataio.load_fingerprints(p, width=64)
+
+
+# a width off the byte grid (12), one byte-aligned row (64), the paper's width (2048)
+FP_WIDTHS = (12, 64, 2048)
+
+
+def fingerprint_bits(width, rows=7):
+    rng = np.random.default_rng(width)
+    return (rng.random((rows, width)) < 0.3).astype(np.uint8)
+
+
+def fp_ids(rows):
+    return tuple(f"m{i}" for i in range(rows))
+
+
+@pytest.mark.parametrize("width", FP_WIDTHS)
+def test_fingerprints_are_held_packed_eight_bits_a_byte(width):
+    bits = fingerprint_bits(width)
+    kept = bits.copy()
+    ids = fp_ids(len(bits))
+    fps = dataio.FingerprintTable(ids, bits)
+    assert fps.width == width
+    assert fps.packed.dtype == np.uint8
+    assert fps.packed.nbytes == len(bits) * math.ceil(width / 8)
+    unpacked = fps.bits
+    assert unpacked.dtype == np.uint8 and unpacked.shape == bits.shape
+    assert np.array_equal(unpacked, bits)
+    for i, rid in enumerate(ids):
+        row = fps.row(rid)
+        assert row.dtype == np.uint8 and np.array_equal(row, bits[i])
+        assert tanimoto(row, fps.row(ids[i - 1])) == tanimoto(kept[i], kept[i - 1])
+    # the storage is read-only; `bits` and `row` hand out copies, and the
+    # caller's array is not held
+    assert not fps.packed.flags.writeable
+    with pytest.raises(ValueError):
+        fps.packed[0, 0] = 0xFF
+    unpacked[:] = 1 - unpacked
+    fps.row(ids[0])[:] = 1 - kept[0]
+    bits[:] = 0
+    assert np.array_equal(fps.bits, kept)
+
+
+@pytest.mark.parametrize("width", FP_WIDTHS)
+def test_fingerprint_table_refuses_a_bad_shape_non_binary_bits_and_repeated_ids(width):
+    bits = fingerprint_bits(width)
+    ids = fp_ids(len(bits))
+    shape = "^fingerprint matrix shape does not match row ids$"
+    with pytest.raises(SchemaError, match=shape):
+        dataio.FingerprintTable(ids[:-1], bits)
+    with pytest.raises(SchemaError, match=shape):
+        dataio.FingerprintTable(ids[:1], bits[0])
+    bad = bits.copy()
+    bad[3, width - 1] = 2
+    with pytest.raises(SchemaError, match="^fingerprint bits must be 0/1$"):
+        dataio.FingerprintTable(ids, bad)
+    with pytest.raises(DuplicateRowId, match="^fingerprint row ids are not unique$"):
+        dataio.FingerprintTable(ids[:-1] + ids[:1], bits)
+
+
+@pytest.mark.parametrize("width", FP_WIDTHS)
+def test_fingerprint_save_load_save_is_byte_identical(tmp_path, width):
+    bits = fingerprint_bits(width)
+    fps = dataio.FingerprintTable(fp_ids(len(bits)), bits)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    dataio.save_fingerprints(first, fps)
+    # most significant bit first; a width off the byte grid is padded with
+    # zero bits to whole bytes, so it loads at the next multiple of 8
+    byte_width = 8 * math.ceil(width / 8)
+    rows = first.read_text(encoding="utf-8").splitlines()[1:]
+    for line, row in zip(rows, bits):
+        text = "".join(map(str, row)).ljust(byte_width, "0")
+        assert line.split(",")[1] == int(text, 2).to_bytes(byte_width // 8, "big").hex()
+    loaded = dataio.load_fingerprints(first, width=byte_width)
+    assert not loaded.packed.flags.writeable
+    assert loaded.packed.tobytes() == fps.packed.tobytes()
+    assert np.array_equal(loaded.bits[:, :width], bits)
+    assert not loaded.bits[:, width:].any()
+    dataio.save_fingerprints(second, loaded)
+    assert second.read_bytes() == first.read_bytes()

@@ -375,9 +375,7 @@ def test_pca_fewer_rows_than_columns_matches_covariance():
 
 
 def test_pca_two_distinct_rows_rank_deficient():
-    bits = np.zeros((2, 16))
-    bits[0, [1, 4, 9]] = 1.0
-    bits[1, [4, 12]] = 1.0
+    bits = _two_distinct_rows()
     proj = pca_project(FingerprintTable(("a", "b"), bits.astype(np.uint8)), n_components=2)
     assert np.allclose(proj.components @ proj.components.T, np.eye(2), atol=1e-12)
     diff = bits[0] - bits[1]
@@ -398,6 +396,88 @@ def test_pca_identical_rows_wider_than_tall():
 def test_pca_too_few_rows():
     with pytest.raises(InsufficientData):
         pca_project(np.ones((1, 3)))
+
+
+def _pca_two_copies(data, n_components=2):
+    """The earlier pca_project, frozen: it held `x` and `x - center` at once."""
+    if isinstance(data, FingerprintTable):
+        x = data.bits.astype(np.float64)
+    else:
+        x = np.asarray(data, dtype=np.float64)
+    n, d = x.shape
+    center = x.mean(axis=0)
+    xc = x - center
+    variances = None
+    if n < d:
+        gram_vals, u = np.linalg.eigh(xc @ xc.T)
+        order = np.argsort(gram_vals)[::-1][:n_components]
+        lam = gram_vals[order]
+        if lam[-1] > 1e-8 * lam[0]:
+            variances = lam / (n - 1)
+            comps = (xc.T @ (u[:, order] / np.sqrt(lam))).T
+    if variances is None:
+        eigvals, eigvecs = np.linalg.eigh(xc.T @ xc / (n - 1))
+        order = np.argsort(eigvals)[::-1][:n_components]
+        variances = eigvals[order]
+        comps = eigvecs[:, order].T.copy()
+    for i in range(comps.shape[0]):
+        j = int(np.argmax(np.abs(comps[i])))
+        if comps[i, j] < 0:
+            comps[i] = -comps[i]
+    return match.PcaProjection(comps, np.maximum(variances, 0.0), xc @ comps.T, center)
+
+
+def _fingerprints(rows, width):
+    bits = (np.random.default_rng(21).random((rows, width)) < 0.25).astype(np.uint8)
+    return FingerprintTable(tuple(f"m{i}" for i in range(rows)), bits)
+
+
+def _two_distinct_rows():
+    bits = np.zeros((2, 16))
+    bits[0, [1, 4, 9]] = 1.0
+    bits[1, [4, 12]] = 1.0
+    return bits
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _fingerprints(1000, 2048), id="gram-fingerprints-1000x2048"),
+    pytest.param(lambda: np.random.default_rng(22).normal(size=(300, 20)), id="covariance-tall"),
+    pytest.param(_two_distinct_rows, id="rank-deficient-fallback"),
+    pytest.param(lambda: np.random.default_rng(23).normal(size=(40, 90)).astype(np.float32),
+                 id="float32"),
+])
+def test_pca_outputs_are_bitwise_those_of_the_two_copy_version(make):
+    data = make()
+    got, want = pca_project(data), _pca_two_copies(data)
+    for field in ("components", "explained_variances", "coordinates", "center"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+def test_pca_leaves_a_writeable_input_unchanged_and_takes_a_read_only_one():
+    rng = np.random.default_rng(24)
+    for shape in ((30, 80), (80, 30)):  # the Gram and the covariance branch
+        x = rng.normal(size=shape)
+        kept = x.copy()
+        proj = pca_project(x)
+        assert np.array_equal(x, kept)
+        x.setflags(write=False)
+        again = pca_project(x)
+        assert again.coordinates.tobytes() == proj.coordinates.tobytes()
+
+
+def test_pca_holds_one_copy_of_the_float_rows():
+    fps = _fingerprints(1000, 2048)
+    float_rows = 1000 * 2048 * 8  # 15.6 MiB
+    tracemalloc.start()
+    try:
+        pca_project(fps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rows and their centred copy at once would be 2 x 15.6 MiB plus the Gram matrix
+    assert peak < 2 * float_rows
 
 
 # ---------------------------------------------------------------------------
