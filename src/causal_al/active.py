@@ -30,6 +30,7 @@ from .errors import (
     MissingColumn,
 )
 from .graphdist import spectral_distance
+from .util import checked_names
 
 DEFAULT_M = 50
 DEFAULT_N_ITER = 20
@@ -92,12 +93,9 @@ def _run(
     if target not in features:
         raise MissingColumn(f"target {target!r} must be among the discovery features")
     for k, sub in enumerate(subsets):
-        for f in features:
-            if f not in sub.feature_names:
-                raise MissingColumn(f"feature {f!r} missing from subset {k}")
-    all_ids = [rid for sub in subsets for rid in sub.row_ids]
-    if len(set(all_ids)) != len(all_ids):
-        raise DuplicateRowId("row ids must be unique across subsets")
+        checked_names(features, sub.feature_names, f"features of subset {k}", MissingColumn)
+    checked_names((rid for sub in subsets for rid in sub.row_ids),
+                  where="row ids across subsets", error=DuplicateRowId)
     # Each iteration takes m rows from one subset that still holds m, so some
     # subset is eligible at every iteration exactly when this many batches exist.
     batches = sum(sub.n_rows // m for sub in subsets)

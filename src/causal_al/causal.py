@@ -35,6 +35,7 @@ from .errors import (
     NodeMismatch,
     SchemaError,
 )
+from .util import checked_names
 
 DEFAULT_PRUNE_THRESHOLD = 0.05
 
@@ -68,7 +69,8 @@ class WeightedDag:
     standardized: bool = True
 
     def __post_init__(self):
-        d = len(self.node_names)
+        names = checked_names(self.node_names, where="node names")
+        d = len(names)
         B = np.asarray(self.B, dtype=np.float64)
         if B.shape != (d, d):
             raise SchemaError(f"adjacency shape {B.shape} does not match {d} nodes")
@@ -79,7 +81,7 @@ class WeightedDag:
         B = B.copy()
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "node_names", tuple(self.node_names))
+        object.__setattr__(self, "node_names", names)
         object.__setattr__(self, "causal_order", tuple(self.causal_order))
 
     @property
@@ -372,8 +374,7 @@ def discover_lingam(
     are mapped back to the original column scales.
     """
     names = table.feature_names
-    if target not in names:
-        raise MissingColumn(f"target {target!r} not in table")
+    checked_names((target,), names, "target", MissingColumn)
     x = table.values[None]
     mean, std, constant = _column_stats(x)
     if constant.any():

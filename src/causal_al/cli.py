@@ -28,7 +28,7 @@ import numpy as np
 # Each stage imports the modules it runs, so a stage process loads only those.
 from . import artifacts
 from .errors import NUMERIC_ERRORS, CausalAlError, ConfigError, SchemaError
-from .util import file_sha256, fmt
+from .util import checked_names, file_sha256, fmt
 
 if TYPE_CHECKING:
     from .dataio import TableSchema
@@ -78,9 +78,6 @@ class Config:
     """
 
     def __init__(self, values: dict[str, str], base_dir: Path):
-        unknown = set(values) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         self.values = dict(_DEFAULTS) | values
         self.bases = {k: base_dir for k in self.values}
         self.params: dict[str, object] = {}
@@ -90,12 +87,13 @@ class Config:
     def from_file(cls, path: Path | None) -> "Config":
         if path is None:
             return cls({}, Path.cwd())
-        values = dict(artifacts.read(path, error=ConfigError).meta)
-        return cls(values, Path(path).resolve().parent)
+        meta = artifacts.read(path, error=ConfigError).meta
+        checked_names([key for key, _ in meta], _DEFAULTS, str(path), ConfigError)
+        return cls(dict(meta), Path(path).resolve().parent)
 
     def override(self, key: str, value: str) -> None:
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
+        """Set `key` from the command line; a later override of a key wins."""
+        checked_names((key,), _DEFAULTS, "config key", ConfigError)
         self.values[key] = value
         self.bases[key] = Path.cwd()
 
@@ -154,21 +152,11 @@ class Config:
 
     def list(self, key: str, allowed) -> tuple[str, ...]:
         """The names under `key`, each once and each one of `allowed`."""
-        return self._used(key, _checked_names(
+        return self._used(key, checked_names(
             artifacts.names(self.values[key]), allowed, key, ConfigError))
 
     def opt_int(self, key: str) -> int | None:
         return self.int(key) if self.values[key] else None
-
-
-def _checked_names(names, allowed, where: str, error) -> tuple[str, ...]:
-    """`names` as given, after raising `error` at a repeated name or one not in `allowed`."""
-    for i, name in enumerate(names):
-        if name not in allowed:
-            raise error(f"{where}: {name!r} is not one of {','.join(allowed)}")
-        if name in names[:i]:
-            raise error(f"{where}: {name!r} is named twice")
-    return names
 
 
 def _load_features(cfg: Config):
@@ -192,8 +180,8 @@ def _discovery_columns(cfg: Config, outdir: Path):
     target = _main_target(schema)
     sel_path = outdir / "selected_features.txt"
     if sel_path.exists():
-        selected = _checked_names(artifacts.read_id_list(cfg.input(sel_path)),
-                                  table.feature_names, str(sel_path), SchemaError)
+        selected = checked_names(artifacts.read_id_list(cfg.input(sel_path)),
+                                 table.feature_names, str(sel_path))
     else:
         selected = table.plain_feature_names
     return table, target, tuple(f for f in selected if f != target) + (target,)
@@ -227,8 +215,7 @@ def cmd_select_features(cfg: Config, outdir: Path):
 
     schema, table, _ = _load_features(cfg)
     intermediate = cfg.raw("intermediate_target") or _main_target(schema)
-    if intermediate not in table.feature_names:
-        raise ConfigError(f"intermediate target {intermediate!r} not in table")
+    checked_names((intermediate,), table.feature_names, "intermediate_target", ConfigError)
     columns = tuple(f for f in table.plain_feature_names if f != intermediate) + (intermediate,)
     # ranking on the standardized scale: strengths must be unit-free
     dag = causal.discover_lingam(
@@ -446,9 +433,7 @@ def cmd_synth(cfg: Config, outdir: Path):
     n_subsets = cfg.int("synth_subsets", 1)
     rows = cfg.int("synth_rows", 10)
     ref_rows = cfg.int("synth_reference_rows", 1)
-    fp_width = cfg.int("synth_fp_width")
-    if fp_width < 8 or fp_width % 8:
-        raise ConfigError(f"synth_fp_width must be a positive multiple of 8, got {fp_width}")
+    fp_width = dataio.TableSchema.checked_width(cfg.int("synth_fp_width"), "synth_fp_width")
     spread = cfg.float("synth_spread")
     noise_scale = cfg.float("synth_noise_scale")
 

@@ -22,6 +22,7 @@ from .errors import (
     InsufficientData,
     MissingColumn,
 )
+from .util import checked_names
 
 COVARIANCE_FLOOR = 1e-6
 DEFAULT_TOL = 1e-6  # EM stops once the summed log-likelihood gains less
@@ -103,16 +104,13 @@ def fit_gmm(
     is non-decreasing up to a small numerical slack, and whether EM stopped
     on `tol` rather than at `max_iter`.
     """
-    pivots = tuple(pivot_features)
+    pivots = checked_names(pivot_features, table.feature_names, "pivot features", MissingColumn)
     if n_components < 1:
         raise ConfigError(f"n_components must be >= 1, got {n_components}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     if not (tol >= 0.0 and np.isfinite(tol)):
         raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
-    for p in pivots:
-        if p not in table.feature_names:
-            raise MissingColumn(f"pivot feature {p!r} not in table")
     n = table.n_rows
     if n < n_components:
         raise InsufficientData(f"{n} rows cannot support {n_components} components")
@@ -176,9 +174,7 @@ def fit_gmm(
 
 def responsibilities(model: GmmModel, table: FeatureTable) -> np.ndarray:
     """Posterior component probabilities per row (rows sum to 1)."""
-    for p in model.pivot_features:
-        if p not in table.feature_names:
-            raise MissingColumn(f"pivot feature {p!r} not in table")
+    checked_names(model.pivot_features, table.feature_names, "pivot features", MissingColumn)
     xt = np.ascontiguousarray(table.matrix(model.pivot_features).T)
     log_probs = _log_probs(xt, model.weights, model.means, model.covariances)
     return np.exp(log_probs - _log_normalizer(log_probs)).T

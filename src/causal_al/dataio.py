@@ -10,7 +10,6 @@ trips are bit identical.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .errors import (
     MissingColumn,
     SchemaError,
 )
+from .util import checked_names
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,9 @@ class FeatureTable:
             )
         row_pos = {rid: i for i, rid in enumerate(self.row_ids)}
         if len(row_pos) != len(self.row_ids):
-            raise DuplicateRowId("row ids are not unique")
-        _unique_columns(self.feature_names)
-        missing = [t for t in self.target_names if t not in self.feature_names]
-        if missing:
-            raise MissingColumn(f"target columns not in table: {missing}")
+            checked_names(self.row_ids, where="row ids", error=DuplicateRowId)
+        checked_names(self.feature_names, where="columns")
+        checked_names(self.target_names, self.feature_names, "target columns", MissingColumn)
         if values.size and not np.isfinite(values).all():
             raise SchemaError("table contains non-finite values")
         values = values.copy()
@@ -106,13 +104,6 @@ class FeatureTable:
         )
 
 
-def _unique_columns(names, where: str = "") -> None:
-    """Refuse a repeated column name: only its first column could be read by name."""
-    if len(set(names)) < len(names):
-        name = next(name for name, n in Counter(names).items() if n > 1)
-        raise SchemaError(f"{where}column {name!r} appears twice")
-
-
 def concat_tables(tables) -> FeatureTable:
     """Stack tables with identical columns; row ids must stay unique."""
     tables = list(tables)
@@ -139,26 +130,40 @@ class LoadReport:
 
 @dataclass(frozen=True)
 class TableSchema:
-    """Column roles for CSV ingestion; declared, never inferred."""
+    """Column roles for CSV ingestion; declared, never inferred.
+
+    Fingerprints are stored as whole bytes, so `fingerprint_width` must be a
+    positive multiple of 8.
+    """
 
     id_column: str = "id"
     target_columns: tuple[str, ...] = ()
     fingerprint_width: int = 2048
 
+    def __post_init__(self):
+        self.checked_width(self.fingerprint_width)
 
-_SCHEMA_KEYS = {"id_column", "target_columns", "fingerprint_width"}
+    @staticmethod
+    def checked_width(width: int, key: str = "fingerprint_width") -> int:
+        """`width`, after raising ConfigError (naming `key`) unless it is a
+        positive multiple of 8: the one rule for a fingerprint width."""
+        if width <= 0 or width % 8:
+            raise ConfigError(f"{key} must be a positive multiple of 8, got {width}")
+        return width
+
+
+_SCHEMA_KEYS = ("id_column", "target_columns", "fingerprint_width")
 
 
 def read_schema(path) -> TableSchema:
-    """Parse a plain-text `key = value` schema file."""
+    """Parse a plain-text `key = value` schema file; each key at most once."""
     art = artifacts.read(path, error=ConfigError)
-    unknown = sorted({key for key, _ in art.meta} - _SCHEMA_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown schema keys {unknown}")
+    checked_names([key for key, _ in art.meta], _SCHEMA_KEYS, str(path), ConfigError)
     return TableSchema(
         id_column=art.get("id_column", default="id"),
         target_columns=art.get("target_columns", artifacts.names, ()),
-        fingerprint_width=art.get("fingerprint_width", int, 2048),
+        fingerprint_width=TableSchema.checked_width(
+            art.get("fingerprint_width", int, 2048), f"{path}: fingerprint_width"),
     )
 
 
@@ -181,10 +186,9 @@ def load_feature_table(path, schema: TableSchema) -> tuple[FeatureTable, LoadRep
     def columns(found: tuple[str, ...]) -> tuple[str, ...]:
         """Any header that holds the declared columns; `parse` needs the id's place."""
         nonlocal id_pos
-        _unique_columns(found, f"{path}: header ")
-        for column in (schema.id_column, *schema.target_columns):
-            if column not in found:
-                raise MissingColumn(f"{path}: declared column {column!r} not in header")
+        checked_names(found, where=f"{path}: header")
+        checked_names((schema.id_column, *schema.target_columns), found,
+                      f"{path}: declared columns", MissingColumn)
         id_pos = found.index(schema.id_column)
         return found
 
@@ -201,8 +205,7 @@ def load_feature_table(path, schema: TableSchema) -> tuple[FeatureTable, LoadRep
     art = artifacts.read(path, columns, parse)
     ids = [rid for rid, _ in art.rows]
     if len(set(ids)) < len(ids):
-        rid = next(rid for rid, n in Counter(ids).items() if n > 1)
-        raise DuplicateRowId(f"{path}: duplicate row id {rid!r}")
+        checked_names(ids, where=f"{path}: row ids", error=DuplicateRowId)
     kept = {rid: values for rid, values in art.rows if values is not None}
     if not kept:
         raise EmptyTable(f"{path}: no rows survived validation")
@@ -277,7 +280,7 @@ class FingerprintTable:
         self.row_ids = tuple(row_ids)
         self._row_pos = {rid: i for i, rid in enumerate(self.row_ids)}  # row id -> row index
         if len(self._row_pos) != len(self.row_ids):
-            raise DuplicateRowId("fingerprint row ids are not unique")
+            checked_names(self.row_ids, where="fingerprint row ids", error=DuplicateRowId)
         packed.setflags(write=False)
         self.packed = packed
         self.width = width
@@ -297,8 +300,7 @@ class FingerprintTable:
 
 def load_fingerprints(path, width: int = 2048) -> FingerprintTable:
     """Load `id,fp_hex` rows; each hex string must encode exactly `width` bits."""
-    if width <= 0 or width % 8 != 0:
-        raise ConfigError(f"fingerprint width must be a positive multiple of 8, got {width}")
+    TableSchema.checked_width(width, "fingerprint width")
 
     def packed(rid: str, hexstr: str) -> tuple[str, bytes]:
         hexstr = hexstr.strip()

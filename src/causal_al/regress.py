@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataio import FeatureTable
 from .errors import ConfigError, DegenerateTarget, EmptyTable, MissingColumn
+from .util import checked_names
 
 DEFAULT_N_TREES = 100
 DEFAULT_MAX_DEPTH = 12
@@ -386,8 +387,8 @@ def fit_forest(
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
     if train.n_rows == 0:
         raise EmptyTable("training table is empty")
-    if target not in train.feature_names:
-        raise MissingColumn(f"target {target!r} not in table")
+    # a repeated feature, or the target among the features, is refused too
+    checked_names((*features, target), train.feature_names, "features and target", MissingColumn)
     xt = np.ascontiguousarray(train.matrix(features).T)
     y = train.column(target)
     n = y.size

@@ -13,6 +13,7 @@ import numpy as np
 from .causal import WeightedDag
 from .dataio import FeatureTable
 from .errors import ConfigError, CyclicGraph, NodeMismatch
+from .util import checked_names
 
 NOISE_FAMILIES = ("uniform", "laplace", "gaussian")
 
@@ -27,7 +28,8 @@ class SemSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "node_names", tuple(self.node_names))
+        object.__setattr__(self, "node_names", checked_names(
+            self.node_names, where="node names", error=ConfigError))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "noises", tuple(self.noises))
         if len(self.noises) != len(self.node_names):
@@ -133,19 +135,10 @@ def analytic_covariance(spec: SemSpec) -> np.ndarray:
     return inv @ np.diag(var) @ inv.T
 
 
-def perturb_spec(spec: SemSpec, perturbation, seed: int) -> SemSpec:
-    """Scale edge weights by a scalar factor or a {(parent, child): factor} map."""
-    if isinstance(perturbation, dict):
-        known = {(p, c) for p, c, _ in spec.edges}
-        unknown = set(perturbation) - known
-        if unknown:
-            raise ConfigError(f"perturbation references unknown edges: {sorted(unknown)}")
-        edges = tuple(
-            (p, c, w * perturbation.get((p, c), 1.0)) for p, c, w in spec.edges
-        )
-    else:
-        factor = float(perturbation)
-        edges = tuple((p, c, w * factor) for p, c, w in spec.edges)
+def perturb_spec(spec: SemSpec, factor: float, seed: int) -> SemSpec:
+    """Scale every edge weight by `factor`."""
+    factor = float(factor)
+    edges = tuple((p, c, w * factor) for p, c, w in spec.edges)
     return SemSpec(node_names=spec.node_names, edges=edges, noises=spec.noises, seed=seed)
 
 
@@ -160,9 +153,8 @@ def make_heterogeneous_world(
 ):
     """Subset tables from perturbed copies of one SEM, plus the global truth.
 
-    `perturbations` has one entry per subset (scalar weight factor or a
-    per-edge map); an identity entry (factor 1.0 / empty map) makes that
-    subset match the global system exactly. Returns
+    `perturbations` has one scalar weight factor per subset; a factor of 1.0
+    makes that subset match the global system exactly. Returns
     (subset_tables, global_table, true_dag).
     """
     perturbations = list(perturbations)

@@ -1,8 +1,28 @@
-"""Small shared helpers: float formatting, hashing, bounded parallelism."""
+"""Small shared helpers: name checks, float formatting, hashing, bounded parallelism."""
 
 from __future__ import annotations
 
 import hashlib
+
+from .errors import SchemaError
+
+
+def checked_names(names, allowed=None, where: str = "names", error=SchemaError) -> tuple[str, ...]:
+    """`names` as a tuple, after raising `error` at the first name that is
+    not one of `allowed` (when given) or that is named twice.
+
+    This is the one check of a list of names; its message names `where`
+    (the key, file or argument the names came from) and the name at fault.
+    """
+    names = tuple(names)
+    seen: set[str] = set()
+    for name in names:
+        if allowed is not None and name not in allowed:
+            raise error(f"{where}: {name!r} is not one of {','.join(allowed)}")
+        if name in seen:
+            raise error(f"{where}: {name!r} is named twice")
+        seen.add(name)
+    return names
 
 
 def fmt(x: float) -> str:

@@ -88,7 +88,8 @@ def test_random_choices_unchanged_when_every_subset_is_eligible():
 
 def test_missing_feature():
     subsets, _, dag = small_world()
-    with pytest.raises(MissingColumn):
+    unknown = "^features of subset 0: 'ghost' is not one of f1,f2,f3,y$"
+    with pytest.raises(MissingColumn, match=unknown):
         active_learn(subsets, dag, "y", features=("f1", "ghost", "y"), m=20, n_iter=2)
 
 
@@ -130,7 +131,8 @@ def test_rounded_constant_column_subset_scores_inf():
 
 def test_duplicate_ids_across_subsets_rejected():
     subsets, _, dag = small_world(perturbations=(1.0, 1.0))
-    with pytest.raises(DuplicateRowId):
+    rid = subsets[0].row_ids[0]
+    with pytest.raises(DuplicateRowId, match=f"^row ids across subsets: {rid!r} is named twice$"):
         active_learn([subsets[0], subsets[0]], dag, "y", m=20, n_iter=2)
 
 
@@ -217,3 +219,15 @@ def test_summarize_empty_and_mismatched():
     r2 = active_learn(subsets, dag, "y", m=20, n_iter=3, seed=0)
     with pytest.raises(ConfigError):
         summarize_runs([r1, r2])
+
+
+@pytest.mark.parametrize("features, match", [
+    (("f1", "f1", "f2", "f3", "y"), "^features of subset 0: 'f1' is named twice$"),
+    (("f1", "y", "y"), "^features of subset 0: 'y' is named twice$"),
+])
+def test_discovery_features_are_known_and_named_once(features, match):
+    # a repeated feature used to give a graph with two nodes of one name
+    subsets, _, dag = small_world()
+    for loop in (active_learn, random_baseline):
+        with pytest.raises(MissingColumn, match=match):
+            loop(subsets, dag, "y", features=features, m=20, n_iter=2)

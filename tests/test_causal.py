@@ -10,6 +10,7 @@ from causal_al.errors import (
     InsufficientData,
     MissingColumn,
     NodeMismatch,
+    SchemaError,
 )
 from causal_al.intervene import rank_features
 from causal_al.synth import SemSpec, sample_sem
@@ -103,7 +104,7 @@ def test_constant_column_is_degenerate_naming_the_first():
 
 def test_missing_target():
     table = sample_sem(CHAIN, 100)
-    with pytest.raises(MissingColumn):
+    with pytest.raises(MissingColumn, match="^target: 'nope' is not one of x1,x2,x3$"):
         discover_lingam(table, "nope")
 
 
@@ -432,3 +433,12 @@ def test_adjacency_csv(tmp_path):
     lines = p.read_text().splitlines()
     assert lines[0] == "node,x1,x2,t"
     assert lines[2].startswith("x2,0.69999999999999996,0,0")
+
+
+def test_dag_node_names_are_named_once(tmp_path):
+    with pytest.raises(SchemaError, match="^node names: 'a' is named twice$"):
+        WeightedDag(("a", "a"), np.zeros((2, 2)), (0, 1))
+    path = tmp_path / "g.csv"
+    path.write_text("# causal_order = a,b,a\nchild,parent,weight\nb,a,0.5\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="'a' is named twice$"):
+        causal.load_dag(path)

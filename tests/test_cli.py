@@ -532,3 +532,52 @@ def test_graph_dist_reads_no_config(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["graph-dist", str(graph), str(graph), "--set", "top_n=2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name, line", [
+    ("pipeline.cfg", "goal = 0.5"),
+    ("schema.cfg", "target_columns = f01"),
+])
+def test_config_or_schema_repeating_a_key_is_E_CONFIG_naming_the_file_and_writes_nothing(
+    small_pipeline, tmp_path, capsys, name, line
+):
+    # a repeated key used to take its last value without a word
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    with open(work / name, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    key = line.split(" = ")[0]
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    capsys.readouterr()
+    assert run_cli(["cluster", "-c", str(work / "pipeline.cfg")]) == 2
+    assert capsys.readouterr().err == f"E_CONFIG: {work / name}: {key!r} is named twice\n"
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
+def test_repeated_set_override_takes_the_last_value(tmp_path):
+    work = tmp_path / "w"
+    argv = ["synth", "-o", str(work), "--set", "goal=1", "--set", "goal=2"]
+    assert run_cli(argv + SMALL) == 0
+    assert artifacts.read(work / "pipeline.cfg").get("goal") == "2"
+
+
+@pytest.mark.parametrize("stage", PIPELINE)
+def test_schema_fingerprint_width_off_the_byte_grid_stops_every_stage_and_writes_nothing(
+    small_pipeline, tmp_path, capsys, stage
+):
+    # only `report` used to refuse it, after six stages had run on it
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    schema = work / "schema.cfg"
+    schema.write_text(
+        schema.read_text(encoding="utf-8").replace(
+            "fingerprint_width = 32", "fingerprint_width = 12"),
+        encoding="utf-8",
+    )
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    capsys.readouterr()
+    assert run_cli([stage, "-c", str(work / "pipeline.cfg")]) == 2
+    assert capsys.readouterr().err == (
+        f"E_CONFIG: {schema}: fingerprint_width must be a positive multiple of 8, got 12\n"
+    )
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before

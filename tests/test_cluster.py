@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -278,3 +280,17 @@ def test_fixed_fit_log_likelihood_trajectory_unchanged():
         "-0x1.a43febe1ba9e2p+8", "-0x1.92be7ef9a628ep+8", "-0x1.81e41d885152dp+8",
     )]
     np.testing.assert_allclose(model.log_likelihoods, recorded, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("pivots, match", [
+    (("p", "p"), "^pivot features: 'p' is named twice$"),
+    (("p", "q"), "^pivot features: 'q' is not one of p$"),
+])
+def test_pivot_features_are_known_and_named_once(pivots, match):
+    # a repeated pivot used to run EM on two copies of one column
+    table = two_cluster_table()
+    with pytest.raises(MissingColumn, match=match):
+        fit_gmm(table, pivots, n_components=2)
+    model = fit_gmm(table, ("p",), n_components=2, seed=7)
+    with pytest.raises(MissingColumn, match=match):
+        responsibilities(dataclasses.replace(model, pivot_features=pivots), table)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_load_duplicate_id(tmp_path):
 
 def test_table_refuses_a_repeated_feature_name():
     # the second column could not be reached by name
-    with pytest.raises(SchemaError, match="'a'"):
+    with pytest.raises(SchemaError, match="^columns: 'a' is named twice$"):
         make_table([[1.0, 2.0, 3.0]], ("a", "a", "y"), ("y",))
 
 
@@ -262,7 +263,7 @@ def test_fingerprint_table_refuses_a_bad_shape_non_binary_bits_and_repeated_ids(
     bad[3, width - 1] = 2
     with pytest.raises(SchemaError, match="^fingerprint bits must be 0/1$"):
         dataio.FingerprintTable(ids, bad)
-    with pytest.raises(DuplicateRowId, match="^fingerprint row ids are not unique$"):
+    with pytest.raises(DuplicateRowId, match=f"^fingerprint row ids: {ids[0]!r} is named twice$"):
         dataio.FingerprintTable(ids[:-1] + ids[:1], bits)
 
 
@@ -286,3 +287,43 @@ def test_fingerprint_save_load_save_is_byte_identical(tmp_path, width):
     assert not loaded.bits[:, width:].any()
     dataio.save_fingerprints(second, loaded)
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("row_ids, names, targets, error, match", [
+    (("r0", "r1", "r0"), ("a", "y"), ("y",), DuplicateRowId, "row ids: 'r0' is named twice"),
+    (("r0", "r1"), ("a", "y"), ("y", "y"), MissingColumn, "target columns: 'y' is named twice"),
+    (("r0", "r1"), ("a", "y"), ("z",), MissingColumn, "target columns: 'z' is not one of a,y"),
+])
+def test_feature_table_names_are_known_and_named_once(row_ids, names, targets, error, match):
+    with pytest.raises(error, match=f"^{match}$"):
+        dataio.FeatureTable(row_ids, names, np.zeros((len(row_ids), len(names))), targets)
+
+
+def test_load_refuses_a_target_declared_twice(tmp_path):
+    p = write(tmp_path, "id,f1,y\na,1,2\n")
+    schema = dataio.TableSchema(id_column="id", target_columns=("y", "y"))
+    where = re.escape(str(p))
+    with pytest.raises(MissingColumn, match=f"^{where}: declared columns: 'y' is named twice$"):
+        dataio.load_feature_table(p, schema)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("fingerprint_width = 12\n", "fingerprint_width must be a positive multiple of 8, got 12"),
+    ("fingerprint_width = 0\n", "fingerprint_width must be a positive multiple of 8, got 0"),
+    ("id_column = id\nid_column = smiles\n", "'id_column' is named twice"),
+    ("target = y\n", "'target' is not one of id_column,target_columns,fingerprint_width"),
+])
+def test_schema_file_is_refused_naming_the_file(tmp_path, text, match):
+    p = write(tmp_path, text, "schema.cfg")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: {match}$"):
+        dataio.read_schema(p)
+
+
+@pytest.mark.parametrize("width", [12, 0, -8])
+def test_fingerprint_width_off_the_byte_grid_is_refused_once_for_all(tmp_path, width):
+    rule = f"must be a positive multiple of 8, got {width}$"
+    with pytest.raises(ConfigError, match=f"^fingerprint_width {rule}"):
+        dataio.TableSchema(fingerprint_width=width)
+    p = write(tmp_path, "id,fp_hex\na,000\n", "fp.csv")
+    with pytest.raises(ConfigError, match=f"^fingerprint width {rule}"):
+        dataio.load_fingerprints(p, width)

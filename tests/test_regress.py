@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from causal_al import regress
-from causal_al.errors import ConfigError, DegenerateTarget, EmptyTable
+from causal_al.errors import ConfigError, DegenerateTarget, EmptyTable, MissingColumn
 from causal_al.regress import accuracy_trace, fit_forest, predict, r2, tree_predictions
 from tests.conftest import make_table
 
@@ -441,3 +441,14 @@ def test_feature_set_chunk_does_not_change_the_forest(monkeypatch, n_sets):
     got = fit_forest(table, features, "y", n_trees=3, max_depth=8, min_leaf=1, seed=6)
     for name in ("feature", "threshold", "left", "right", "value", "roots"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("features, target, match", [
+    (("x", "x"), "y", "'x' is named twice"),
+    (("x", "y"), "y", "'y' is named twice"),  # the target among the features
+    (("x", "z"), "y", "'z' is not one of x,y"),
+    (("x",), "z", "'z' is not one of x,y"),
+])
+def test_forest_columns_are_known_and_named_once(features, target, match):
+    with pytest.raises(MissingColumn, match=f"^features and target: {match}$"):
+        fit_forest(line_table(60), features, target, n_trees=2)

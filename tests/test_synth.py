@@ -75,17 +75,10 @@ def test_true_dag_matches_spec():
     assert dag.target == "x3"
 
 
-def test_perturb_scalar_and_map():
+def test_perturb_scalar():
     scaled = perturb_spec(CHAIN, 2.0, seed=1)
     assert scaled.edges[0][2] == pytest.approx(1.4)
-    mapped = perturb_spec(CHAIN, {("x1", "x2"): 0.5}, seed=1)
-    assert mapped.edges[0][2] == pytest.approx(0.35)
-    assert mapped.edges[1][2] == pytest.approx(0.5)
-
-
-def test_perturb_unknown_edge():
-    with pytest.raises(ConfigError):
-        perturb_spec(CHAIN, {("x3", "x1"): 2.0}, seed=1)
+    assert scaled.edges[1][2] == pytest.approx(1.0)
 
 
 def test_heterogeneous_world_shapes():
@@ -119,3 +112,9 @@ def test_wrong_perturbation_count():
 def test_synth_import_leaves_the_planner_unloaded():
     # analytic_covariance imports total_effects where it is called
     assert "causal_al.intervene" not in modules_after("import causal_al.synth")
+
+
+def test_spec_node_names_are_named_once():
+    # the edge used to be wired to the second `a`
+    with pytest.raises(ConfigError, match="^node names: 'a' is named twice$"):
+        SemSpec(("a", "a", "y"), (("a", "y", 0.5),), tuple(("uniform", 1.0) for _ in range(3)))
