@@ -39,10 +39,11 @@ DEFAULT_N_ITER = 20
 @dataclass(frozen=True)
 class IterationRecord:
     iteration: int
-    losses: tuple[float, ...]  # one per subset, +inf when discovery failed
+    losses: tuple[float, ...]  # one per subset, +inf when skipped or discovery failed
     chosen: int
     loss: float
     size: int
+    exhausted: int = 0  # subsets skipped: their pools held fewer than M rows
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,7 @@ def _run(
                 chosen=chosen,
                 loss=losses[chosen],
                 size=len(acc_ids),
+                exhausted=n_subsets - len(eligible),
             )
         )
 
@@ -223,29 +225,6 @@ def random_baseline(
         subsets, global_graph, target, features, m, n_iter, seed,
         prune_threshold, top_n, destandardize, mode="random",
     )
-
-
-def exhausted_candidates(run: ActiveLearningRun, subset_sizes) -> int:
-    """Candidate slots skipped because the subset's pool held fewer than M rows.
-
-    Replays the pool sizes from the committed choices; in the run itself
-    such a slot shows only as loss +inf.
-    """
-    sizes = list(subset_sizes)
-    skipped = 0
-    for rec in run.records:
-        skipped += sum(size < run.m_per_iter for size in sizes)
-        sizes[rec.chosen] -= run.m_per_iter
-    return skipped
-
-
-def degenerate_candidates(run: ActiveLearningRun, subset_sizes) -> int:
-    """Sampled candidates that discovery could not take: too few rows or a
-    constant column. They score +inf, like exhausted slots, and the random
-    baseline does not draw them while a finite candidate exists.
-    """
-    inf = sum(loss == float("inf") for rec in run.records for loss in rec.losses)
-    return inf - exhausted_candidates(run, subset_sizes)
 
 
 def summarize_runs(runs) -> tuple[np.ndarray, np.ndarray]:

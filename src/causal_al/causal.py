@@ -418,16 +418,28 @@ def save_dag(path, dag: WeightedDag) -> None:
     artifacts.write(path, meta=meta, header=DAG_HEADER, rows=rows)
 
 
+def edge_matrix(names, edges, where: str, error) -> np.ndarray:
+    """B with B[child, parent] = weight for each (child, parent, weight) of `edges`.
+
+    This is the one conversion of an edge list into an adjacency. Through
+    `checked_names` it raises `error`, naming `where`, at the first edge
+    node that is not one of `names` and at a (child, parent) pair listed
+    twice, shown as `'child<-parent'`.
+    """
+    edges = tuple(edges)
+    checked_names(dict.fromkeys(n for c, p, _ in edges for n in (c, p)), names, where, error)
+    checked_names((f"{c}<-{p}" for c, p, _ in edges), where=where, error=error)
+    pos = {n: i for i, n in enumerate(names)}
+    b = np.zeros((len(names), len(names)))
+    for child, parent, weight in edges:
+        b[pos[child], pos[parent]] = weight
+    return b
+
+
 def load_dag(path) -> WeightedDag:
     art = artifacts.read(path, DAG_HEADER, lambda c, p, w: (c, p, float(w)))
     names = art.get("causal_order", artifacts.names)
-    pos = {n: i for i, n in enumerate(names)}
-    b = np.zeros((len(names), len(names)))
-    for child, parent, weight in art.rows:
-        for node in (child, parent):
-            if node not in pos:
-                raise SchemaError(f"{path}: edge names unknown node {node!r}")
-        b[pos[child], pos[parent]] = weight
+    b = edge_matrix(names, art.rows, f"{path} edges", SchemaError)
     means = art.get("node_means", artifacts.floats, ())
     stds = art.get("node_stds", artifacts.floats, ())
     return WeightedDag(

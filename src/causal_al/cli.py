@@ -289,12 +289,11 @@ def cmd_active_learn(cfg: Config, outdir: Path):
         header=("subset", "count"),
         rows=enumerate(active.selection_counts(active_runs)),
     )
-    sizes = [sub.n_rows for sub in subsets]
-    runs = active_runs + random_runs
-    return {}, {
-        "exhausted_candidates": sum(active.exhausted_candidates(r, sizes) for r in runs),
-        "degenerate_candidates": sum(active.degenerate_candidates(r, sizes) for r in runs),
-    }
+    # a sampled candidate that scores +inf is degenerate: too few rows or a constant column
+    records = [rec for run in active_runs + random_runs for rec in run.records]
+    exhausted = sum(rec.exhausted for rec in records)
+    inf = sum(loss == math.inf for rec in records for loss in rec.losses)
+    return {}, {"exhausted_candidates": exhausted, "degenerate_candidates": inf - exhausted}
 
 
 def cmd_intervene(cfg: Config, outdir: Path):
@@ -304,7 +303,8 @@ def cmd_intervene(cfg: Config, outdir: Path):
     table, target, columns = _discovery_columns(cfg, outdir)
     features = columns[:-1]
     interventable = cfg.list("interventable", features) or features
-    dal_ids = artifacts.read_id_list(cfg.input(outdir / "dal_ids.txt"))
+    dal_path = cfg.input(outdir / "dal_ids.txt")
+    dal_ids = checked_names(artifacts.read_id_list(dal_path), where=str(dal_path))
     dal_table = table.select_by_ids(dal_ids).select_columns(columns)
 
     dag = causal.discover_lingam(
@@ -312,15 +312,15 @@ def cmd_intervene(cfg: Config, outdir: Path):
         prune_threshold=cfg.float("prune_threshold"),
         destandardize=cfg.bool("destandardize"),
     )
-    causal.save_dag(outdir / "dal_graph.csv", dag)
-
     bounds = intervene.feature_bounds(table, features)
+    # planning can fail (no lever), so nothing is written before it
     plans = intervene.plan_interventions(
         dal_table, dag,
         goal_value=goal,
         interventable=interventable,
         bounds=bounds,
     )
+    causal.save_dag(outdir / "dal_graph.csv", dag)
     intervene.save_plans(outdir / "plans.csv", plans)
     intervened_table = intervene.apply_interventions(dal_table.select_columns(features), plans)
     dataio.save_feature_table(outdir / "intervened.csv", intervened_table)
@@ -527,6 +527,7 @@ def _run_stage(command: str, cfg: Config) -> None:
     byte-identical across reruns.
     """
     t0 = time.monotonic()
+    seed = cfg.int("seed")  # a bad seed, from any source, stops the stage before it writes
     outdir = cfg.path("output_dir")
     outdir.mkdir(parents=True, exist_ok=True)
     derived, counts = _STAGES[command](cfg, outdir)
@@ -536,7 +537,7 @@ def _run_stage(command: str, cfg: Config) -> None:
     meta += [("input", f"{p.name} sha256={file_sha256(p)}") for p in cfg.inputs]
     meta += [(f"param {k}", _shown(params[k])) for k in sorted(params)]
     meta += [(f"count {k}", _shown(counts[k])) for k in sorted(counts)]
-    meta += [("seed", str(cfg.int("seed"))), ("duration_s", f"{time.monotonic() - t0:.3f}")]
+    meta += [("seed", str(seed)), ("duration_s", f"{time.monotonic() - t0:.3f}")]
     artifacts.write(outdir / f"{stage}.manifest", meta=meta)
 
 
@@ -567,13 +568,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _make_config(args) -> Config:
     cfg = Config.from_file(Path(args.config) if args.config else None)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            int(env_seed)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
-        cfg.override("seed", env_seed)
+    if SEED_ENV_VAR in os.environ:
+        cfg.override("seed", os.environ[SEED_ENV_VAR])
     for item in args.set:
         cfg.override(*artifacts.parse_kv(item, f"--set {item!r}", ConfigError))
     if args.output_dir is not None:

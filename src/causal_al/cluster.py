@@ -211,4 +211,6 @@ def write_labels(path, row_ids, labels) -> None:
 
 
 def read_labels(path) -> dict[str, int]:
-    return dict(artifacts.read(path, ("id", "subset"), lambda rid, lab: (rid, int(lab))).rows)
+    rows = artifacts.read(path, ("id", "subset"), lambda rid, lab: (rid, int(lab))).rows
+    checked_names((rid for rid, _ in rows), where=str(path))
+    return dict(rows)

@@ -23,6 +23,7 @@ import numpy as np
 from . import artifacts
 from .dataio import FeatureTable
 from .errors import ConfigError, NoCausalLever, NodeMismatch, SchemaError
+from .util import checked_names
 
 # `causal` is imported for annotations only, so the stages that read plans
 # (`match`, `report`) do not load the discovery kernel.
@@ -165,9 +166,8 @@ def plan_interventions(
     its shifted value clamped to them, and the plan is flagged.
     """
     effects = total_effects(dag)
+    _check_model(effects, dag)
     x = table.values[:, [table.index(n) for n in dag.node_names]]
-    if dag.target is None:
-        raise NodeMismatch("dag has no designated target")
     if interventable is None:
         interventable = [n for n in dag.node_names if n != dag.target]
     ranked = rank_by_effect(effects, dag, dag.target, interventable)
@@ -203,7 +203,8 @@ def apply_interventions(table: FeatureTable, plans) -> FeatureTable:
     Row ids of intervened rows get a marker suffix; the output has exactly
     the input's rows in input order.
     """
-    by_id = {p.row_id: p for p in plans}
+    plans = tuple(plans)
+    by_id = dict(zip(checked_names((p.row_id for p in plans), where="plans"), plans))
     unknown = set(by_id) - set(table.row_ids)
     if unknown:
         raise SchemaError(f"plans reference unknown rows, e.g. {sorted(unknown)[:3]}")

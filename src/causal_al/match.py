@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .intervene import DEFAULT_GOAL, original_id
-from .util import parallel_map
+from .util import checked_names, parallel_map
 
 # Query x reference distance values held per block (256 KiB of float64, so a
 # block's buffers stay in a core's L2 cache); a block always takes at least
@@ -328,10 +328,12 @@ def save_neighbors(path, neighbors) -> None:
 
 
 def load_neighbors(path) -> list[NeighborResult]:
-    grouped: dict[str, list] = {}
-    for qid, *entry in artifacts.read(path, NEIGHBORS_HEADER, (
+    rows = artifacts.read(path, NEIGHBORS_HEADER, (
         lambda qid, rank, rid, dist, t: (qid, int(rank), rid, float(dist), float(t) if t else None)
-    )).rows:
+    )).rows
+    checked_names((f"{qid} rank {rank}" for qid, rank, *_ in rows), where=str(path))
+    grouped: dict[str, list] = {}
+    for qid, *entry in rows:
         grouped.setdefault(qid, []).append(entry)
     results = []
     for qid, entries in grouped.items():

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import WeightedDag
+from .causal import WeightedDag, edge_matrix
 from .dataio import FeatureTable
 from .errors import ConfigError, CyclicGraph, NodeMismatch
 from .util import checked_names
@@ -39,18 +39,12 @@ class SemSpec:
                 raise ConfigError(f"unknown noise family {family!r}")
             if scale <= 0.0:
                 raise ConfigError("noise scales must be positive")
-        known = set(self.node_names)
-        for parent, child, _ in self.edges:
-            if parent not in known or child not in known:
-                raise NodeMismatch(f"edge {parent!r}->{child!r} references unknown node")
+        self.b_matrix()  # raises NodeMismatch on an unknown node or a repeated edge
         self.topological_order()  # raises CyclicGraph on a cycle
 
     def b_matrix(self) -> np.ndarray:
-        pos = {n: i for i, n in enumerate(self.node_names)}
-        b = np.zeros((len(self.node_names), len(self.node_names)))
-        for parent, child, weight in self.edges:
-            b[pos[child], pos[parent]] = weight
-        return b
+        return edge_matrix(
+            self.node_names, ((c, p, w) for p, c, w in self.edges), "edges", NodeMismatch)
 
     def topological_order(self) -> list[int]:
         """Kahn's algorithm over the edge set; lowest index first on ties."""

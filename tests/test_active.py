@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from causal_al import active
 from causal_al.active import (
     active_learn,
     random_baseline,
@@ -22,6 +21,30 @@ def small_world(n_rows=400, perturbations=(0.3, 1.0, 1.9), seed=17):
     return make_heterogeneous_world(
         len(perturbations), SPEC, perturbations, seed=seed, n_rows=n_rows, target="y"
     )
+
+
+def replayed_exhausted(run, subset_sizes):
+    """Exhausted slots re-derived from the committed choices: the frozen
+    replay that the run records' `exhausted` field replaced, kept as a reference."""
+    sizes = list(subset_sizes)
+    skipped = 0
+    for rec in run.records:
+        skipped += sum(size < run.m_per_iter for size in sizes)
+        sizes[rec.chosen] -= run.m_per_iter
+    return skipped
+
+
+def exhausted(run, subset_sizes):
+    """The run's recorded exhausted slots, checked against the replay."""
+    recorded = sum(rec.exhausted for rec in run.records)
+    assert recorded == replayed_exhausted(run, subset_sizes)
+    return recorded
+
+
+def degenerate(run, subset_sizes):
+    """Sampled candidates scored +inf: every +inf slot but the exhausted ones."""
+    inf = sum(loss == float("inf") for rec in run.records for loss in rec.losses)
+    return inf - exhausted(run, subset_sizes)
 
 
 def test_single_subset_no_choice():
@@ -63,8 +86,9 @@ def test_exhausted_subsets_become_ineligible(loop):
     for rec in run.records:
         assert np.isfinite(rec.loss)
         assert sum(np.isinf(rec.losses)) == rec.iteration  # the ones already taken
+        assert rec.exhausted == rec.iteration
     assert len(set(run.selected_row_ids)) == 90
-    assert active.exhausted_candidates(run, [50, 50, 50]) == 0 + 1 + 2
+    assert exhausted(run, [50, 50, 50]) == 0 + 1 + 2
 
 
 @pytest.mark.parametrize("loop", [active_learn, random_baseline])
@@ -73,7 +97,7 @@ def test_subset_smaller_than_m_is_never_sampled(loop):
     subsets[0] = subsets[0].select_rows(range(10))
     run = loop(subsets, dag, "y", m=20, n_iter=4, seed=3)
     assert all(rec.losses[0] == float("inf") and rec.chosen != 0 for rec in run.records)
-    assert active.exhausted_candidates(run, [10, 400, 400]) == 4
+    assert exhausted(run, [10, 400, 400]) == 4
 
 
 CHOSEN_RANDOM_SEED_11 = [1, 0, 2, 2, 0, 0, 1, 1]
@@ -109,8 +133,8 @@ def test_constant_column_subset_scores_inf_without_aborting():
         assert len(run.records) == 3
         for rec in run.records:  # a degenerate candidate is never committed
             assert np.isfinite(rec.loss)
-        assert active.degenerate_candidates(run, [400, 400, 400]) == 1
-        assert active.exhausted_candidates(run, [400, 400, 400]) == 0
+        assert degenerate(run, [400, 400, 400]) == 1
+        assert exhausted(run, [400, 400, 400]) == 0
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP H")
@@ -126,7 +150,7 @@ def test_rounded_constant_column_subset_scores_inf():
         run = active_learn(subsets, dag, "y", m=1000, n_iter=1, seed=0)
         assert run.records[0].losses[2] == float("inf")
         assert np.isfinite(run.records[0].losses[:2]).all()
-        assert active.degenerate_candidates(run, [1000, 1000, 1000]) == 1
+        assert degenerate(run, [1000, 1000, 1000]) == 1
 
 
 def test_duplicate_ids_across_subsets_rejected():

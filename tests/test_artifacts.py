@@ -229,7 +229,7 @@ def test_undecodable_file_raises_schema_error_naming_it(tmp_path):
 
 def test_edge_naming_an_unknown_node_is_a_schema_error(tmp_path):
     path = _write(tmp_path, "g.csv", "# causal_order = a,b\nchild,parent,weight\nb,zz,0.5\n")
-    with pytest.raises(SchemaError, match="unknown node 'zz'$"):
+    with pytest.raises(SchemaError, match="g.csv edges: 'zz' is not one of a,b$"):
         causal.load_dag(path)
 
 

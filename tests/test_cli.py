@@ -186,6 +186,37 @@ def test_seed_env_var_and_flag_precedence(tmp_path, monkeypatch):
 
     monkeypatch.setenv(cli.SEED_ENV_VAR, "oops")
     assert run_cli(["synth", "-o", str(tmp_path / "x")] + SMALL) == 2
+    # the flag wins over a bad environment value too
+    w_bad_env = tmp_path / "bad_env"
+    assert run_cli(["synth", "-o", str(w_bad_env), "--seed", "5"] + SMALL) == 0
+    assert "seed = 5" in (w_bad_env / "synth.manifest").read_text().splitlines()
+
+
+@pytest.mark.parametrize("source", ["config", "set", "env"])
+def test_bad_seed_from_any_source_is_E_CONFIG_and_writes_nothing(
+    small_pipeline, tmp_path, monkeypatch, capsys, source
+):
+    # from the config file or --set it used to be refused only when the
+    # manifest was written, after the stage had rewritten its artifacts
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    cfg = work / "pipeline.cfg"
+    argv = ["select-features", "-c", str(cfg)]
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    if source == "config":
+        text = cfg.read_text(encoding="utf-8")
+        assert "\nseed = 3\n" in text
+        cfg.write_text(text.replace("\nseed = 3\n", "\nseed = abc\n"), encoding="utf-8")
+    elif source == "set":
+        argv += ["--set", "seed=abc"]
+    else:
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+    (work / "ranking.csv").unlink()  # a rerun would rewrite it byte for byte
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "E_CONFIG: seed must be an integer, got 'abc'\n"
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
 
 def test_stage_rerunnable_from_artifacts(tmp_path):
@@ -291,6 +322,37 @@ def test_bad_selected_features_file_is_E_DATA_naming_the_file_and_writes_nothing
     assert run_cli([stage, "-c", str(work / "pipeline.cfg")]) == 3
     err = _one_data_error(capsys)
     assert "selected_features.txt" in err and bad in err
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
+def test_dal_ids_naming_a_row_twice_is_E_DATA_naming_the_file_and_writes_nothing(
+    small_pipeline, tmp_path, capsys
+):
+    # the repeat used to stop the stage inside FeatureTable, naming no file
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    dal = work / "dal_ids.txt"
+    ids = artifacts.read_id_list(dal)
+    artifacts.write_id_list(dal, ids + ids[:1])
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    capsys.readouterr()
+    assert run_cli(["intervene", "-c", str(work / "pipeline.cfg")]) == 3
+    assert _one_data_error(capsys) == f"E_DATA: {dal}: {ids[0]!r} is named twice\n"
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
+def test_intervene_without_a_lever_is_E_NUMERIC_and_writes_nothing(
+    small_pipeline, tmp_path, capsys
+):
+    # it used to rewrite dal_graph.csv before planning failed, leaving the
+    # earlier run's plans.csv beside a graph they were not planned on
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    capsys.readouterr()
+    argv = ["intervene", "-c", str(work / "pipeline.cfg"), "--set", "prune_threshold=0.9"]
+    assert run_cli(argv) == 4
+    assert capsys.readouterr().err == "E_NUMERIC: no interventable feature affects 'y'\n"
     assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
 
@@ -513,6 +575,15 @@ def test_graph_edge_naming_an_unknown_node_is_E_DATA(tmp_path, capsys):
     err = _one_data_error(capsys)
     assert str(bad) in err
     assert "'zz'" in err and "'b'" not in err
+
+
+def test_graph_listing_an_edge_twice_is_E_DATA_naming_the_file_and_the_edge(tmp_path, capsys):
+    # the second weight used to replace the first without a word
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "# causal_order = a,b\nchild,parent,weight\nb,a,0.5\nb,a,0.9\n", encoding="utf-8")
+    assert run_cli(["graph-dist", str(bad), str(bad)]) == 3
+    assert _one_data_error(capsys) == f"E_DATA: {bad} edges: 'b<-a' is named twice\n"
 
 
 def test_undecodable_input_is_E_DATA_naming_the_file(tmp_path, capsys):

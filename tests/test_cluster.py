@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from causal_al.errors import (
     DegenerateFeature,
     InsufficientData,
     MissingColumn,
+    SchemaError,
 )
 from tests.conftest import make_table
 
@@ -181,6 +183,14 @@ def test_labels_round_trip(tmp_path):
     p = tmp_path / "subsets.csv"
     cluster.write_labels(p, ("a", "b", "c"), [0, 2, 1])
     assert cluster.read_labels(p) == {"a": 0, "b": 2, "c": 1}
+
+
+def test_labels_naming_a_row_twice_are_refused_naming_the_file(tmp_path):
+    # the last label used to win without a word
+    p = tmp_path / "subsets.csv"
+    p.write_text("id,subset\na,0\na,1\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(p))}: 'a' is named twice$"):
+        cluster.read_labels(p)
 
 
 def _ref_logsumexp_rows(a):

@@ -459,6 +459,16 @@ def test_apply_interventions_unknown_row():
         apply_interventions(table, plans + bad)
 
 
+def test_apply_interventions_refuses_two_plans_for_one_row():
+    # only the last of the two plans used to be applied
+    table = make_table([[1.0, 0.5]], ("x", "y"), target_names=("y",))
+    plans = [
+        intervene.InterventionPlan("r0", "x", 1.0, new, 0.5, 0.5, 3.0) for new in (5.0, 9.0)
+    ]
+    with pytest.raises(SchemaError, match="^plans: 'r0' is named twice$"):
+        apply_interventions(table, plans)
+
+
 def test_batch_row_count_preserved():
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, 50)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -553,3 +554,14 @@ def test_neighbors_round_trip(tmp_path):
     match.save_neighbors(p, neighbors)
     loaded = match.load_neighbors(p)
     assert loaded == neighbors
+
+
+def test_neighbors_file_repeating_a_rank_is_refused_naming_the_file(tmp_path):
+    # the two rank-1 rows used to load as distances (0.5, 0.4), out of order
+    p = tmp_path / "nn.csv"
+    p.write_text(
+        "query_id,rank,ref_id,distance,ref_target\na,1,r1,0.5,\na,1,r2,0.4,\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(p))}: 'a rank 1' is named twice$"):
+        match.load_neighbors(p)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from causal_al.errors import ConfigError, CyclicGraph
+from causal_al.errors import ConfigError, CyclicGraph, NodeMismatch
 from causal_al.synth import (
     SemSpec,
     analytic_covariance,
@@ -118,3 +118,13 @@ def test_spec_node_names_are_named_once():
     # the edge used to be wired to the second `a`
     with pytest.raises(ConfigError, match="^node names: 'a' is named twice$"):
         SemSpec(("a", "a", "y"), (("a", "y", 0.5),), tuple(("uniform", 1.0) for _ in range(3)))
+
+
+@pytest.mark.parametrize("edges, error", [
+    # the second weight used to replace the first without a word
+    ((("a", "y", 0.5), ("a", "y", 0.9)), "^edges: 'y<-a' is named twice$"),
+    ((("a", "zz", 0.5),), "^edges: 'zz' is not one of a,y$"),
+])
+def test_spec_edge_with_an_unknown_node_or_listed_twice_is_refused(edges, error):
+    with pytest.raises(NodeMismatch, match=error):
+        SemSpec(("a", "y"), edges, (("uniform", 1.0), ("uniform", 1.0)))
