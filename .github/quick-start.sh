@@ -2,7 +2,8 @@
 # Runs every `causal-al ...` line of the README in a fresh directory and stops
 # at the first non-zero exit; then runs the seven stages again at --jobs 2 into
 # another directory, whose artifacts (all but the manifests, which hold
-# timings) must be byte-identical to the first run's.
+# timings) must be byte-identical to the first run's; then runs a stage that
+# must fail, which may leave neither its output directory nor a *.tmp file.
 #
 # Usage: sh .github/quick-start.sh [COMMAND...]
 # COMMAND runs in place of `causal-al`, the installed console script, e.g.
@@ -19,4 +20,13 @@ for f in jobs2/*; do
   case "$f" in *.manifest) continue ;; esac
   cmp "$f" "work/${f#jobs2/}"
 done
-echo "quick start in $PWD: every stage exited 0; --jobs 2 artifacts are byte-identical"
+# failed/ holds no dal_ids.txt, so intervene must stop without creating it
+if "$@" intervene -c work/pipeline.cfg -o failed; then
+  echo "intervene without dal_ids.txt exited 0" >&2
+  exit 1
+fi
+[ ! -e failed ] || { echo "a failed intervene left failed/ behind" >&2; exit 1; }
+tmp="$(find . -name '*.tmp')"
+[ -z "$tmp" ] || { echo "temporary files left behind: $tmp" >&2; exit 1; }
+echo "quick start in $PWD: every stage exited 0; --jobs 2 artifacts are byte-identical;"
+echo "a failing stage left no directory and no temporary file"

@@ -378,7 +378,8 @@ def discover_lingam(
     x = table.values[None]
     mean, std, constant = _column_stats(x)
     if constant.any():
-        raise DegenerateFeature(names[int(np.argmax(constant[0]))])
+        raise DegenerateFeature(
+            f"column {names[int(np.argmax(constant[0]))]!r} is constant over {table.n_rows} rows")
     b, order = _discover(x, mean, std, names.index(target), prune_threshold, destandardize)
     return WeightedDag(
         node_names=names,

@@ -4,7 +4,8 @@ Subcommands map one-to-one onto pipeline stages; every stage reads its
 inputs from files named in a plain-text config (CLI flags win over config
 values), writes its artifacts in the text format of `artifacts` plus a
 manifest into the output directory, and is independently rerunnable from
-persisted artifacts.
+persisted artifacts. A stage that exits non-zero leaves its output directory
+as it found it and creates no directory (see `_run_stage`).
 All randomness flows from the named master seed, so reruns are
 byte-identical apart from manifest timings.
 
@@ -16,10 +17,12 @@ stderr, prefixed E_CONFIG / E_IO / E_DATA / E_NUMERIC.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -189,8 +192,8 @@ def _discovery_columns(cfg: Config, outdir: Path):
 
 # ---------------------------------------------------------------------------
 # Stages: each reads its config values and files through the config, which
-# records them, writes its artifacts into the output directory, and returns
-# the params it works out itself and the counts of its manifest.
+# records them, and returns the params it works out itself, the counts of its
+# manifest and the files for `_run_stage` to write. No stage writes.
 # ---------------------------------------------------------------------------
 
 
@@ -203,11 +206,12 @@ def cmd_cluster(cfg: Config, outdir: Path):
         table, pivots, n_components=cfg.int("n_components", 1), seed=cfg.int("seed")
     )
     labels = cluster.assign_subsets(model, table)
-    cluster.save_gmm(outdir / "gmm_model.txt", model)
-    cluster.write_labels(outdir / "subsets.csv", table.row_ids, labels)
-    dataio.write_load_report(outdir / "load_report.txt", report)
     counts = {"em_iterations": len(model.log_likelihoods), "em_converged": model.converged}
-    return {"pivot_features": pivots}, counts
+    return {"pivot_features": pivots}, counts, {
+        "gmm_model.txt": partial(cluster.save_gmm, model=model),
+        "subsets.csv": partial(cluster.write_labels, row_ids=table.row_ids, labels=labels),
+        "load_report.txt": partial(dataio.write_load_report, report=report),
+    }
 
 
 def cmd_select_features(cfg: Config, outdir: Path):
@@ -226,9 +230,10 @@ def cmd_select_features(cfg: Config, outdir: Path):
     k = cfg.int("k_features", 1)
     if k > len(ranking):
         raise ConfigError(f"k_features must be at most {len(ranking)}, got {k}")
-    artifacts.write(outdir / "ranking.csv", header=("feature", "strength"), rows=ranking)
-    artifacts.write_id_list(outdir / "selected_features.txt", [name for name, _ in ranking[:k]])
-    return {"intermediate_target": intermediate}, {}
+    return {"intermediate_target": intermediate}, {}, {
+        "ranking.csv": partial(artifacts.write, header=("feature", "strength"), rows=ranking),
+        "selected_features.txt": partial(artifacts.write_id_list, ids=[f for f, _ in ranking[:k]]),
+    }
 
 
 def cmd_discover(cfg: Config, outdir: Path):
@@ -240,9 +245,10 @@ def cmd_discover(cfg: Config, outdir: Path):
         prune_threshold=cfg.float("prune_threshold"),
         destandardize=cfg.bool("destandardize"),
     )
-    causal.save_dag(outdir / "global_graph.csv", dag)
-    causal.save_adjacency_csv(outdir / "global_adjacency.csv", dag)
-    return {"target": target, "features": columns}, {}
+    return {"target": target, "features": columns}, {}, {
+        "global_graph.csv": partial(causal.save_dag, dag=dag),
+        "global_adjacency.csv": partial(causal.save_adjacency_csv, dag=dag),
+    }
 
 
 def cmd_active_learn(cfg: Config, outdir: Path):
@@ -268,24 +274,27 @@ def cmd_active_learn(cfg: Config, outdir: Path):
         top_n=cfg.opt_int("top_n"),
         destandardize=cfg.bool("destandardize"),
     )
-    active_runs, random_runs = [], []
+    active_runs, random_runs, files = [], [], {}
     for r in range(cfg.int("n_realizations", 1)):
         for mode, loop, runs in (("active", active.active_learn, active_runs),
                                  ("random", active.random_baseline, random_runs)):
             run = loop(subsets, global_graph, target, features, seed=seed + r, **params)
-            active.save_run(outdir / f"{mode}_run_{r}.csv", run)
+            files[f"{mode}_run_{r}.csv"] = partial(active.save_run, run=run)
             runs.append(run)
+    # run files of an earlier run with more realizations would outlive its summary
+    files |= {p.name: None for mode in ("active", "random")
+              for p in sorted(outdir.glob(f"{mode}_run_*.csv")) if p.name not in files}
 
-    artifacts.write_id_list(outdir / "dal_ids.txt", active_runs[0].selected_row_ids)
     a_mean, a_std = active.summarize_runs(active_runs)
     r_mean, r_std = active.summarize_runs(random_runs)
-    artifacts.write(
-        outdir / "loss_summary.csv",
+    files["dal_ids.txt"] = partial(artifacts.write_id_list, ids=active_runs[0].selected_row_ids)
+    files["loss_summary.csv"] = partial(
+        artifacts.write,
         header=("iter", "active_mean", "active_std", "random_mean", "random_std"),
         rows=zip(range(len(a_mean)), a_mean, a_std, r_mean, r_std),
     )
-    artifacts.write(
-        outdir / "selection_counts.csv",
+    files["selection_counts.csv"] = partial(
+        artifacts.write,
         header=("subset", "count"),
         rows=enumerate(active.selection_counts(active_runs)),
     )
@@ -293,13 +302,12 @@ def cmd_active_learn(cfg: Config, outdir: Path):
     records = [rec for run in active_runs + random_runs for rec in run.records]
     exhausted = sum(rec.exhausted for rec in records)
     inf = sum(loss == math.inf for rec in records for loss in rec.losses)
-    return {}, {"exhausted_candidates": exhausted, "degenerate_candidates": inf - exhausted}
+    return {}, {"exhausted_candidates": exhausted, "degenerate_candidates": inf - exhausted}, files
 
 
 def cmd_intervene(cfg: Config, outdir: Path):
     from . import causal, dataio, intervene
 
-    goal = cfg.float("goal")  # a bad goal stops the stage before it writes anything
     table, target, columns = _discovery_columns(cfg, outdir)
     features = columns[:-1]
     interventable = cfg.list("interventable", features) or features
@@ -312,19 +320,18 @@ def cmd_intervene(cfg: Config, outdir: Path):
         prune_threshold=cfg.float("prune_threshold"),
         destandardize=cfg.bool("destandardize"),
     )
-    bounds = intervene.feature_bounds(table, features)
-    # planning can fail (no lever), so nothing is written before it
     plans = intervene.plan_interventions(
         dal_table, dag,
-        goal_value=goal,
+        goal_value=cfg.float("goal"),
         interventable=interventable,
-        bounds=bounds,
+        bounds=intervene.feature_bounds(table, features),
     )
-    causal.save_dag(outdir / "dal_graph.csv", dag)
-    intervene.save_plans(outdir / "plans.csv", plans)
     intervened_table = intervene.apply_interventions(dal_table.select_columns(features), plans)
-    dataio.save_feature_table(outdir / "intervened.csv", intervened_table)
-    return {"interventable": interventable}, {}
+    return {"interventable": interventable}, {}, {
+        "dal_graph.csv": partial(causal.save_dag, dag=dag),
+        "plans.csv": partial(intervene.save_plans, plans=plans),
+        "intervened.csv": partial(dataio.save_feature_table, table=intervened_table),
+    }
 
 
 def cmd_match(cfg: Config, outdir: Path):
@@ -344,8 +351,9 @@ def cmd_match(cfg: Config, outdir: Path):
         ref_target=ref_target,
         jobs=cfg.int("jobs", 1),
     )
-    match.save_neighbors(outdir / "neighbors.csv", neighbors)
-    return {"ref_target": ref_target or ""}, {}
+    return {"ref_target": ref_target or ""}, {}, {
+        "neighbors.csv": partial(match.save_neighbors, neighbors=neighbors),
+    }
 
 
 def cmd_report(cfg: Config, outdir: Path):
@@ -375,29 +383,28 @@ def cmd_report(cfg: Config, outdir: Path):
         plans, neighbors, ref_targets,
         threshold=goal, query_fps=query_fps, reference_fps=ref_fps,
     )
-    artifacts.write(
-        outdir / "report_values.csv",
-        header=("id", "original", "intervened", "matched"),
-        rows=zip(
-            [p.row_id for p in plans],
-            report.original_targets, report.intervened_targets, report.matched_targets,
+    files = {
+        "report_values.csv": partial(
+            artifacts.write,
+            header=("id", "original", "intervened", "matched"),
+            rows=zip(
+                [p.row_id for p in plans],
+                report.original_targets, report.intervened_targets, report.matched_targets,
+            ),
         ),
-    )
-    artifacts.write(
-        outdir / "report_pairs.csv",
-        header=("id", "tanimoto", "distance"),
-        rows=((qid, sim if sim == sim else "", dist) for qid, sim, dist in report.pairs),
-    )
-    artifacts.write(outdir / "report_summary.txt", meta=[
-        ("threshold", report.threshold),
-        ("above_threshold_count", report.above_threshold_count),
-        ("above_threshold_ids", report.above_threshold_ids),
-    ])
-
-    pca_path = outdir / "pca_coords.csv"
-    if query_fps is None:
-        pca_path.unlink(missing_ok=True)  # it would not match this run's report
-    else:
+        "report_pairs.csv": partial(
+            artifacts.write,
+            header=("id", "tanimoto", "distance"),
+            rows=((qid, sim if sim == sim else "", dist) for qid, sim, dist in report.pairs),
+        ),
+        "report_summary.txt": partial(artifacts.write, meta=[
+            ("threshold", report.threshold),
+            ("above_threshold_count", report.above_threshold_count),
+            ("above_threshold_ids", report.above_threshold_ids),
+        ]),
+        "pca_coords.csv": None,  # without fingerprints, one would not match this report
+    }
+    if query_fps is not None:
         proj = match.pca_project(query_fps)
         dal_path = outdir / "dal_ids.txt"
         dal_ids = set(artifacts.read_id_list(cfg.input(dal_path))) if dal_path.exists() else set()
@@ -412,8 +419,9 @@ def cmd_report(cfg: Config, outdir: Path):
                 bits = np.array([ref_fps.row(r) for r in present])
                 projected = match.project_onto(proj, bits)
                 coords += [(rid, p1, p2, "matched") for rid, (p1, p2) in zip(present, projected)]
-        artifacts.write(pca_path, header=("id", "phi1", "phi2", "role"), rows=coords)
-    return {"threshold": goal}, {}
+        files["pca_coords.csv"] = partial(
+            artifacts.write, header=("id", "phi1", "phi2", "role"), rows=coords)
+    return {"threshold": goal}, {}, files
 
 
 def cmd_graph_dist(g1: str, g2: str, top_n: int | None) -> None:
@@ -466,18 +474,20 @@ def cmd_synth(cfg: Config, outdir: Path):
     )
     features_table = dataio.concat_tables(subsets)
     schema = dataio.TableSchema(id_column="id", target_columns=("y",), fingerprint_width=fp_width)
-    dataio.save_feature_table(outdir / "features.csv", features_table)
-    dataio.save_feature_table(outdir / "reference.csv", reference)
-    dataio.write_schema(outdir / "schema.cfg", schema)
-    causal.save_dag(outdir / "true_graph.csv", true_dag)
+    files = {
+        "features.csv": partial(dataio.save_feature_table, table=features_table),
+        "reference.csv": partial(dataio.save_feature_table, table=reference),
+        "schema.cfg": partial(dataio.write_schema, schema=schema),
+        "true_graph.csv": partial(causal.save_dag, dag=true_dag),
+    }
 
     fp_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9000,)))
     for name, ids in (("fingerprints.csv", features_table.row_ids),
                       ("reference_fingerprints.csv", reference.row_ids)):
         bits = (fp_rng.random((len(ids), fp_width)) < 0.25).astype(np.uint8)
-        dataio.save_fingerprints(outdir / name, dataio.FingerprintTable(ids, bits))
+        files[name] = partial(dataio.save_fingerprints, fps=dataio.FingerprintTable(ids, bits))
 
-    artifacts.write(outdir / "pipeline.cfg", meta=[
+    files["pipeline.cfg"] = partial(artifacts.write, meta=[
         ("features", "features.csv"),
         ("schema", "schema.cfg"),
         ("fingerprints", "fingerprints.csv"),
@@ -491,7 +501,7 @@ def cmd_synth(cfg: Config, outdir: Path):
             "m_per_iter", "n_iter", "n_realizations", "goal", "knn_k", "prune_threshold",
         )),
     ])
-    return {}, {}
+    return {}, {}, files
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +528,16 @@ def _shown(value) -> str:
 
 
 def _run_stage(command: str, cfg: Config) -> None:
-    """Run one stage in its output directory and write its `<stage>.manifest`.
+    """Run one stage, then write the files it returns and its `<stage>.manifest`.
+
+    A stage only reads: it returns an ordered {name: write} map, where
+    `write(path)` writes one artifact and None removes a stale file. Only
+    then is the output directory created. Each file, the manifest last, is
+    written to `<name>.<pid>.tmp` in it, and once all are written in full
+    they replace their targets in order. On any failure the temporary files
+    and the directories this call created are removed: a stage that exits
+    non-zero changes nothing on disk. Each file is replaced atomically, but
+    the set is not: if a rename fails partway, the ones before it are new.
 
     The manifest records the hash of each file the stage read (in read
     order), each config value it read under its key (bar the seed, which
@@ -527,18 +546,38 @@ def _run_stage(command: str, cfg: Config) -> None:
     byte-identical across reruns.
     """
     t0 = time.monotonic()
-    seed = cfg.int("seed")  # a bad seed, from any source, stops the stage before it writes
+    seed = cfg.int("seed")
     outdir = cfg.path("output_dir")
-    outdir.mkdir(parents=True, exist_ok=True)
-    derived, counts = _STAGES[command](cfg, outdir)
+    derived, counts, files = _STAGES[command](cfg, outdir)
     params = {k: v for k, v in (cfg.params | derived).items() if k != "seed"}
     stage = command.replace("-", "_")
     meta = [("stage", stage)]
     meta += [("input", f"{p.name} sha256={file_sha256(p)}") for p in cfg.inputs]
     meta += [(f"param {k}", _shown(params[k])) for k in sorted(params)]
     meta += [(f"count {k}", _shown(counts[k])) for k in sorted(counts)]
-    meta += [("seed", str(seed)), ("duration_s", f"{time.monotonic() - t0:.3f}")]
-    artifacts.write(outdir / f"{stage}.manifest", meta=meta)
+    files[f"{stage}.manifest"] = lambda path: artifacts.write(path, meta=meta + [
+        ("seed", str(seed)), ("duration_s", f"{time.monotonic() - t0:.3f}")])
+
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
+    tmps = {}
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, write in files.items():
+            if write is not None:
+                tmps[name] = outdir / f"{name}.{os.getpid()}.tmp"
+                write(tmps[name])
+        for name, write in files.items():
+            if write is None:
+                (outdir / name).unlink(missing_ok=True)
+            else:
+                os.replace(tmps[name], outdir / name)
+    except BaseException:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+        for d in created:
+            with contextlib.suppress(OSError):  # not empty if a rename failed partway
+                d.rmdir()
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -120,7 +120,8 @@ def fit_gmm(
     x = table.matrix(pivots)
     center, scale, constant = column_stats(x)
     if constant.any():
-        raise DegenerateFeature(pivots[int(np.argmax(constant))])
+        raise DegenerateFeature(
+            f"column {pivots[int(np.argmax(constant))]!r} is constant over {n} rows")
     z = (x - center) / scale
     zt = np.ascontiguousarray(z.T)
     dim = z.shape[1]

@@ -98,7 +98,7 @@ def test_constant_column_is_degenerate_naming_the_first():
     x[:, 2] = 1.5
     x[:, 1] = 5.0
     table = make_table(x, ("a", "b", "c", "y"), target_names=("y",))
-    with pytest.raises(DegenerateFeature, match="^b$"):
+    with pytest.raises(DegenerateFeature, match="^column 'b' is constant over 100 rows$"):
         discover_lingam(table, "y")
 
 

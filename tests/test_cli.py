@@ -45,6 +45,13 @@ def snapshot(workdir):
     return out
 
 
+def state(path):
+    """What a failing stage must leave as it found it: `{name: bytes}` of the
+    files in `path` (None if there is no such directory) and the names beside it."""
+    files = {p.name: p.read_bytes() for p in path.iterdir()} if path.exists() else None
+    return files, sorted(p.name for p in path.parent.iterdir())
+
+
 def test_full_pipeline_end_to_end(tmp_path, capsys):
     work = tmp_path / "w"
     run_pipeline(work)
@@ -156,7 +163,7 @@ def test_degenerate_data_is_E_NUMERIC(tmp_path, capsys):
         "--set", "pivot_features=f1",
     ])
     assert code == 4
-    assert capsys.readouterr().err.startswith("E_NUMERIC")
+    assert capsys.readouterr().err == "E_NUMERIC: column 'f1' is constant over 10 rows\n"
 
 
 def test_k_features_above_feature_count_is_E_CONFIG(tmp_path, capsys):
@@ -212,11 +219,11 @@ def test_bad_seed_from_any_source_is_E_CONFIG_and_writes_nothing(
     else:
         monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
     (work / "ranking.csv").unlink()  # a rerun would rewrite it byte for byte
-    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    before = state(work)
     capsys.readouterr()
     assert run_cli(argv) == 2
     assert capsys.readouterr().err == "E_CONFIG: seed must be an integer, got 'abc'\n"
-    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+    assert state(work) == before
 
 
 def test_stage_rerunnable_from_artifacts(tmp_path):
@@ -297,13 +304,13 @@ def test_bad_name_list_is_E_CONFIG_naming_the_key_and_writes_nothing(
 ):
     work = tmp_path / "w"
     shutil.copytree(small_pipeline, work)
-    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    before = state(work)
     capsys.readouterr()
     assert run_cli([stage, "-c", str(work / "pipeline.cfg"), "--set", f"{key}={value}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"E_CONFIG: {key}: ")
     assert "\n" not in err.strip()
-    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+    assert state(work) == before
 
 
 @pytest.mark.parametrize("stage", ["discover", "intervene"])
@@ -317,12 +324,12 @@ def test_bad_selected_features_file_is_E_DATA_naming_the_file_and_writes_nothing
     work = tmp_path / "w"
     shutil.copytree(small_pipeline, work)
     artifacts.write_id_list(work / "selected_features.txt", names)
-    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    before = state(work)
     capsys.readouterr()
     assert run_cli([stage, "-c", str(work / "pipeline.cfg")]) == 3
     err = _one_data_error(capsys)
     assert "selected_features.txt" in err and bad in err
-    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+    assert state(work) == before
 
 
 def test_dal_ids_naming_a_row_twice_is_E_DATA_naming_the_file_and_writes_nothing(
@@ -334,11 +341,11 @@ def test_dal_ids_naming_a_row_twice_is_E_DATA_naming_the_file_and_writes_nothing
     dal = work / "dal_ids.txt"
     ids = artifacts.read_id_list(dal)
     artifacts.write_id_list(dal, ids + ids[:1])
-    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    before = state(work)
     capsys.readouterr()
     assert run_cli(["intervene", "-c", str(work / "pipeline.cfg")]) == 3
     assert _one_data_error(capsys) == f"E_DATA: {dal}: {ids[0]!r} is named twice\n"
-    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+    assert state(work) == before
 
 
 def test_intervene_without_a_lever_is_E_NUMERIC_and_writes_nothing(
@@ -348,12 +355,12 @@ def test_intervene_without_a_lever_is_E_NUMERIC_and_writes_nothing(
     # earlier run's plans.csv beside a graph they were not planned on
     work = tmp_path / "w"
     shutil.copytree(small_pipeline, work)
-    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    before = state(work)
     capsys.readouterr()
     argv = ["intervene", "-c", str(work / "pipeline.cfg"), "--set", "prune_threshold=0.9"]
     assert run_cli(argv) == 4
     assert capsys.readouterr().err == "E_NUMERIC: no interventable feature affects 'y'\n"
-    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+    assert state(work) == before
 
 
 def test_report_pairs_hold_the_tanimoto_of_the_fingerprint_files(small_pipeline):
@@ -381,7 +388,7 @@ def test_synth_fingerprint_width_off_the_byte_grid_is_E_CONFIG_and_writes_nothin
     assert capsys.readouterr().err == (
         f"E_CONFIG: synth_fp_width must be a positive multiple of 8, got {width}\n"
     )
-    assert list(work.glob("*")) == []
+    assert not work.exists()
 
 
 def test_features_file_with_a_repeated_column_is_E_DATA(tmp_path, capsys):
@@ -405,11 +412,11 @@ def test_non_finite_goal_is_E_CONFIG_and_writes_nothing(tmp_path, capsys, goal):
     cfg = str(work / "pipeline.cfg")
     for stage in PIPELINE[:PIPELINE.index("intervene")]:
         assert run_cli([stage, "-c", cfg]) == 0, stage
-    before = sorted(p.name for p in work.iterdir())
+    before = state(work)
     capsys.readouterr()
     assert run_cli(["intervene", "-c", cfg, "--set", f"goal={goal}"]) == 2
     assert capsys.readouterr().err == f"E_CONFIG: goal must be a finite number, got {goal!r}\n"
-    assert sorted(p.name for p in work.iterdir()) == before
+    assert state(work) == before
 
 
 def test_report_takes_goal_from_plans_not_config(tmp_path):
@@ -545,18 +552,85 @@ def test_graph_dist_on_a_non_graph_file_is_E_DATA(tmp_path, capsys):
     _one_data_error(capsys)
 
 
-def test_id_the_format_cannot_hold_is_E_DATA(tmp_path, capsys):
-    work = tmp_path / "w"
-    assert run_cli(["synth", "-o", str(work), "--seed", "3"] + SMALL) == 0
-    features = work / "features.csv"
+def quote_a_comma_into_the_first_id(features):
+    """Make the first row's id `C(C)O,x`: the table loads, but no artifact can hold the id."""
     lines = features.read_text(encoding="utf-8").splitlines(keepends=True)
     first_id = lines[1].split(",", 1)[0]
     lines[1] = '"C(C)O,x"' + lines[1][len(first_id):]
     features.write_text("".join(lines), encoding="utf-8")
+
+
+def test_id_the_format_cannot_hold_is_E_DATA(tmp_path, capsys):
+    work = tmp_path / "w"
+    assert run_cli(["synth", "-o", str(work), "--seed", "3"] + SMALL) == 0
+    quote_a_comma_into_the_first_id(work / "features.csv")
+    before = state(work)
     capsys.readouterr()
     assert run_cli(["cluster", "-c", str(work / "pipeline.cfg")]) == 3
-    _one_data_error(capsys)
-    assert not (work / "subsets.csv").exists()
+    assert "cannot write 'C(C)O,x'" in _one_data_error(capsys)
+    # gmm_model.txt, formatted before subsets.csv, used to be left behind
+    assert state(work) == before
+
+
+# One corrupt or missing input per stage: the exit code, the fault made in a
+# copy of the SMALL pipeline, and the arguments after `<stage> -c pipeline.cfg`,
+# where {out} is a directory that does not exist. Where the stage writes into
+# the copy, the arguments make its files differ from the copy's. Most of these
+# used to leave a new directory behind or some of the stage's files rewritten.
+STAGE_FAULTS = {
+    # k_features is read only once the world is built
+    "synth": (2, None, ["-o", "{out}/deeper", "--set", "k_features=abc"]),
+    "cluster": (3, lambda w: quote_a_comma_into_the_first_id(w / "features.csv"),
+                ["--set", "n_components=2"]),
+    "select-features": (3, lambda w: (w / "features.csv").write_bytes(b"\x89PNG\xff"),
+                        ["-o", "{out}"]),
+    "discover": (3, lambda w: (w / "selected_features.txt").write_text("f01,f02\n"), []),
+    "active-learn": (3, None, ["-o", "{out}"]),  # {out} holds no subsets.csv
+    "intervene": (3, None, ["-o", "{out}"]),  # {out} holds no dal_ids.txt
+    "match": (3, lambda w: (w / "intervened.csv").write_text("id,f01\nq,1,2\n"), []),
+    # report reads dal_ids.txt only for the PCA, once its other three files are worked out
+    "report": (3, lambda w: (w / "dal_ids.txt").write_text("a,b\n"),
+               ["--set", "reference_fingerprints="]),
+}
+
+
+@pytest.mark.parametrize("stage", STAGE_FAULTS)
+def test_a_failing_stage_leaves_its_output_directory_as_it_found_it(
+    small_pipeline, tmp_path, capsys, stage
+):
+    work, out = tmp_path / "w", tmp_path / "new"
+    shutil.copytree(small_pipeline, work)
+    code, fault, args = STAGE_FAULTS[stage]
+    if fault is not None:
+        fault(work)
+    before = state(work), state(out)
+    capsys.readouterr()
+    assert run_cli([stage, "-c", str(work / "pipeline.cfg")]
+                   + [a.format(out=out) for a in args]) == code
+    assert capsys.readouterr().err.startswith(("E_CONFIG: ", "E_IO: ", "E_DATA: "))
+    assert (state(work), state(out)) == before
+
+
+def test_output_dir_that_is_a_file_is_E_IO_and_changes_nothing(tmp_path, capsys):
+    # the runner's own failure, creating the directory, is reported as it is
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n", encoding="utf-8")
+    before = state(tmp_path)
+    assert run_cli(["synth", "-o", str(target)] + SMALL) == 3
+    assert capsys.readouterr().err.startswith("E_IO: [Errno 17] File exists: ")
+    assert state(tmp_path) == before
+
+
+def test_active_learn_rerun_removes_the_run_files_it_did_not_write(small_pipeline, tmp_path):
+    # a rerun at n_realizations=1 after one at 2 used to leave active_run_1.csv
+    # and random_run_1.csv, which its loss_summary.csv does not describe
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    cfg = str(work / "pipeline.cfg")
+    assert run_cli(["active-learn", "-c", cfg, "--set", "n_realizations=2"]) == 0
+    assert len(list(work.glob("*_run_*.csv"))) == 4
+    assert run_cli(["active-learn", "-c", cfg]) == 0
+    assert snapshot(work) == snapshot(small_pipeline)
 
 
 def test_undecodable_features_file_is_E_DATA(tmp_path, capsys):
@@ -618,11 +692,11 @@ def test_config_or_schema_repeating_a_key_is_E_CONFIG_naming_the_file_and_writes
     with open(work / name, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
     key = line.split(" = ")[0]
-    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    before = state(work)
     capsys.readouterr()
     assert run_cli(["cluster", "-c", str(work / "pipeline.cfg")]) == 2
     assert capsys.readouterr().err == f"E_CONFIG: {work / name}: {key!r} is named twice\n"
-    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+    assert state(work) == before
 
 
 def test_repeated_set_override_takes_the_last_value(tmp_path):
@@ -645,10 +719,10 @@ def test_schema_fingerprint_width_off_the_byte_grid_stops_every_stage_and_writes
             "fingerprint_width = 32", "fingerprint_width = 12"),
         encoding="utf-8",
     )
-    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    before = state(work)
     capsys.readouterr()
     assert run_cli([stage, "-c", str(work / "pipeline.cfg")]) == 2
     assert capsys.readouterr().err == (
         f"E_CONFIG: {schema}: fingerprint_width must be a positive multiple of 8, got 12\n"
     )
-    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+    assert state(work) == before
