@@ -548,6 +548,8 @@ def _run_stage(command: str, cfg: Config) -> None:
     t0 = time.monotonic()
     seed = cfg.int("seed")
     outdir = cfg.path("output_dir")
+    if outdir is None:
+        raise ConfigError("config key 'output_dir' must not be empty")
     derived, counts, files = _STAGES[command](cfg, outdir)
     params = {k: v for k, v in (cfg.params | derived).items() if k != "seed"}
     stage = command.replace("-", "_")

@@ -290,12 +290,15 @@ class FingerprintTable:
         """A new rows x width uint8 copy of the bits in {0, 1}."""
         return np.unpackbits(self.packed, axis=1, count=self.width)
 
-    def row(self, row_id: str) -> np.ndarray:
+    def index(self, row_id: str) -> int:
+        """The position of `row_id`'s row in `packed`."""
         try:
-            i = self._row_pos[row_id]
+            return self._row_pos[row_id]
         except KeyError:
             raise SchemaError(f"no fingerprint for id {row_id!r}") from None
-        return np.unpackbits(self.packed[i], count=self.width)
+
+    def row(self, row_id: str) -> np.ndarray:
+        return np.unpackbits(self.packed[self.index(row_id)], count=self.width)
 
 
 def load_fingerprints(path, width: int = 2048) -> FingerprintTable:

@@ -3,17 +3,24 @@
 Matching is exact k-nearest-neighbor search under Euclidean distance in a
 normalized feature space over the plain feature columns both tables
 share; normalization statistics come from the intervened population
-itself. Distances are computed for blocks of query rows of at most
-`_BLOCK_DISTANCES` values (one query row at least), so memory stays
-bounded whatever the query count. Structural similarity is reported
-through Tanimoto scores over ingested fingerprints, and fingerprint
-populations can be projected onto their top two principal components for
-trajectory plots.
+itself. Query rows are searched in blocks of `_BLOCK_DISTANCES` query x
+reference values (6 MiB of float64; one query row at least), so memory
+stays bounded whatever the query count. In each block one GEMM gives the
+expanded squared distance ||r||^2 - 2 q.r to every reference; a threshold
+from every 16th reference, widened by a rounding slack per reference row,
+drops the references that cannot reach a query's k nearest, and the rest
+are re-checked with the exact column-order sum that sets every output bit
+(`_top_k` derives the slack). A query row large enough to overflow that
+arithmetic keeps every reference. Structural similarity is reported
+through Tanimoto scores over ingested fingerprints, counted on their
+packed bytes, and fingerprint populations can be projected onto their top
+two principal components for trajectory plots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,10 +36,22 @@ from .errors import (
 from .intervene import DEFAULT_GOAL, original_id
 from .util import checked_names, parallel_map
 
-# Query x reference distance values held per block (256 KiB of float64, so a
-# block's buffers stay in a core's L2 cache); a block always takes at least
-# one query row against the whole reference table.
-_BLOCK_DISTANCES = 1 << 15
+# Query x reference values per block: a block's filter matrix holds 6 MiB
+# of float64, 39 query rows at 20 000 references (26-52 rows per block all
+# ran within 10 % there); a block always takes at least one query row
+# against the whole reference table.
+_BLOCK_DISTANCES = 3 << 18
+
+# Every _SAMPLE_STRIDE-th reference column sets a query's threshold.
+_SAMPLE_STRIDE = 16
+
+# A query row whose largest |value|, plus the table's, times sqrt(d) stays
+# below this keeps every filter value under 2^1000, far from overflow; a
+# row that reaches it keeps every reference.
+_FILTER_REACH = 2.0 ** 500
+
+_EPS = np.finfo(np.float64).eps  # 2^-52
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -82,16 +101,8 @@ def nearest_in_reference(
     zq = (xq - mean) / std
     zr = (xr - mean) / std
 
-    k_eff = min(k, reference.n_rows)
     targets = reference.column(ref_target) if ref_target is not None else None
-    step = max(1, _BLOCK_DISTANCES // reference.n_rows)
-    zr_cols = np.ascontiguousarray(zr.T)
-    blocks = parallel_map(
-        lambda lo: _top_k(zq[lo:lo + step], zr_cols, k_eff),
-        range(0, zq.shape[0], step),
-        jobs=jobs,
-    )
-    order, dists = (np.vstack(part) for part in zip(*blocks))
+    order, dists = _knn(zq, zr, min(k, reference.n_rows), jobs)
 
     results: list[NeighborResult] = []
     for qid, idx, dist in zip(intervened.row_ids, order.tolist(), dists.tolist()):
@@ -106,31 +117,115 @@ def nearest_in_reference(
     return results
 
 
-def _top_k(zq: np.ndarray, zr_cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+class _Reference(NamedTuple):
+    """A normalized reference table, prepared once for every query block.
+
+    Its rows are reordered so that the sampled ones come first.
+    """
+
+    columns: np.ndarray  # (d + 1) x n: the rows as columns, then (1 - slack) ||r||^2
+    ids: np.ndarray      # each column's row index in the caller's table
+    gap: np.ndarray      # 2 slack ||r||^2 of each sampled row, as computed
+    reach: float         # largest |value| in the table (NaN if it holds a NaN)
+    slack: float         # c, the filter's rounding slack per unit of ||q||^2 + ||r||^2
+
+
+def _knn(zq: np.ndarray, zr: np.ndarray, k: int, jobs: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of each query row's k nearest rows of `zr`.
+
+    Query rows go in blocks of `_BLOCK_DISTANCES` query x reference values
+    (one query row at least), over `jobs` threads; neither changes a bit of
+    the result.
+    """
+    n, d = zr.shape
+    stride = _SAMPLE_STRIDE if n >= _SAMPLE_STRIDE * k else 1
+    ids = np.argsort(np.arange(n) % stride, kind="stable")  # rows 0, stride, 2 stride, ... first
+    slack = 16 * (d + 2) * _EPS
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", zr, zr)[ids]
+        columns = np.vstack([zr[ids].T, norms * (1 - slack)])
+        gap = (2 * slack) * norms[:(n + stride - 1) // stride]
+    ref = _Reference(columns, ids, gap, float(np.abs(zr).max()), slack)
+    step = max(1, _BLOCK_DISTANCES // n)
+    blocks = parallel_map(
+        lambda lo: _top_k(zq[lo:lo + step], ref, k), range(0, zq.shape[0], step), jobs=jobs)
+    neighbors, dists = zip(*blocks)
+    return np.vstack(neighbors), np.vstack(dists)
+
+
+def _top_k(zq: np.ndarray, ref: _Reference, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances of each query row's k nearest references.
 
-    `zr_cols` holds the reference rows as columns (features x references).
-    Squared differences are summed one feature at a time in column order,
-    then rooted: the sequential sum of a scalar loop, bit for bit. Rows come
-    out ordered by (distance, reference index), so ties go to the earlier
-    reference row, at the k-th place too.
+    A distance is the exact path's: squared differences summed one feature
+    at a time in column order, then rooted, the sequential sum of a scalar
+    loop bit for bit. Rows come out ordered by (distance, reference index),
+    so ties go to the earlier reference row, at the k-th place too. Only the
+    references that a filter keeps take the exact path.
+
+    The filter. With a = ||q||^2, b = ||r||^2 and D = ||q - r||^2, one GEMM
+    of [-2q, 1] against the reference columns gives g = (1 - c) b' - 2 q.r
+    for the whole block (a' and b' are the computed norms). Let u = 2^-53
+    and gamma_m = m u / (1 - m u). Then:
+    - the exact path's s is within gamma_{d+2} D <= 2 gamma_{d+2} (a + b)
+      of D (the difference, its square, d - 1 additions);
+    - a' + b' is within gamma_d (a + b) of a + b;
+    - the GEMM is within gamma_{d+1} (2 sum |q_i r_i| + b') of its exact
+      value, in any summation order and with or without FMA, and
+      sum |q_i r_i| <= (a + b) / 2.
+    So s is within (5 d + 7) u (a + b) of a' + b' - 2 q.r. The slack
+    c = 16 (d + 2) eps = 32 (d + 2) u covers that, and the roundings of the
+    bound arithmetic below, with a wide margin; an absolute
+    t = 8 (d + 1) eta (eta the smallest subnormal) covers underflow. Per
+    query row:
+    - L_j = (1 - c) a' - t + g_j is at most s_j;
+    - U_j = (1 + c) a' + t + g_j + 2 c b'_j is at least s_j.
+    Over every `_SAMPLE_STRIDE`-th reference (every one when there are
+    fewer than `_SAMPLE_STRIDE` k), the k-th smallest U bounds the k-th
+    smallest s from above. Times 1 + 8u it also bounds every s whose root
+    rounds to the same distance. A reference whose L lies above that bound
+    can neither tie nor beat the k-th distance, so it is dropped. The
+    sampled references that set the bound always pass, so a row keeps at
+    least k. Slack per reference row, not one global max ||r||^2, keeps one
+    far-out reference from switching the filter off for every query.
+    Nothing here depends on the BLAS thread count.
+
+    A query row that reaches `_FILTER_REACH` against the table (or holds a
+    NaN) could overflow the filter, so it keeps every reference, at the
+    memory of a full scan. Its exact path then ranks the whole row as a
+    full scan does: where every distance overflows, references 0..k-1 at
+    inf.
     """
-    d = np.subtract.outer(zq[:, 0], zr_cols[0])
-    d *= d
-    diff = np.empty_like(d)
-    for j in range(1, zr_cols.shape[0]):
-        np.subtract.outer(zq[:, j], zr_cols[j], out=diff)
+    n_q, d = zq.shape
+    c, t = ref.slack, 8 * (d + 1) * _TINY
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.hstack([-2 * zq, np.ones((n_q, 1))]) @ ref.columns
+        upper = g[:, :ref.gap.size] + ref.gap
+        upper.partition(k - 1, axis=1)
+        kth = upper[:, k - 1]
+        a = np.einsum("ij,ij->i", zq, zq)
+        bound = ((1 + c) * a + t + kth) * (1 + 4 * _EPS)
+        keep = g <= np.maximum(bound - ((1 - c) * a - t), kth)[:, None]
+        far = ~((np.abs(zq).max(axis=1) + ref.reach) * np.sqrt(d) < _FILTER_REACH)
+    keep[far] = True
+    rows, pos = np.divmod(np.flatnonzero(keep), ref.ids.size)
+    del g, keep
+
+    dist = zq[rows, 0] - ref.columns[0, pos]
+    dist *= dist
+    for j in range(1, d):
+        diff = zq[rows, j] - ref.columns[j, pos]
         diff *= diff
-        d += diff
-    del diff  # freed before the partition copies `d`
-    np.sqrt(d, out=d)
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
-    rows, cols = np.nonzero(d <= kth)
-    vals = d[rows, cols]
-    order = np.lexsort((cols, vals, rows))
-    starts = np.searchsorted(rows, np.arange(d.shape[0]))
+        dist += diff
+    np.sqrt(dist, out=dist)
+    cols = ref.ids[pos]
+    order = np.lexsort((cols, dist, rows))
+    starts = np.searchsorted(rows, np.arange(n_q))
     pick = order[starts[:, None] + np.arange(k)]
-    return cols[pick], vals[pick]
+    return cols[pick], dist[pick]
+
+
+# The number of set bits in each byte value.
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def tanimoto(a: np.ndarray, b: np.ndarray) -> float:
@@ -139,12 +234,16 @@ def tanimoto(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise SchemaError(f"fingerprint widths differ: {a.shape} vs {b.shape}")
-    a = a.astype(bool)
-    b = b.astype(bool)
-    union = int(np.count_nonzero(a | b))
-    if union == 0:
-        return 1.0
-    return float(np.count_nonzero(a & b)) / union
+    return float(_packed_tanimoto(np.packbits(a.astype(bool)), np.packbits(b.astype(bool))))
+
+
+def _packed_tanimoto(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tanimoto of each pair of rows of two `np.packbits` arrays (the last
+    axis holds a row's bytes, whose padding bits are 0); 1.0 where both
+    rows are empty."""
+    both = _POPCOUNT[a & b].sum(axis=-1)
+    either = _POPCOUNT[a | b].sum(axis=-1)
+    return np.where(either == 0, 1.0, both / np.maximum(either, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +378,11 @@ def intervention_report(
     originals: list[float] = []
     intervened: list[float] = []
     matched: list[float] = []
-    pairs: list[tuple[str, float, float]] = []
+    firsts: list[tuple[str, float]] = []  # (query id, distance to the best match) per plan
+    fp_rows: list[tuple[int, int]] = []  # (query, reference) fingerprint row per plan
     above: list[str] = []
     seen_above: set[str] = set()
+    with_fps = query_fps is not None and reference_fps is not None
     for plan in plans:
         nr = by_query.get(plan.row_id)
         if nr is None:
@@ -293,20 +394,26 @@ def intervention_report(
         originals.append(plan.predicted_target_before)
         intervened.append(plan.predicted_target_after)
         matched.append(ref_value)
-        if query_fps is not None and reference_fps is not None:
-            sim = tanimoto(query_fps.row(plan.row_id), reference_fps.row(best_id))
-        else:
-            sim = float("nan")
-        pairs.append((plan.row_id, sim, nr.distances[0]))
+        firsts.append((plan.row_id, nr.distances[0]))
+        if with_fps:
+            fp_rows.append((query_fps.index(plan.row_id), reference_fps.index(best_id)))
         if ref_value > threshold and best_id not in seen_above:
             seen_above.add(best_id)
             above.append(best_id)
+    if fp_rows:
+        if query_fps.width != reference_fps.width:
+            raise SchemaError(
+                f"fingerprint widths differ: {query_fps.width} vs {reference_fps.width}")
+        qi, ri = np.array(fp_rows).T
+        sims = _packed_tanimoto(query_fps.packed[qi], reference_fps.packed[ri]).tolist()
+    else:
+        sims = [float("nan")] * len(firsts)
     return InterventionReport(
         threshold=threshold,
         original_targets=tuple(originals),
         intervened_targets=tuple(intervened),
         matched_targets=tuple(matched),
-        pairs=tuple(pairs),
+        pairs=tuple((qid, sim, dist) for (qid, dist), sim in zip(firsts, sims)),
         above_threshold_ids=tuple(above),
     )
 

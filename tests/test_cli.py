@@ -621,6 +621,22 @@ def test_output_dir_that_is_a_file_is_E_IO_and_changes_nothing(tmp_path, capsys)
     assert state(tmp_path) == before
 
 
+@pytest.mark.parametrize("stage", ["synth", "select-features"])
+def test_empty_output_dir_is_E_CONFIG_naming_the_key_and_changes_nothing(
+    small_pipeline, tmp_path, monkeypatch, capsys, stage
+):
+    # it used to end in an AttributeError traceback from the runner, exit 1
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    monkeypatch.chdir(work)
+    before = state(work)
+    capsys.readouterr()
+    argv = [stage, "--set", "output_dir="]
+    assert run_cli(argv + (SMALL if stage == "synth" else ["-c", "pipeline.cfg"])) == 2
+    assert capsys.readouterr().err == "E_CONFIG: config key 'output_dir' must not be empty\n"
+    assert state(work) == before
+
+
 def test_active_learn_rerun_removes_the_run_files_it_did_not_write(small_pipeline, tmp_path):
     # a rerun at n_realizations=1 after one at 2 used to leave active_run_1.csv
     # and random_run_1.csv, which its loss_summary.csv does not describe

@@ -253,6 +253,165 @@ def test_knn_peak_memory_bounded_at_reference_scale():
 
 
 # ---------------------------------------------------------------------------
+# k-NN from a sampled threshold (16 k reference rows or more), against the
+# full scan it replaced
+# ---------------------------------------------------------------------------
+
+
+def full_scan_top_k(zq, zr, k):
+    """The full-matrix kernel as it was before the sampled filter, frozen:
+    every query x reference distance as a sequential column-order sum,
+    rooted, then a partition of each whole row."""
+    zr_cols = np.ascontiguousarray(zr.T)
+    d = np.subtract.outer(zq[:, 0], zr_cols[0])
+    d *= d
+    diff = np.empty_like(d)
+    for j in range(1, zr_cols.shape[0]):
+        np.subtract.outer(zq[:, j], zr_cols[j], out=diff)
+        diff *= diff
+        d += diff
+    np.sqrt(d, out=d)
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(d <= kth)
+    vals = d[rows, cols]
+    order = np.lexsort((cols, vals, rows))
+    starts = np.searchsorted(rows, np.arange(d.shape[0]))
+    pick = order[starts[:, None] + np.arange(k)]
+    return cols[pick], vals[pick]
+
+
+def assert_knn_is_the_full_scan(zq, zr, k):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_ids, want_dists = full_scan_top_k(zq, zr, k)
+        ids, dists = match._knn(zq, zr, k)
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(dists.view(np.int64), want_dists.view(np.int64))  # bit for bit
+    return ids, dists
+
+
+def _normal(rng):
+    return rng.normal(size=(40, 9)), rng.normal(size=(1200, 9))
+
+
+def _duplicated(rng):
+    q, r = _normal(rng)
+    r = np.vstack([r, r[::7], r[::11]])
+    return np.vstack([q, r[[3, 14, 21]]]), r  # rows 14 and 21 repeat in r[::7]
+
+
+def _integer_grid(rng):
+    # every distance is the root of a small integer, so ties are everywhere
+    return (rng.integers(-2, 3, size=(40, 3)).astype(float),
+            rng.integers(-2, 3, size=(1200, 3)).astype(float))
+
+
+def _column_offset(rng):
+    # ||q||^2 + ||r||^2 - 2 q.r cancels about 1e16 down to about 10
+    q, r = _normal(rng)
+    q[:, 4] += 1e8
+    r[:, 4] += 1e8
+    return q, r
+
+
+def _offset_grid(rng):
+    # tied integer distances, each the small difference of terms near 1e16
+    q, r = _integer_grid(rng)
+    return q + 1e8, r + 1e8
+
+
+def _h_scale_column(rng):
+    # a rounded constant query column divides the reference's by about 1e-14
+    q, r = _normal(rng)
+    r[:, 3] *= 1.08e14
+    return q, r
+
+
+def _reference_outlier(rng):
+    q, r = _normal(rng)
+    r[17] = 1e12
+    return q, r
+
+
+def _huge_columns(rng):
+    q, r = _normal(rng)
+    q[:, 2] *= 1e150
+    r[:, 2] *= 1e150
+    r[:, 5] *= 1e200
+    return q, r
+
+
+@pytest.mark.parametrize("k", [1, 5, 16])
+@pytest.mark.parametrize("world", [
+    _normal, _duplicated, _integer_grid, _column_offset, _offset_grid, _h_scale_column,
+    _reference_outlier, _huge_columns,
+])
+def test_sampled_knn_is_the_full_scan_bit_for_bit(world, k):
+    zq, zr = world(np.random.default_rng(5))
+    assert zr.shape[0] >= match._SAMPLE_STRIDE * k  # the sampled path, not stride 1
+    assert_knn_is_the_full_scan(zq, zr, k)
+
+
+def test_sampled_knn_ranks_duplicated_rows_by_index():
+    zq, zr = _duplicated(np.random.default_rng(5))
+    ids, dists = assert_knn_is_the_full_scan(zq, zr, 3)
+    # reference row 21 is repeated as row 1200 + 21 / 7 = 1203
+    assert ids[-1][:2].tolist() == [21, 1203]
+    assert dists[-1][:2].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("n_r", [79, 80, 81])  # the stride turns 16 at 16 k = 80 rows
+def test_sampled_knn_at_the_stride_boundary_and_at_k_equal_to_the_reference_size(n_r):
+    zq, zr = _integer_grid(np.random.default_rng(6))
+    zr = zr[:n_r]
+    assert_knn_is_the_full_scan(zq, zr, 5)
+    assert_knn_is_the_full_scan(zq, zr, n_r)
+
+
+def test_query_whose_every_distance_overflows_ranks_references_0_to_k_minus_1_at_inf():
+    # for the second query q.r overflows to +inf as ||r||^2 does, so the
+    # expanded form is inf - inf: a filter that trusted it would keep no
+    # reference for that query
+    zr = np.full((200, 3), 1e308) * (1 - 1e-3 * np.arange(200))[:, None]
+    zq = np.array([[-0.7, -0.7, -0.7], [0.7, 0.7, 0.7]])
+    ids, dists = assert_knn_is_the_full_scan(zq, zr, 5)
+    assert ids.tolist() == [[0, 1, 2, 3, 4]] * 2
+    assert np.isinf(dists).all()
+
+
+def test_sampled_knn_through_the_tables_at_any_block_size_and_jobs(monkeypatch):
+    rng = np.random.default_rng(8)
+    names = tuple(f"f{j}" for j in range(4))
+    grid = rng.integers(-2, 3, size=(30 + 900, 4)).astype(float)
+    q = make_table(grid[:30], names, prefix="q")
+    r = make_table(grid[30:], names, prefix="ref")
+    want = nearest_in_reference(q, r, k=6)
+    for block in (1, 7 * 900, 1 << 40):
+        monkeypatch.setattr(match, "_BLOCK_DISTANCES", block)
+        assert nearest_in_reference(q, r, k=6, jobs=2) == want
+    for res, dists in zip(want, sequential_distances(q, r)):
+        ranked = sorted(range(r.n_rows), key=lambda j: (dists[j], j))[:6]
+        assert res.neighbor_ids == tuple(f"ref{j}" for j in ranked)
+        assert res.distances == tuple(dists[j] for j in ranked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 40), st.integers(1, 5), st.integers(-6, 14),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_sampled_knn_on_drawn_tables(k, extra, d, scale, coarse, seed):
+    rng = np.random.default_rng(seed)
+    n_r = match._SAMPLE_STRIDE * k + extra
+    if coarse:  # few distinct values, so distances tie
+        zq = rng.integers(-2, 3, size=(12, d)).astype(float)
+        zr = rng.integers(-2, 3, size=(n_r, d)).astype(float)
+    else:
+        zq, zr = rng.normal(size=(12, d)), rng.normal(size=(n_r, d))
+    zq[:, 0] *= 10.0 ** scale
+    zr[:, 0] *= 10.0 ** scale
+    zr[rng.integers(n_r, size=n_r // 4)] = zr[rng.integers(n_r, size=n_r // 4)]
+    assert_knn_is_the_full_scan(zq, zr, k)
+
+
+# ---------------------------------------------------------------------------
 # tanimoto
 # ---------------------------------------------------------------------------
 
@@ -536,6 +695,38 @@ def test_report_with_fingerprints_and_suffixed_queries():
     )
     assert rep.pairs[0][1] == pytest.approx(1 / 3)
     assert rep.above_threshold_ids == ("r1",)
+
+
+@pytest.mark.parametrize("width", [8, 2048])
+def test_report_tanimoto_from_packed_rows_counts_the_unpacked_bits(width):
+    rng = np.random.default_rng(width)
+    bits = (rng.random((6, width)) < 0.25).astype(np.uint8)
+    bits[4:] = 0  # two empty rows: their pair scores 1.0
+    qfps = FingerprintTable(tuple("abcdef"), bits)
+    rfps = FingerprintTable(("r0", "r1", "r2"), bits[[1, 3, 5]])
+    plans = [plan(rid, 1.0, 2.0) for rid in "abcdef"]
+    matched = ["r0", "r1", "r2", "r0", "r2", "r1"]
+    neighbors = [NeighborResult(rid, (m,), (0.5,)) for rid, m in zip("abcdef", matched)]
+    rep = intervention_report(plans, neighbors, {"r0": 1.0, "r1": 1.0, "r2": 1.0},
+                              query_fps=qfps, reference_fps=rfps)
+    want = []
+    for rid, m in zip("abcdef", matched):
+        a, b = qfps.row(rid).astype(bool), rfps.row(m).astype(bool)
+        union = int(np.count_nonzero(a | b))
+        want.append(1.0 if union == 0 else float(np.count_nonzero(a & b)) / union)
+    assert [p[1] for p in rep.pairs] == want
+    assert rep.pairs[4][1] == 1.0
+    assert [p[1] for p in rep.pairs] == [tanimoto(qfps.row(r), rfps.row(m))
+                                         for r, m in zip("abcdef", matched)]
+
+
+def test_report_fingerprint_width_mismatch():
+    qfps = FingerprintTable(("a",), np.ones((1, 16), dtype=np.uint8))
+    rfps = FingerprintTable(("r1",), np.ones((1, 8), dtype=np.uint8))
+    neighbors = [NeighborResult("a", ("r1",), (0.5,))]
+    with pytest.raises(SchemaError, match="fingerprint widths differ: 16 vs 8"):
+        intervention_report([plan("a", 1.0, 3.2)], neighbors, {"r1": 5.0},
+                            query_fps=qfps, reference_fps=rfps)
 
 
 def test_report_missing_reference_target():
