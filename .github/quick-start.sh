@@ -4,7 +4,8 @@
 # with one OpenBLAS thread (so BLAS sums in another order) into another
 # directory, whose artifacts (all but the manifests, which hold timings) must
 # be byte-identical to the first run's; then runs a stage that must fail, which
-# may leave neither its output directory nor a *.tmp file.
+# may leave neither its output directory nor a *.tmp file. The fresh directory
+# is removed when the script exits, and the exit status stays the script's.
 #
 # Usage: sh .github/quick-start.sh [COMMAND...]
 # COMMAND runs in place of `causal-al`, the installed console script, e.g.
@@ -12,7 +13,9 @@
 set -eu
 readme="$(cd "$(dirname "$0")/.." && pwd)/README.md"
 [ "$#" -gt 0 ] || set -- causal-al
-cd "$(mktemp -d)"
+dir="$(mktemp -d)"
+trap 'status=$?; cd / && rm -rf "$dir"; exit "$status"' EXIT
+cd "$dir"
 grep '^causal-al ' "$readme" | sed "s|^causal-al |$* |" | sh -e
 for stage in cluster select-features discover active-learn intervene match report; do
   OPENBLAS_NUM_THREADS=1 "$@" "$stage" -c work/pipeline.cfg -o jobs2 --jobs 2
@@ -29,5 +32,5 @@ fi
 [ ! -e failed ] || { echo "a failed intervene left failed/ behind" >&2; exit 1; }
 tmp="$(find . -name '*.tmp')"
 [ -z "$tmp" ] || { echo "temporary files left behind: $tmp" >&2; exit 1; }
-echo "quick start in $PWD: every stage exited 0; artifacts at --jobs 2 and one BLAS thread"
+echo "quick start: every stage exited 0; artifacts at --jobs 2 and one BLAS thread"
 echo "are byte-identical; a failing stage left no directory and no temporary file"

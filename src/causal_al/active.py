@@ -6,8 +6,9 @@ global graph, and commits the candidate with the smallest loss (random
 choice in baseline mode). Sampling is without replacement within a run;
 rows sampled for unchosen subsets return to their pools. Every candidate
 draws from its own RNG substream derived from (seed, iteration, subset).
-The candidates of an iteration share one shape, so their graphs come from
-one call of the stacked discovery kernel.
+The candidates of an iteration share one shape, so they are scored as one
+stack: one call of the stacked discovery kernel, one batched SVD, and the
+distance of each spectrum to the global graph's, taken once per run.
 """
 
 from __future__ import annotations
@@ -18,18 +19,15 @@ import numpy as np
 
 from . import artifacts
 
-# The loop calls the plain-array kernel. `discover_lingam` and `FeatureTable`
-# stay module attributes because perfbench/spans.py wraps them by these names.
-from .causal import DEFAULT_PRUNE_THRESHOLD, WeightedDag, _column_stats, _discover
+# The loop calls plain-array kernels. `discover_lingam`, `FeatureTable` and
+# `spectral_distance` stay module attributes for perfbench/spans.py to wrap.
+from .causal import DEFAULT_PRUNE_THRESHOLD, EXTRA_ROWS, WeightedDag, _discover
 from .causal import discover_lingam  # noqa: F401
 from .dataio import FeatureTable  # noqa: F401
-from .errors import (
-    ConfigError,
-    DuplicateRowId,
-    InsufficientData,
-    MissingColumn,
-)
-from .graphdist import spectral_distance
+from .dataio import column_stats
+from .errors import ConfigError, DuplicateRowId, InsufficientData, MissingColumn
+from .graphdist import spectrum, spectrum_size
+from .graphdist import spectral_distance  # noqa: F401
 from .util import checked_names
 
 DEFAULT_M = 50
@@ -105,13 +103,15 @@ def _run(
             f"subsets hold {batches} batches of {m} rows, {n_iter} iterations need {n_iter}"
         )
 
-    n_subsets = len(subsets)
+    n = spectrum_size(features, global_graph.node_names, top_n)
+    ref = spectrum(global_graph.B, n)  # the global graph's, once per run
+    n_subsets, d = len(subsets), len(features)
     t_idx = features.index(target)
     mats = [sub.matrix(features) for sub in subsets]
     ids = [sub.row_ids for sub in subsets]
     pools = [np.arange(sub.n_rows) for sub in subsets]
 
-    acc_rows = np.empty((0, len(features)))
+    acc_rows = np.empty((0, d))
     acc_ids: list[str] = []
     records: list[IterationRecord] = []
 
@@ -126,26 +126,25 @@ def _run(
 
         # every candidate is the committed rows plus its subset's m new ones
         n_acc = len(acc_ids)
-        x = np.empty((len(eligible), n_acc + m, len(features)))
+        x = np.empty((len(eligible), n_acc + m, d))
         x[:, :n_acc] = acc_rows
         for row, k in enumerate(eligible):
             x[row, n_acc:] = mats[k][picks[k]]
-        # a candidate too small or with a constant column scores +inf
-        losses = [float("inf")] * n_subsets
-        try:
-            mean, std, constant = _column_stats(x)
-        except InsufficientData:  # every candidate has the same row count
-            fit = []
-        else:
-            fit = np.flatnonzero(~constant.any(axis=1)).tolist()
-        if fit:
-            if len(fit) < len(eligible):
-                x, mean, std = x[fit], mean[fit], std[fit]
-            b, orders = _discover(x, mean, std, t_idx, prune_threshold, destandardize)
-            for row, b_s, order in zip(fit, b, orders):
-                dag = WeightedDag(features, b_s, order.tolist())
-                losses[eligible[row]] = spectral_distance(dag, global_graph, n=top_n)
-        losses = tuple(losses)
+        # a candidate too small, with a degenerate column or with a non-finite
+        # adjacency scores +inf; every candidate has the same row count
+        losses = np.full(n_subsets, np.inf)
+        if n_acc + m >= d + EXTRA_ROWS:
+            mean, std, degenerate = column_stats(x)
+            ok = ~degenerate.any(axis=1)
+            fit = np.asarray(eligible)[ok]
+            if fit.size < len(eligible):
+                x, mean, std = x[ok], mean[ok], std[ok]
+            if fit.size:
+                b, _ = _discover(x, mean, std, t_idx, prune_threshold, destandardize)
+                finite = np.isfinite(b).all(axis=(1, 2))
+                s = spectrum(b[finite], n)
+                losses[fit[finite]] = np.sqrt(np.sum((s - ref) ** 2, axis=-1))
+        losses = tuple(losses.tolist())
 
         if mode == "active":
             # first minimum = lowest index

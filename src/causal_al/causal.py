@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import artifacts
-from .dataio import FeatureTable, column_stats
+from .dataio import FeatureTable, column_stats, degenerate_message
 from .errors import (
     CyclicGraph,
     DegenerateFeature,
@@ -38,6 +38,7 @@ from .errors import (
 from .util import checked_names
 
 DEFAULT_PRUNE_THRESHOLD = 0.05
+EXTRA_ROWS = 10  # discovery over d columns takes at least d + EXTRA_ROWS rows
 
 # Constants of the maximum-entropy approximation to differential entropy.
 _K1 = 79.047
@@ -275,15 +276,6 @@ def _most_exogenous(w: np.ndarray, cand: np.ndarray, ws) -> np.ndarray:
     return np.argmin(penalty, axis=1)
 
 
-def _column_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`column_stats` of the tables stacked in `x` (S, rows, columns).
-    Raises InsufficientData below d + 10 rows."""
-    n, d = x.shape[1:]
-    if n < d + 10:
-        raise InsufficientData(f"need at least {d + 10} rows for {d} columns, got {n}")
-    return column_stats(x)
-
-
 def _causal_orders(x: np.ndarray, mean: np.ndarray, std: np.ndarray, target_idx: int):
     """Causal orders (S, d) of the tables stacked in `x` (S, rows, columns).
 
@@ -341,10 +333,10 @@ def _discover(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Plain-array discovery kernel over the tables stacked in `x` (S, rows, columns).
 
-    `mean` and `std` are the tables' `_column_stats`, and no table has a
-    constant column. Returns the pruned adjacencies B (S, d, d) and the
-    causal orders (S, d). The weights are one least-squares fit per node
-    and table.
+    `mean` and `std` are the tables' `column_stats`, no table has a
+    degenerate column, and each has at least d + `EXTRA_ROWS` rows. Returns
+    the pruned adjacencies B (S, d, d) and the causal orders (S, d). The
+    weights are one least-squares fit per node and table.
     """
     s, _, d = x.shape
     orders = _causal_orders(x, mean, std, target_idx)
@@ -375,11 +367,13 @@ def discover_lingam(
     """
     names = table.feature_names
     checked_names((target,), names, "target", MissingColumn)
+    n, d = table.values.shape
+    if n < d + EXTRA_ROWS:
+        raise InsufficientData(f"need at least {d + EXTRA_ROWS} rows for {d} columns, got {n}")
     x = table.values[None]
-    mean, std, constant = _column_stats(x)
-    if constant.any():
-        raise DegenerateFeature(
-            f"column {names[int(np.argmax(constant[0]))]!r} is constant over {table.n_rows} rows")
+    mean, std, degenerate = column_stats(x)
+    if degenerate.any():
+        raise DegenerateFeature(degenerate_message(names, std[0], degenerate[0], n))
     b, order = _discover(x, mean, std, names.index(target), prune_threshold, destandardize)
     return WeightedDag(
         node_names=names,

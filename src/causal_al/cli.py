@@ -298,7 +298,7 @@ def cmd_active_learn(cfg: Config, outdir: Path):
         header=("subset", "count"),
         rows=enumerate(active.selection_counts(active_runs)),
     )
-    # a sampled candidate that scores +inf is degenerate: too few rows or a constant column
+    # +inf on a sampled candidate: too few rows, a degenerate column or a non-finite adjacency
     records = [rec for run in active_runs + random_runs for rec in run.records]
     exhausted = sum(rec.exhausted for rec in records)
     inf = sum(loss == math.inf for rec in records for loss in rec.losses)
@@ -463,11 +463,8 @@ def cmd_synth(cfg: Config, outdir: Path):
         seed=seed,
     )
 
-    if n_subsets == 1:
-        factors = [1.0]
-    else:
-        factors = list(np.linspace(1.0 - spread, 1.0 + spread, n_subsets))
-        factors[n_subsets // 2] = 1.0
+    factors = list(np.linspace(1.0 - spread, 1.0 + spread, n_subsets))
+    factors[n_subsets // 2] = 1.0
     subsets, reference, true_dag = synth.make_heterogeneous_world(
         n_subsets, spec, factors, seed=seed, n_rows=rows,
         global_rows=ref_rows, target="y",

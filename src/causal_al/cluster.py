@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .dataio import FeatureTable, column_stats
+from .dataio import FeatureTable, column_stats, degenerate_message
 from .errors import (
     ConfigError,
     DegenerateComponent,
@@ -118,10 +118,9 @@ def fit_gmm(
         raise InsufficientData("need at least 2 rows to standardize the pivots")
 
     x = table.matrix(pivots)
-    center, scale, constant = column_stats(x)
-    if constant.any():
-        raise DegenerateFeature(
-            f"column {pivots[int(np.argmax(constant))]!r} is constant over {n} rows")
+    center, scale, degenerate = column_stats(x)
+    if degenerate.any():
+        raise DegenerateFeature(degenerate_message(pivots, scale, degenerate, n))
     z = (x - center) / scale
     zt = np.ascontiguousarray(z.T)
     dim = z.shape[1]

@@ -238,14 +238,22 @@ def write_load_report(path, report: LoadReport) -> None:
 
 
 def column_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mean, sample standard deviation, constant) of the columns of `x`
+    """(mean, sample standard deviation, degenerate) of the columns of `x`
     (..., rows, columns), reduced over the rows.
 
-    This is the one place that decides whether a column is constant: its
-    sample standard deviation is exactly 0.
+    This is the one place that decides whether a column is degenerate: its
+    sample standard deviation is exactly 0 or not finite (it overflowed).
     """
-    std = x.std(axis=-2, ddof=1)
-    return x.mean(axis=-2), std, std == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # the rule takes an overflow
+        std = x.std(axis=-2, ddof=1)
+        return x.mean(axis=-2), std, (std == 0.0) | ~np.isfinite(std)
+
+
+def degenerate_message(names, std: np.ndarray, degenerate: np.ndarray, n_rows: int) -> str:
+    """What is wrong with the first of the columns `names` that is `degenerate`."""
+    k = int(np.argmax(degenerate))
+    fault = "is constant" if std[k] == 0.0 else "has a spread that is not finite"
+    return f"column {names[k]!r} {fault} over {n_rows} rows"
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ class DisjointFeatures(SchemaError):
 
 
 class DegenerateFeature(CausalAlError):
-    """A feature column has zero variance where variance is required."""
+    """A feature column has zero or non-finite variance where a finite spread is required."""
 
 
 class InsufficientData(CausalAlError):

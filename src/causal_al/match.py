@@ -75,9 +75,9 @@ def nearest_in_reference(
 
     Rows are compared on the intervened table's plain feature columns that
     the reference also holds. Both tables are normalized with the
-    intervened population's statistics. A column left constant in the
-    intervened population (clamped single-lever batches do this) takes the
-    reference population's scale instead, so matching stays defined.
+    intervened population's statistics. A column degenerate there (clamped
+    single-lever batches leave one constant) takes the reference population's
+    scale; one whose mean, spread or normalized values overflow is refused.
     k is clamped to the reference size; ties break toward the earlier
     reference row.
     """
@@ -94,12 +94,16 @@ def nearest_in_reference(
 
     xq = intervened.matrix(features)
     xr = reference.matrix(features)
-    mean, std, constant = column_stats(xq)
-    # a query column's fallback scale: the reference's, or 1.0 where that is constant too
-    _, ref_std, ref_constant = column_stats(xr) if reference.n_rows > 1 else (None, 1.0, True)
-    std = np.where(constant, np.where(ref_constant, 1.0, ref_std), std)
-    zq = (xq - mean) / std
-    zr = (xr - mean) / std
+    mean, std, degenerate = column_stats(xq)
+    # a query column's fallback scale: the reference's, or 1.0 where that is degenerate too
+    _, ref_std, ref_degenerate = column_stats(xr) if reference.n_rows > 1 else (None, 1.0, True)
+    scale = np.where(degenerate, np.where(ref_degenerate, 1.0, ref_std), std)
+    zq = (xq - mean) / scale
+    zr = (xr - mean) / scale
+    finite = np.isfinite(std) & np.isfinite(zq).all(axis=0) & np.isfinite(zr).all(axis=0)
+    if not finite.all():
+        name = features[int(np.argmin(finite))]
+        raise SchemaError(f"column {name!r} is not finite after normalization")
 
     targets = reference.column(ref_target) if ref_target is not None else None
     order, dists = _knn(zq, zr, min(k, reference.n_rows), jobs)

@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
 
+from causal_al import active
 from causal_al.active import (
     active_learn,
     random_baseline,
     selection_counts,
     summarize_runs,
 )
-from causal_al.dataio import FeatureTable
-from causal_al.errors import ConfigError, DuplicateRowId, InsufficientData, MissingColumn
+from causal_al.causal import WeightedDag, discover_lingam
+from causal_al.dataio import FeatureTable, concat_tables
+from causal_al.errors import (
+    ConfigError,
+    DuplicateRowId,
+    InsufficientData,
+    MissingColumn,
+    NodeMismatch,
+)
+from causal_al.graphdist import spectral_distance
 from causal_al.synth import SemSpec, make_heterogeneous_world
 from tests.conftest import ROUNDED_CONSTANTS
 
@@ -45,6 +54,13 @@ def degenerate(run, subset_sizes):
     """Sampled candidates scored +inf: every +inf slot but the exhausted ones."""
     inf = sum(loss == float("inf") for rec in run.records for loss in rec.losses)
     return inf - exhausted(run, subset_sizes)
+
+
+def with_column(sub, name, column):
+    """`sub` with the values of column `name` replaced by `column`."""
+    values = sub.values.copy()
+    values[:, sub.index(name)] = column
+    return FeatureTable(sub.row_ids, sub.feature_names, values, sub.target_names)
 
 
 def test_single_subset_no_choice():
@@ -121,10 +137,7 @@ def test_constant_column_subset_scores_inf_without_aborting():
     # subset 2 holds f1 constant, so its first candidate has a zero-variance column;
     # at seed 0 the random draw of the first iteration is subset 2
     subsets, _, dag = small_world()
-    sub = subsets[2]
-    values = sub.values.copy()
-    values[:, sub.index("f1")] = 1.5
-    subsets[2] = FeatureTable(sub.row_ids, sub.feature_names, values, sub.target_names)
+    subsets[2] = with_column(subsets[2], "f1", 1.5)
     for loop, seed in ((active_learn, 4), (random_baseline, 0)):
         run = loop(subsets, dag, "y", m=30, n_iter=3, seed=seed)
         first = run.records[0]
@@ -137,16 +150,77 @@ def test_constant_column_subset_scores_inf_without_aborting():
         assert exhausted(run, [400, 400, 400]) == 0
 
 
+@pytest.mark.parametrize("loop", [active_learn, random_baseline])
+def test_overflowing_column_subset_scores_inf_without_aborting(loop):
+    # every other f2 cell of subset 2 is 1e300, so every candidate drawn from
+    # it has an f2 whose sample standard deviation overflows to inf; the
+    # candidate used to abort the run with "SVD did not converge"
+    subsets, _, dag = small_world(n_rows=200)
+    f2 = subsets[2].column("f2")
+    f2[::2] = 1e300
+    subsets[2] = with_column(subsets[2], "f2", f2)
+    run = loop(subsets, dag, "y", m=30, n_iter=3, seed=0)
+    assert all(rec.losses[2] == float("inf") for rec in run.records)
+    assert all(np.isfinite(rec.losses[:2]).all() for rec in run.records)
+    assert degenerate(run, [200, 200, 200]) == 3
+
+
+def test_candidate_with_a_non_finite_graph_scores_inf():
+    # subset 2 scales f1 by 1e-158 and y by 1e152: each column has a finite,
+    # nonzero standard deviation, but putting the f1 -> y weight back on the
+    # raw scales multiplies it by about 1e310; the candidate used to score
+    # NaN, which the active loop committed as its minimum
+    subsets, _, dag = small_world()
+    sub = subsets[2]
+    subsets[2] = with_column(with_column(sub, "f1", sub.column("f1") * 1e-158),
+                             "y", sub.column("y") * 1e152)
+    for loop, seed in ((active_learn, 4), (random_baseline, 0)):
+        run = loop(subsets, dag, "y", m=30, n_iter=3, seed=seed)
+        first = run.records[0]
+        assert first.losses[2] == float("inf")
+        assert np.isfinite(first.losses[:2]).all()
+        assert all(np.isfinite(rec.loss) for rec in run.records)
+
+
+@pytest.mark.parametrize("features, top_n", [
+    (None, None), (None, 2), (None, 6), (("f1", "f2", "y"), None),
+])
+def test_committed_loss_is_the_spectral_distance_of_its_candidate(features, top_n):
+    # the candidate committed at an iteration holds the run's rows up to it,
+    # in commit order, so its graph and `spectral_distance` give the recorded
+    # loss bit for bit; top_n is unset, below d = 4 or above it, and without
+    # f3 the global graph has a node the candidates lack
+    subsets, _, dag = small_world()
+    pool = concat_tables(subsets)
+    names = features or pool.feature_names
+    for loop in (active_learn, random_baseline):
+        run = loop(subsets, dag, "y", features=features, m=20, n_iter=4, seed=5, top_n=top_n)
+        for rec in run.records:
+            table = pool.select_by_ids(run.snapshot_ids(rec.iteration)).select_columns(names)
+            graph = discover_lingam(table, "y", destandardize=True)
+            assert rec.loss == spectral_distance(graph, dag, n=top_n)
+
+
+def test_global_graph_sharing_no_node_is_refused_before_any_discovery(monkeypatch):
+    subsets, _, _ = small_world()
+    stranger = WeightedDag(("p", "q"), np.zeros((2, 2)), (0, 1))
+
+    def no_discovery(*args):
+        raise AssertionError("discovery ran")
+
+    monkeypatch.setattr(active, "_discover", no_discovery)
+    for loop in (active_learn, random_baseline):
+        with pytest.raises(NodeMismatch, match="^graphs share no nodes$"):
+            loop(subsets, stranger, "y", m=20, n_iter=2)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP H")
 def test_rounded_constant_column_subset_scores_inf():
     # each candidate is one whole 1000-row subset; subset 2 holds f1 at a
     # value whose 1000 copies have a sample standard deviation of about 1e-17
     for value in ROUNDED_CONSTANTS:
         subsets, _, dag = small_world(n_rows=1000)
-        sub = subsets[2]
-        values = sub.values.copy()
-        values[:, sub.index("f1")] = value
-        subsets[2] = FeatureTable(sub.row_ids, sub.feature_names, values, sub.target_names)
+        subsets[2] = with_column(subsets[2], "f1", value)
         run = active_learn(subsets, dag, "y", m=1000, n_iter=1, seed=0)
         assert run.records[0].losses[2] == float("inf")
         assert np.isfinite(run.records[0].losses[:2]).all()

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from causal_al import causal
+from causal_al import causal, dataio
 from causal_al.causal import WeightedDag, discover_lingam
 from causal_al.errors import (
     DegenerateFeature,
@@ -295,7 +295,7 @@ def test_fused_entropy_matches_scalar_reference():
 
 
 def _stack_discover(x, target_idx, destandardize=False):
-    mean, std, _ = causal._column_stats(x)
+    mean, std, _ = dataio.column_stats(x)
     return causal._discover(x, mean, std, target_idx, causal.DEFAULT_PRUNE_THRESHOLD, destandardize)
 
 
@@ -336,7 +336,7 @@ def test_root_search_block_invariance(monkeypatch, seed):
 
 def test_kernel_memory_is_bounded():
     x = np.stack([_random_lingam_table(1000, 10, k).values for k in range(3)])
-    mean, std, _ = causal._column_stats(x)
+    mean, std, _ = dataio.column_stats(x)
     tracemalloc.start()
     try:
         causal._discover(x, mean, std, 9, causal.DEFAULT_PRUNE_THRESHOLD, True)

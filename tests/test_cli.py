@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causal_al import artifacts, cli, intervene, match
+from causal_al import artifacts, cli, dataio, intervene, match
 from causal_al.cli import run_cli
 from causal_al.util import file_sha256
-from tests.conftest import modules_after
+from tests.conftest import make_table, modules_after
 
 # sized so every GMM-derived subset stays well above m_per_iter * n_iter rows
 SMALL = [
@@ -164,6 +164,29 @@ def test_degenerate_data_is_E_NUMERIC(tmp_path, capsys):
     ])
     assert code == 4
     assert capsys.readouterr().err == "E_NUMERIC: column 'f1' is constant over 10 rows\n"
+
+
+@pytest.mark.parametrize("stage", ["cluster", "discover"])
+def test_overflowing_column_is_E_NUMERIC_and_writes_nothing(tmp_path, capsys, stage):
+    # every other f2 cell of the first 200 of 600 rows is 1e300; both stages
+    # used to write NaN models and exit 0
+    x = np.random.default_rng(13).normal(size=(600, 4))
+    x[:200:2, 1] = 1e300
+    table = make_table(x, ("f1", "f2", "f3", "y"), target_names=("y",))
+    dataio.save_feature_table(tmp_path / "features.csv", table)
+    (tmp_path / "schema.cfg").write_text("id_column = id\ntarget_columns = y\n", encoding="utf-8")
+    out = tmp_path / "out"
+    before = state(out)
+    capsys.readouterr()
+    code = run_cli([
+        stage, "-o", str(out),
+        "--set", f"features={tmp_path / 'features.csv'}",
+        "--set", f"schema={tmp_path / 'schema.cfg'}",
+    ])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "E_NUMERIC: column 'f2' has a spread that is not finite over 600 rows\n")
+    assert state(out) == before
 
 
 def test_k_features_above_feature_count_is_E_CONFIG(tmp_path, capsys):

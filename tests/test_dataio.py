@@ -169,6 +169,23 @@ def test_rounded_constant_column_is_degenerate_for_discovery_and_clustering():
             fit_gmm(table, ("a", "c"), n_components=2)
 
 
+def test_overflowing_column_is_degenerate_for_discovery_and_clustering():
+    # every other c cell of the first 200 rows is 1e300, so c's sample
+    # standard deviation overflows to inf; discovery used to return NaN
+    # weights and clustering NaN means
+    x = np.random.default_rng(13).normal(size=(600, 3))
+    x[:200:2, 1] = 1e300
+    _, std, degenerate = dataio.column_stats(x)
+    assert np.isinf(std[1])
+    assert degenerate.tolist() == [False, True, False]
+    table = make_table(x, ("a", "c", "y"), target_names=("y",))
+    message = "^column 'c' has a spread that is not finite over 600 rows$"
+    with pytest.raises(DegenerateFeature, match=message):
+        discover_lingam(table, "y")
+    with pytest.raises(DegenerateFeature, match=message):
+        fit_gmm(table, ("a", "c"), n_components=2)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(

@@ -27,20 +27,20 @@ def random_dag(rng, names):
 
 def test_spectrum_zero_graph():
     dag = dag_from_b(np.zeros((2, 2)))
-    assert np.array_equal(spectrum(dag, 3), [0.0, 0.0, 0.0])
+    assert np.array_equal(spectrum(dag.B, 3), [0.0, 0.0, 0.0])
 
 
 def test_spectrum_single_edge():
     # singular values of [[0, 0], [2, 0]] are (2, 0)
     dag = dag_from_b([[0.0, 0.0], [2.0, 0.0]])
-    assert np.allclose(spectrum(dag, 2), [2.0, 0.0])
+    assert np.allclose(spectrum(dag.B, 2), [2.0, 0.0])
 
 
 def test_spectrum_symmetric_two_cycle():
     # general-matrix check: [[0, 1], [1, 0]] has singular values (1, 1);
     # acyclicity is only enforced by validate(), so this constructs fine
     cycle = dag_from_b([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(spectrum(cycle, 2), [1.0, 1.0])
+    assert np.allclose(spectrum(cycle.B, 2), [1.0, 1.0])
 
 
 def test_distance_identical_graphs_zero():
@@ -123,4 +123,17 @@ def test_top_n_truncation():
     full = spectral_distance(g1, g2)
     top1 = spectral_distance(g1, g2, n=1)
     assert top1 <= full
-    assert top1 == pytest.approx(spectrum(g1, 1)[0], abs=1e-12)
+    assert top1 == pytest.approx(spectrum(g1.B, 1)[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_spectrum_of_a_stack_is_each_adjacency_spectrum(d):
+    # one batched SVD gives each matrix's singular values bit for bit,
+    # cut to n below d and zero-padded above it
+    rng = np.random.default_rng(d)
+    b = rng.normal(size=(4, d, d)) * (rng.random((4, d, d)) < 0.5)
+    for n in (1, d, d + 3):
+        s = spectrum(b, n)
+        assert s.shape == (4, n)
+        for k in range(4):
+            assert np.array_equal(s[k], spectrum(b[k], n))

@@ -123,6 +123,19 @@ def test_constant_intervened_column_takes_reference_scale():
     assert all(np.isfinite(d) for nr in res for d in nr.distances)
 
 
+@pytest.mark.parametrize("a", [
+    [1.5e308] * 3,  # the query mean of `a` overflows to inf
+    [1e300, 0.0, 1e300],  # its mean is finite, its sample std overflows to inf
+])
+def test_column_not_finite_after_normalization_is_refused_by_name(a):
+    # the queries used to be ranked at NaN distances in the first case; in
+    # the second, dividing by the infinite spread zeroed `a` without a word
+    q = make_table(np.column_stack([a, [0.0, 1.0, 2.0]]), ("a", "b"), prefix="q")
+    r = make_table([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], ("a", "b"))
+    with pytest.raises(SchemaError, match="^column 'a' is not finite after normalization$"):
+        nearest_in_reference(q, r, k=2)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP H")
 def test_rounded_constant_query_column_takes_reference_scale():
     rng = np.random.default_rng(21)
