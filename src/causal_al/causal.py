@@ -79,6 +79,13 @@ class WeightedDag:
             raise SchemaError("causal_order is not a permutation of the nodes")
         if self.target is not None and self.target not in self.node_names:
             raise NodeMismatch(f"target {self.target!r} is not a node")
+        if (msg := _non_finite_weight(names, B)) is not None:
+            raise SchemaError(msg)
+        for key in ("node_means", "node_stds"):
+            values = getattr(self, key)
+            if values is not None and not np.isfinite(values).all():
+                i = int(np.argmin(np.isfinite(values)))
+                raise SchemaError(f"{key}: {names[i]!r} is not finite ({values[i]})")
         B = B.copy()
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
@@ -349,8 +356,18 @@ def _discover(
             b[t, order[pos], preds] = np.linalg.lstsq(z[:, preds], z[:, order[pos]], rcond=None)[0]
     b[np.abs(b) < prune_threshold] = 0.0
     if destandardize:
-        b = b * std[:, :, None] / std[:, None, :]
+        with np.errstate(over="ignore", invalid="ignore"):  # the callers test finiteness
+            b = b * std[:, :, None] / std[:, None, :]
     return b, orders
+
+
+def _non_finite_weight(names, b: np.ndarray) -> str | None:
+    """What is wrong with the first non-finite weight of `b` (row-major), or None."""
+    bad = np.argwhere(~np.isfinite(b))
+    if not len(bad):
+        return None
+    i, j = bad[0]
+    return f"edge '{names[i]}<-{names[j]}' has a weight that is not finite ({b[i, j]})"
 
 
 def discover_lingam(
@@ -375,6 +392,8 @@ def discover_lingam(
     if degenerate.any():
         raise DegenerateFeature(degenerate_message(names, std[0], degenerate[0], n))
     b, order = _discover(x, mean, std, names.index(target), prune_threshold, destandardize)
+    if destandardize and (msg := _non_finite_weight(names, b[0])) is not None:
+        raise DegenerateFeature(f"{msg} on the raw column scales")
     return WeightedDag(
         node_names=names,
         B=b[0],
@@ -437,15 +456,18 @@ def load_dag(path) -> WeightedDag:
     b = edge_matrix(names, art.rows, f"{path} edges", SchemaError)
     means = art.get("node_means", artifacts.floats, ())
     stds = art.get("node_stds", artifacts.floats, ())
-    return WeightedDag(
-        node_names=names,
-        B=b,
-        causal_order=tuple(range(len(names))),
-        target=art.get("target", default="") or None,
-        node_means=np.array(means) if means else None,
-        node_stds=np.array(stds) if stds else None,
-        standardized=bool(art.get("standardized", int, 1)),
-    )
+    try:
+        return WeightedDag(
+            node_names=names,
+            B=b,
+            causal_order=tuple(range(len(names))),
+            target=art.get("target", default="") or None,
+            node_means=np.array(means) if means else None,
+            node_stds=np.array(stds) if stds else None,
+            standardized=bool(art.get("standardized", int, 1)),
+        )
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def save_adjacency_csv(path, dag: WeightedDag) -> None:

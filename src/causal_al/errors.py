@@ -30,7 +30,8 @@ class DisjointFeatures(SchemaError):
 
 
 class DegenerateFeature(CausalAlError):
-    """A feature column has zero or non-finite variance where a finite spread is required."""
+    """A feature column has zero or non-finite variance where a finite spread is
+    required, or two columns' scales are too far apart for a weight between them."""
 
 
 class InsufficientData(CausalAlError):

@@ -268,6 +268,83 @@ class PcaProjection:
 # would exceed about 1e-8, so the covariance is decomposed instead.
 _GRAM_RANK_TOL = 1e-8
 
+# A symmetric matrix of at most this many rows is decomposed by a full
+# `eigh`; a larger one by block Lanczos, which `eigh` backs up.
+_EIGH_ROWS = 256
+
+# A Ritz pair (theta, y) is kept once ||A y - theta y|| <= this times the
+# largest Ritz value. The pairs are checked each time the basis has grown by
+# _RITZ_EVERY vectors (a block at least), and once more at its cap.
+_RITZ_TOL = 1e-13
+_RITZ_EVERY = 24
+
+# A new Lanczos block whose reorthogonalized part has an R diagonal entry
+# below this times the block's norm adds (next to) no direction: the basis
+# spans an invariant subspace, e.g. of a low-rank Gram matrix.
+_BREAKDOWN_TOL = 1e-6
+
+
+def _top_eigenpairs(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues of the symmetric matrix `a`, in descending
+    order, and their unit eigenvectors as columns.
+
+    Up to `_EIGH_ROWS` rows this is a full `np.linalg.eigh`. Above, block
+    Lanczos with block size k finds them (a repeated eigenvalue among the
+    top k is found in full); `eigh` is used after all when the Krylov basis
+    spans an invariant subspace, when the largest Ritz value is not
+    positive, or when the basis would pass half the dimension.
+    """
+    if a.shape[0] > _EIGH_ROWS:
+        found = _block_lanczos(a, k)
+        if found is not None:
+            return found
+    vals, vecs = np.linalg.eigh(a)
+    order = np.argsort(vals)[::-1][:k]
+    return vals[order], vecs[:, order]
+
+
+def _block_lanczos(a: np.ndarray, k: int):
+    """Block Lanczos with full reorthogonalization (Golub & Underwood 1977).
+
+    The basis V is held as rows, from a fixed seeded orthonormal block.
+    Each new block is A times the last one, made orthogonal to V by two
+    Gram-Schmidt passes as matrix products (the first pass's coefficients
+    are the new rows of `t` = V A V^T) and orthonormalized by QR. The
+    top k eigenpairs of `t` give the Ritz pairs, whose residuals are taken
+    against `a` itself. Returns None where `eigh` must decide (see
+    `_top_eigenpairs`).
+    """
+    n = a.shape[0]
+    cap = n // 2
+    v = np.empty((cap, n))
+    t = np.empty((cap, cap))
+    block = np.linalg.qr(np.random.default_rng(0).standard_normal((n, k)))[0].T
+    m, checked = 0, 0
+    while m + k <= cap:
+        v[m : m + k] = block
+        w = block @ a  # (A block^T)^T: `a` is symmetric
+        m += k
+        c = v[:m] @ w.T
+        t[m - k : m, :m] = c.T  # `eigh` reads the lower triangle only
+        if m - checked >= _RITZ_EVERY or m + k > cap:
+            checked = m
+            theta, s = np.linalg.eigh(t[:m, :m])
+            theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
+            if theta[0] <= 0.0:
+                return None
+            y = s.T @ v[:m]
+            residual = y @ a - theta[:, None] * y
+            if np.all(np.linalg.norm(residual, axis=1) <= _RITZ_TOL * theta[0]):
+                return theta, y.T
+        scale = np.linalg.norm(w)
+        w -= c.T @ v[:m]
+        w -= (w @ v[:m].T) @ v[:m]
+        q, r = np.linalg.qr(w.T)
+        if not np.abs(np.diag(r)).min() > _BREAKDOWN_TOL * scale:
+            return None
+        block = q.T
+    return None
+
 
 def _centred_rows(data, center: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """A new float64 copy of the rows, centred in place, and the center.
@@ -292,11 +369,13 @@ def pca_project(data, n_components: int = 2) -> PcaProjection:
     is decomposed instead of the d x d covariance: it has the same non-zero
     eigenvalues (times n - 1), and component v = xc.T u / sqrt(eigenvalue).
     If a kept eigenvalue is too small for that division, the covariance is
-    decomposed after all. Each component's largest-magnitude loading is made
-    positive, so the projection is reproducible and invariant to row order.
+    decomposed after all. Either matrix goes through `_top_eigenpairs`.
+    Each component's largest-magnitude loading is made positive, so the
+    projection is reproducible and invariant to row order.
 
     One float copy of the rows is held at a time: on the Gram path it is
-    released while `eigh` runs and rebuilt, bit for bit, afterwards.
+    released while the Gram matrix is decomposed and rebuilt, bit for bit,
+    afterwards.
     """
     xc, center = _centred_rows(data)
     n, d = xc.shape
@@ -304,24 +383,21 @@ def pca_project(data, n_components: int = 2) -> PcaProjection:
         raise ConfigError("n_components must be >= 1")
     if n < 2 or n < n_components:
         raise InsufficientData(f"{n} rows cannot support {n_components} components")
+    if d < n_components:
+        raise InsufficientData(f"{d} columns cannot support {n_components} components")
     variances = None
     if n < d:
         gram = xc @ xc.T
         del xc
-        gram_vals, u = np.linalg.eigh(gram)
-        del gram
-        order = np.argsort(gram_vals)[::-1][:n_components]
-        lam = gram_vals[order]
-        u = u[:, order]  # only the kept vectors outlive the rebuilt rows
+        lam, u = _top_eigenpairs(gram, n_components)
+        del gram  # only the kept vectors outlive the rebuilt rows
         xc, _ = _centred_rows(data, center)
         if lam[-1] > _GRAM_RANK_TOL * lam[0]:
             variances = lam / (n - 1)
             comps = (xc.T @ (u / np.sqrt(lam))).T
     if variances is None:
-        eigvals, eigvecs = np.linalg.eigh(xc.T @ xc / (n - 1))
-        order = np.argsort(eigvals)[::-1][:n_components]
-        variances = eigvals[order]
-        comps = eigvecs[:, order].T.copy()
+        variances, eigvecs = _top_eigenpairs(xc.T @ xc / (n - 1), n_components)
+        comps = eigvecs.T.copy()
     for i in range(comps.shape[0]):
         j = int(np.argmax(np.abs(comps[i])))
         if comps[i, j] < 0:

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +142,29 @@ def test_scale_equivariance_of_destandardized_weights():
     dag = discover_lingam(scaled, "x2", destandardize=True)
     # outgoing weights of the scaled column shrink by 1/c
     assert dag.B[1, 0] == pytest.approx(base.B[1, 0] / c, rel=0.05)
+
+
+def test_destandardized_weight_beyond_the_float_range_is_a_numeric_error_naming_the_edge():
+    # x1 scaled by 1e-158 and x2 by 1e152: each column has a finite, nonzero
+    # spread, but the x1 -> x2 weight on the raw scales is about 0.8 * 1e310
+    values = sample_sem(TWO_VAR, 400, target_names=("x2",)).values * [1e-158, 1e152]
+    table = make_table(values, ("x1", "x2"), target_names=("x2",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported once, by the error
+        with pytest.raises(DegenerateFeature, match=r"^edge 'x2<-x1' has a weight that is not "
+                                                     r"finite \(inf\) on the raw column scales$"):
+            discover_lingam(table, "x2", destandardize=True)
+    # on the standardized scale the same weight is finite
+    assert np.isfinite(discover_lingam(table, "x2").B).all()
+
+
+def test_dag_refuses_non_finite_parameters():
+    b = np.array([[0.0, 0.0], [-np.inf, 0.0]])
+    with pytest.raises(SchemaError, match=r"^edge 'b<-a' has a weight that is not finite \(-inf\)$"):
+        WeightedDag(("a", "b"), b, (0, 1))
+    for key in ("node_means", "node_stds"):
+        with pytest.raises(SchemaError, match=f"^{key}: 'b' is not finite \\(nan\\)$"):
+            WeightedDag(("a", "b"), np.zeros((2, 2)), (0, 1), **{key: np.array([1.0, np.nan])})
 
 
 def test_discovery_deterministic():
@@ -433,6 +458,18 @@ def test_adjacency_csv(tmp_path):
     lines = p.read_text().splitlines()
     assert lines[0] == "node,x1,x2,t"
     assert lines[2].startswith("x2,0.69999999999999996,0,0")
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("# causal_order = a,b\nchild,parent,weight\nb,a,inf\n", id="weight"),
+    pytest.param("# causal_order = a,b\n# node_stds = 1.0,nan\nchild,parent,weight\nb,a,0.5\n",
+                 id="node_stds"),
+])
+def test_graph_file_holding_a_non_finite_value_is_refused_naming_the_file(tmp_path, text):
+    path = tmp_path / "g.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: .* is not finite"):
+        causal.load_dag(path)
 
 
 def test_dag_node_names_are_named_once(tmp_path):

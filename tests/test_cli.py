@@ -189,6 +189,31 @@ def test_overflowing_column_is_E_NUMERIC_and_writes_nothing(tmp_path, capsys, st
     assert state(out) == before
 
 
+def test_destandardized_weight_beyond_the_float_range_is_E_NUMERIC_and_writes_nothing(
+        tmp_path, capsys):
+    # f1 scaled by 1e-158 and y by 1e152: each spread is finite, but the
+    # f1 -> y weight on the raw scales is not; the stage used to write it
+    rng = np.random.default_rng(14)
+    f1 = rng.uniform(-1, 1, 400)
+    y = 0.8 * f1 + rng.uniform(-0.3, 0.3, 400)
+    table = make_table(np.column_stack([f1 * 1e-158, y * 1e152]), ("f1", "y"), target_names=("y",))
+    dataio.save_feature_table(tmp_path / "features.csv", table)
+    (tmp_path / "schema.cfg").write_text("id_column = id\ntarget_columns = y\n", encoding="utf-8")
+    out = tmp_path / "out"
+    before = state(out)
+    capsys.readouterr()
+    code = run_cli([
+        "discover", "-o", str(out),
+        "--set", f"features={tmp_path / 'features.csv'}",
+        "--set", f"schema={tmp_path / 'schema.cfg'}",
+        "--set", "destandardize=1",
+    ])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "E_NUMERIC: edge 'y<-f1' has a weight that is not finite (inf) on the raw column scales\n")
+    assert state(out) == before
+
+
 def test_k_features_above_feature_count_is_E_CONFIG(tmp_path, capsys):
     work = tmp_path / "w"
     assert run_cli(["synth", "-o", str(work), "--seed", "3"] + SMALL) == 0
@@ -697,6 +722,15 @@ def test_graph_listing_an_edge_twice_is_E_DATA_naming_the_file_and_the_edge(tmp_
         "# causal_order = a,b\nchild,parent,weight\nb,a,0.5\nb,a,0.9\n", encoding="utf-8")
     assert run_cli(["graph-dist", str(bad), str(bad)]) == 3
     assert _one_data_error(capsys) == f"E_DATA: {bad} edges: 'b<-a' is named twice\n"
+
+
+def test_graph_holding_a_non_finite_weight_is_E_DATA_naming_the_file_and_the_edge(
+        tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# causal_order = a,b\nchild,parent,weight\nb,a,inf\n", encoding="utf-8")
+    assert run_cli(["graph-dist", str(bad), str(bad)]) == 3
+    assert _one_data_error(capsys) == (
+        f"E_DATA: {bad}: edge 'b<-a' has a weight that is not finite (inf)\n")
 
 
 def test_undecodable_input_is_E_DATA_naming_the_file(tmp_path, capsys):

@@ -612,20 +612,132 @@ def _two_distinct_rows():
     return bits
 
 
-@pytest.mark.parametrize("make", [
-    pytest.param(lambda: _fingerprints(1000, 2048), id="gram-fingerprints-1000x2048"),
-    pytest.param(lambda: np.random.default_rng(22).normal(size=(300, 20)), id="covariance-tall"),
-    pytest.param(_two_distinct_rows, id="rank-deficient-fallback"),
-    pytest.param(lambda: np.random.default_rng(23).normal(size=(40, 90)).astype(np.float32),
+@pytest.mark.parametrize("make, bitwise", [
+    # a 1000 x 1000 Gram matrix takes block Lanczos; the others stay on `eigh`
+    pytest.param(lambda: _fingerprints(1000, 2048), False, id="gram-fingerprints-1000x2048"),
+    pytest.param(lambda: np.random.default_rng(22).normal(size=(300, 20)), True,
+                 id="covariance-tall"),
+    pytest.param(_two_distinct_rows, True, id="rank-deficient-fallback"),
+    pytest.param(lambda: np.random.default_rng(23).normal(size=(40, 90)).astype(np.float32), True,
                  id="float32"),
 ])
-def test_pca_outputs_are_bitwise_those_of_the_two_copy_version(make):
+def test_pca_outputs_are_bitwise_those_of_the_two_copy_version(make, bitwise):
     data = make()
     got, want = pca_project(data), _pca_two_copies(data)
     for field in ("components", "explained_variances", "coordinates", "center"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.shape == b.shape, field
-        assert a.tobytes() == b.tobytes(), field
+        if bitwise or field == "center":
+            assert a.tobytes() == b.tobytes(), field
+    if not bitwise:
+        # the block Lanczos path's stated tolerance against a full `eigh`
+        assert np.abs(got.components - want.components).max() <= 1e-13
+        assert np.abs(got.explained_variances / want.explained_variances - 1).max() <= 1e-13
+        assert (np.abs(got.coordinates - want.coordinates).max()
+                <= 1e-12 * np.abs(want.coordinates).max())
+
+
+def test_pca_with_more_components_than_columns_is_refused():
+    x = np.random.default_rng(25).normal(size=(100, 3))
+    with pytest.raises(InsufficientData, match="^3 columns cannot support 5 components$"):
+        pca_project(x, n_components=5)
+
+
+# ---------------------------------------------------------------------------
+# _top_eigenpairs
+# ---------------------------------------------------------------------------
+
+
+def _eigh_top(a, k):
+    vals, vecs = np.linalg.eigh(a)
+    order = np.argsort(vals)[::-1][:k]
+    return vals[order], vecs[:, order]
+
+
+def _gram(x):
+    xc = x - x.mean(axis=0)
+    return xc @ xc.T
+
+
+def assert_agrees_with_eigh(a, k):
+    """The top k eigenvalues within 1e-12 relative, and the spanned
+    subspace (so any basis of a repeated eigenvalue's space) within 1e-12."""
+    vals, vecs = match._top_eigenpairs(a, k)
+    want_vals, want_vecs = _eigh_top(a, k)
+    assert vals.shape == (k,) and vecs.shape == (a.shape[0], k)
+    assert np.all(np.diff(vals) <= 0.0)
+    assert np.abs(vals / want_vals - 1).max() <= 1e-12
+    assert np.abs(vecs.T @ vecs - np.eye(k)).max() <= 1e-12
+    assert np.abs(vecs @ vecs.T - want_vecs @ want_vecs.T).max() <= 1e-12
+    assert np.abs(a @ vecs - vecs * vals).max() <= 1e-12 * vals[0]
+
+
+def test_top_eigenpairs_find_both_copies_of_a_repeated_top_eigenvalue():
+    # three copies of one block of bits: the 300 x 300 Gram matrix's top
+    # eigenvalue is double, and a single Lanczos vector would find one copy
+    b = (np.random.default_rng(26).random((100, 120)) < 0.25).astype(np.float64)
+    gram = _gram(np.kron(np.eye(3), b))
+    want = _eigh_top(gram, 3)[0]
+    assert want[0] - want[1] <= 1e-12 * want[0] and want[1] - want[2] > 0.5 * want[0]
+    assert_agrees_with_eigh(gram, 2)
+
+
+def _low_rank_gram():
+    # six distinct rows, centred: rank 5, so the Krylov basis spans an
+    # invariant subspace after a few blocks
+    rows = (np.random.default_rng(27).random((6, 2048)) < 0.25).astype(np.float64)
+    gram = _gram(rows[np.arange(400) % 6])
+    assert np.linalg.matrix_rank(gram) == 5
+    return gram
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(_low_rank_gram, id="invariant-subspace"),
+    pytest.param(lambda: -np.eye(300) - _gram(_fingerprints(300, 512).bits.astype(np.float64)),
+                 id="no-positive-ritz-value"),
+    # evenly spread eigenvalues, no gap: not converged at half the dimension
+    pytest.param(lambda: np.diag(np.linspace(1.0, 2.0, 300)), id="basis-at-its-cap"),
+])
+def test_top_eigenpairs_fall_back_to_eigh_bit_for_bit(make):
+    a = make()
+    assert match._block_lanczos(a, 2) is None
+    for got, want in zip(match._top_eigenpairs(a, 2), _eigh_top(a, 2)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_top_eigenpairs_are_the_same_bytes_on_every_call_and_at_any_offset():
+    gram = _gram(_fingerprints(600, 1024).bits.astype(np.float64))
+    first = match._top_eigenpairs(gram, 2)
+    shifted = np.empty(gram.size + 1)[1:].reshape(gram.shape)  # 8 bytes off the first copy
+    shifted[...] = gram
+    for again in (match._top_eigenpairs(gram, 2), match._top_eigenpairs(shifted, 2)):
+        for got, want in zip(again, first):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 10])
+def test_top_eigenpairs_agree_with_eigh_on_the_gram_path(k):
+    assert_agrees_with_eigh(_gram(_fingerprints(1000, 2048).bits.astype(np.float64)), k)
+
+
+@pytest.mark.parametrize("k", [2, 10])
+def test_top_eigenpairs_agree_with_eigh_on_the_covariance_path(k):
+    x = np.random.default_rng(28).normal(size=(1200, 300))
+    xc = x - x.mean(axis=0)
+    assert_agrees_with_eigh(xc.T @ xc / 1199, k)
+
+
+def test_pca_of_a_large_gram_matrix_calls_no_full_eigendecomposition(monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    pca_project(_fingerprints(1000, 2048))
+    assert sizes and max(sizes) <= match._EIGH_ROWS  # only Rayleigh-Ritz steps
 
 
 def test_pca_leaves_a_writeable_input_unchanged_and_takes_a_read_only_one():
