@@ -2,17 +2,19 @@
 
 Each iteration samples M fresh rows from every subset, discovers a causal
 graph on each augmented candidate, scores it by spectral distance to the
-global graph, and commits the candidate with the smallest loss (random
-choice in baseline mode). Sampling is without replacement within a run;
-rows sampled for unchosen subsets return to their pools. Every candidate
-draws from its own RNG substream derived from (seed, iteration, subset).
-The candidates of an iteration share one shape, so they are scored as one
-stack: one call of the stacked discovery kernel, one batched SVD, and the
-distance of each spectrum to the global graph's, taken once per run.
+global graph, and commits the candidate with the smallest loss. The random
+baseline draws its choice first and discovers only the drawn candidate.
+Sampling is without replacement within a run; rows sampled for unchosen
+subsets return to their pools. Every candidate draws from its own RNG
+substream derived from (seed, iteration, subset). The candidates of an
+iteration share one shape, so they are scored as one stack: one call of
+the stacked discovery kernel, one batched SVD, and the distance of each
+spectrum to the global graph's, taken once per run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +39,9 @@ DEFAULT_N_ITER = 20
 @dataclass(frozen=True)
 class IterationRecord:
     iteration: int
-    losses: tuple[float, ...]  # one per subset, +inf when skipped or discovery failed
+    # one per subset: +inf when skipped or degenerate, NaN when not scored
+    # (the random baseline scores only the candidate it draws)
+    losses: tuple[float, ...]
     chosen: int
     loss: float
     size: int
@@ -107,6 +111,15 @@ def _run(
     ref = spectrum(global_graph.B, n)  # the global graph's, once per run
     n_subsets, d = len(subsets), len(features)
     t_idx = features.index(target)
+
+    def score(x, mean, std):
+        """Graph losses of a stack of candidates; +inf where an adjacency is not finite."""
+        b, _ = _discover(x, mean, std, t_idx, prune_threshold, destandardize)
+        finite = np.isfinite(b).all(axis=(1, 2))
+        out = np.full(len(x), np.inf)
+        out[finite] = np.sqrt(np.sum((spectrum(b[finite], n) - ref) ** 2, axis=-1))
+        return out
+
     mats = [sub.matrix(features) for sub in subsets]
     ids = [sub.row_ids for sub in subsets]
     pools = [np.arange(sub.n_rows) for sub in subsets]
@@ -133,23 +146,31 @@ def _run(
         # a candidate too small, with a degenerate column or with a non-finite
         # adjacency scores +inf; every candidate has the same row count
         losses = np.full(n_subsets, np.inf)
+        chosen = None
         if n_acc + m >= d + EXTRA_ROWS:
             mean, std, degenerate = column_stats(x)
             ok = ~degenerate.any(axis=1)
             fit = np.asarray(eligible)[ok]
             if fit.size < len(eligible):
                 x, mean, std = x[ok], mean[ok], std[ok]
-            if fit.size:
-                b, _ = _discover(x, mean, std, t_idx, prune_threshold, destandardize)
-                finite = np.isfinite(b).all(axis=(1, 2))
-                s = spectrum(b[finite], n)
-                losses[fit[finite]] = np.sqrt(np.sum((s - ref) ** 2, axis=-1))
-        losses = tuple(losses.tolist())
+            if mode == "random" and fit.size:
+                # the draw needs only the candidates without a degenerate column,
+                # so only the drawn one is discovered; the others are not scored
+                i = int(_substream(seed, it, n_subsets).integers(fit.size))
+                loss = score(x[i : i + 1], mean[i : i + 1], std[i : i + 1])[0]
+                if np.isfinite(loss):
+                    chosen = int(fit[i])
+                    losses[fit] = np.nan
+                    losses[chosen] = loss
+            if chosen is None and fit.size:
+                losses[fit] = score(x, mean, std)
+        # one NaN object, so that runs that agree compare equal
+        losses = tuple(math.nan if v != v else v for v in losses.tolist())
 
         if mode == "active":
             # first minimum = lowest index
             chosen = eligible[int(np.argmin([losses[k] for k in eligible]))]
-        else:
+        elif chosen is None:
             # a degenerate candidate is not drawn while a finite one is; with
             # every candidate finite this is integers(n_subsets), as before
             drawn = [k for k in eligible if np.isfinite(losses[k])] or eligible

@@ -21,6 +21,7 @@ from .errors import (
     DegenerateFeature,
     InsufficientData,
     MissingColumn,
+    SchemaError,
 )
 from .util import checked_names
 
@@ -41,6 +42,21 @@ class GmmModel:
     seed: int
     log_likelihoods: tuple[float, ...]  # per-iteration trajectory (standardized space)
     converged: bool  # EM stopped on its tolerance, not at max_iter
+
+    def __post_init__(self):
+        # no stage may write a mixture that holds a value that is not finite
+        for key in ("weights", "means", "covariances"):
+            values = getattr(self, key)
+            bad = np.argwhere(~np.isfinite(values))
+            if len(bad):
+                k = int(bad[0][0])
+                raise SchemaError(f"{key}: component {k} is not finite ({values[tuple(bad[0])]})")
+        for key in ("pivot_means", "pivot_stds"):
+            values = getattr(self, key)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                i = int(bad[0])
+                raise SchemaError(f"{key}: {self.pivot_features[i]!r} is not finite ({values[i]})")
 
     @property
     def n_components(self) -> int:

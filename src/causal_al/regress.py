@@ -4,12 +4,17 @@ Plain CART regression trees: variance-reduction splits, midpoint
 thresholds between sorted unique values, bootstrap rows and sqrt(d)
 feature subsampling per split. Everything is seeded, so refits are
 bit-identical. The trees of a forest grow together on one thread, one
-node per tree per step (`_grow`), and are stored as flat node arrays
-that all rows descend together, one level per step (`tree_predictions`).
+node per tree per step, each step a fixed number of array operations
+(`_grow`): the trees' presorted (SLIQ) lists share one arena that splits
+partition in place, and the new nodes' sums come from one call that
+matches numpy's own pairwise sums bit for bit (`_segment_sums`). A forest
+is stored as flat node arrays that all rows descend together, one level
+per step (`tree_predictions`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,19 +85,20 @@ def _linked(feature, threshold, left, right, value, roots) -> tuple[_TreeNode, .
 
 
 def _blocks(sizes, mtry):
-    """Runs (start, stop) of the nodes, widest first, scored as one block.
+    """Runs (start, stop) of the candidates, mtry per node, scored as one block.
 
-    A node joins a block while it is wider than a quarter of the block's
-    first node and the padded block stays within `_BLOCK_VALUES`: fewer,
-    more padded blocks cost less than many small ones, up to that width.
+    The nodes come widest first. A node joins a block while it is wider
+    than a quarter of the block's first node and the padded block stays
+    within `_BLOCK_VALUES`: fewer, more padded blocks cost less than many
+    small ones, up to that width.
     """
-    i, k = 0, len(sizes)
+    i, k = 0, sizes.size
+    narrow = -sizes  # ascending, so a binary search finds the first narrow node
     while i < k:
-        w = sizes[i]
-        j = i + 1
-        while j < k and 4 * sizes[j] > w and (j - i + 1) * mtry * w <= _BLOCK_VALUES:
-            j += 1
-        yield i, j
+        w = int(sizes[i])
+        j = min(int(np.searchsorted(narrow, -(w // 4))), i + _BLOCK_VALUES // (mtry * w), k)
+        j = max(j, i + 1)
+        yield mtry * i, mtry * j
         i = j
 
 
@@ -123,77 +129,119 @@ def _feature_sets(rng, d, mtry, k):
     return sets
 
 
-def _best_splits(pool, m, feats, total, total_sq, xt, y, boot, lo):
-    """Score every candidate cut of a block of nodes at once.
+def _ranges(starts, lengths):
+    """The ranges [start, start + length) one after another, as one array."""
+    ends = lengths.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + (starts - (ends - lengths)).repeat(lengths)
 
-    `pool` holds the nodes' (d + 1, m) blocks one after another, widest
-    first; `feats` holds their sorted candidate features and `total`,
-    `total_sq` their 1-D sums of y and y * y. Row r of the padded arrays
-    is candidate feats.flat[r] of node r // mtry: its y in sorted order,
-    padded with the value at position m - lo. Returns the nodes that
-    split, with their features and thresholds.
+
+def _segment_sums(a, lengths):
+    """`np.add.reduce` of each segment of 1-D `a` and of `a * a`, bit for bit.
+
+    The segments lie one after another, `lengths` values each; row 0 holds
+    their sums, row 1 their sums of squares. A sum reduction starts from
+    +0.0 and adds numpy's pairwise sum of the run (8 lanes over blocks of
+    up to 128 values, halves above that), while `np.add.reduceat` starts
+    from a segment's first value and adds the pairwise sum of the others.
+    So each segment is laid out after a +0.0 of its own, and one
+    `reduceat` call gives every reduction.
     """
-    k, mtry = feats.shape
-    d, n = xt.shape
-    w = int(m[0])
-    m_row = m.repeat(mtry)
-    start = feats * m[:, None]  # of each candidate's sorted row in the pool
-    start += ((d + 1) * (np.cumsum(m) - m))[:, None]
-    at = np.minimum(np.arange(w), (m_row - lo)[:, None])
-    at += start.reshape(-1, 1)
-    sample = boot.take(pool.take(at).astype(np.intp))
-    yk = y.take(sample)
-    cum = yk.cumsum(axis=1)  # row-wise, so sequential as in 1-D
-    np.multiply(yk, yk, out=yk)
-    np.cumsum(yk, axis=1, out=yk)
-    cum, cum_sq = cum[:, lo - 1 : w - lo], yk[:, lo - 1 : w - lo]
+    k = lengths.size
+    at = lengths.cumsum() - lengths + np.arange(k)  # each segment's +0.0
+    padded = np.zeros(a.size + k)
+    values = np.ones(padded.size, dtype=bool)
+    values[at] = False
+    padded[values] = a
+    sums = np.add.reduceat(padded, at)
+    np.multiply(padded, padded, out=padded)
+    return np.stack((sums, np.add.reduceat(padded, at)))
+
+
+def _best_splits(lists, start, last, stats, shift, xt, y, left_n):
+    """Score every cut of a block of candidates at once; keep each one's best.
+
+    A candidate is a node and one of its candidate features, widest node
+    first. Its sorted list starts at row start[r] of `lists`, a window
+    view of the arena, and holds last[r] + lo ids, lo being the smallest
+    child a cut may leave; stats[r] holds its node's size, sums of y and
+    y * y and sum of squared errors, and shift[r] turns an id into the
+    index of its value in `xt`. Row r of the padded arrays is candidate
+    r's y in sorted order, followed by whatever the arena holds next, up
+    to the block's widest node: ids of the same tree, since a candidate's
+    list is never its tree's last. `left_n` counts lo, lo + 1, ... as
+    floats.
+    Returns each candidate's best gain, at its first best cut (-inf where
+    no cut splits), and the values on either side of that cut.
+    """
+    lo = int(left_n[0])
+    w = int(last[0]) + lo
+    sample = lists[start, :w]
+    # y and y * y as the real and imaginary parts: one row-wise cumulative
+    # sum adds both in order, each part as a 1-D cumsum of its own would
+    z = np.empty(sample.shape, np.complex128)
+    z.real = y.take(sample)
+    np.multiply(z.real, z.real, out=z.imag)
+    np.cumsum(z, axis=1, out=z)
+    cum, cum_sq = z.real[:, lo - 1 : w - lo], z.imag[:, lo - 1 : w - lo]
     # gain = parent_sse - ((left_sq - left_sum**2 / left_n)
     #                      + (right_sq - right_sum**2 / right_n)), op for op
-    mf = m.astype(np.float64)
-    stats = np.array((mf, total, total_sq, total_sq - total * total / mf)).T.repeat(mtry, axis=0)
-    left_n = np.arange(lo, w - lo + 1, dtype=np.float64)
+    left_n = left_n[: w - 2 * lo + 1]
     right_n = stats[:, :1] - left_n
     right = stats[:, 1:2] - cum
     np.square(right, out=right)
     np.divide(right, right_n, out=right)
     np.subtract(stats[:, 2:3] - cum_sq, right, out=right)
-    np.square(cum, out=cum)
-    np.divide(cum, left_n, out=cum)
-    np.subtract(cum_sq, cum, out=cum)
-    np.add(cum, right, out=cum)
-    gains = np.subtract(stats[:, 3:], cum, out=cum)
-    # a cut after position c is a split only where the value changes there;
-    # past m - lo, where the right side would be too small, it never does
-    sample += feats.reshape(-1, 1) * n
+    left = np.square(cum)
+    np.divide(left, left_n, out=left)
+    np.subtract(cum_sq, left, out=left)
+    np.add(left, right, out=left)
+    gains = np.subtract(stats[:, 3:], left, out=left)
+    # a cut is a split only where the value changes there, and where the
+    # right side keeps lo values or more
+    sample += shift[:, None]
     vk = xt.ravel().take(sample)
-    gains[vk[:, lo - 1 : w - lo] >= vk[:, lo : w - lo + 1]] = -np.inf
+    cuts = vk[:, lo - 1 : w - lo] >= vk[:, lo : w - lo + 1]
+    cuts |= left_n > last[:, None]
+    np.putmask(gains, cuts, -np.inf)
     cut = gains.argmax(axis=1)
-    best = gains[np.arange(cut.size), cut].reshape(k, mtry)
-    split = (best.max(axis=1) > 0.0).nonzero()[0]
-    # the first candidate whose gain beats every earlier one, at its first best cut
-    row = split * mtry + best[split].argmax(axis=1)
-    c = lo + cut[row]
-    return split, feats.ravel()[row], 0.5 * (vk[row, c - 1] + vk[row, c])
+    rows = np.arange(cut.size)
+    best = gains[rows, cut]
+    cut += lo  # the first position right of the cut
+    return best, vk[rows, cut - 1], vk[rows, cut]
 
 
-def _partition(pool, m, feature, threshold, xt, boot, goes_left):
-    """Split each node's block into its children's blocks, order kept.
+def _pools(held):
+    """Runs (start, stop) of nodes holding `_BLOCK_VALUES` entries or more.
 
-    Each node's positions in bootstrap order, the last row of its block,
-    go left or right by value; the side is written to `goes_left` per
-    position and read back for the sorted rows. Returns the left and right
-    children's sizes, positions in bootstrap order and pools.
+    `held` lists each node's entries; a run closes at the first node that
+    brings it to `_BLOCK_VALUES`, or at the last node.
     """
-    d, n = xt.shape
-    ends = np.cumsum(m)
-    own = pool.take(np.arange(ends[-1]) + np.repeat(d * ends, m))
-    at = own.astype(np.intp)
-    go_own = xt.ravel().take(boot.take(at) + np.repeat(feature * n, m)) <= np.repeat(threshold, m)
-    goes_left[at] = go_own
-    go = goes_left.take(pool.astype(np.intp))
-    m_left = np.add.reduceat(go_own, ends - m, dtype=np.int64)
-    return (m_left, m - m_left, np.compress(go_own, own), np.compress(~go_own, own),
-            np.compress(go, pool), np.compress(~go, pool))
+    ends = held.cumsum()
+    i, k = 0, held.size
+    while i < k:
+        j = min(int(np.searchsorted(ends, ends[i] - held[i] + _BLOCK_VALUES)) + 1, k)
+        yield i, j
+        i = j
+
+
+def _partition(flat, stride, width, base, m, feature, m_left, goes_left):
+    """Split each node's lists in place into its children's, order kept.
+
+    Node i's `width` lists start at flat[base[i]], `stride` apart, m[i]
+    ids each, of which m_left[i] go left: those set in `goes_left`. Each
+    list's range then takes its left entries followed by its right ones,
+    each side in the order it had. The list of the feature a node splits
+    on already has that order, so it is left as it is.
+    """
+    moves = np.arange(width) != feature[:, None]
+    lists = (base[:, None] + stride * np.arange(width))[moves]
+    sizes = m.repeat(width - 1)
+    lefts = m_left.repeat(width - 1)
+    moved = flat.take(_ranges(lists, sizes))
+    go = goes_left.take(moved)
+    flat[_ranges(lists, lefts)] = moved.compress(go)
+    np.logical_not(go, out=go)
+    flat[_ranges(lists + lefts, sizes - lefts)] = moved.compress(go)
 
 
 def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
@@ -205,17 +253,24 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
     first, and draws its candidate features from its own `rngs` entry in
     preorder, `_FEATURE_SETS` sets at a time (`_feature_sets`), so each
     tree is the one a recursive builder would grow. The stacks advance
-    together, one node per tree per step. A step scores its nodes in
-    blocks of similar size (`_best_splits`), at most `_BLOCK_VALUES`
-    padded values per block, and partitions the split nodes in pools of
-    about that many positions.
+    together, one node per tree per step, and a step is a fixed number of
+    array operations over the trees it pops from, whatever their nodes:
+    it scores the nodes in blocks of similar size (`_best_splits`), at
+    most `_BLOCK_VALUES` padded values per block, sums the children of
+    the split nodes (`_segment_sums`) and partitions the split nodes whose
+    children may split again (`_partition`).
 
-    A node holds bootstrap positions (tree t's sample j is t * nb + j) as
-    one (d + 1, m) int32 block: per feature, its positions sorted stably
-    by that feature (ties in bootstrap order, sorted once at the root and
-    partitioned at each split, as in SLIQ presorting), then its positions
-    in bootstrap order. Node sums are 1-D `np.add.reduce` calls over the
-    positions in bootstrap order, and cumulative sums run along rows, so
+    One int32 arena of shape (n_trees, d + 1, nb) holds every tree's SLIQ
+    lists of sample ids (row r of tree t is id t * n + r): per feature,
+    the ids sorted stably by that feature (ties in bootstrap order, sorted
+    once at the root), then the ids in bootstrap order. A node owns the
+    same range [offset, offset + m) of each of its tree's d + 1 lists,
+    and a split permutes that range in place into its left child's range
+    followed by its right child's, so every node's range lies inside its
+    parent's. The stacks are arrays too: per tree and stack slot, a
+    node's id, depth, offset and size and its sums of y and y * y. Node
+    sums are numpy's own pairwise sums of the node's y in bootstrap order,
+    all children of a step at once, and cumulative sums run along rows, so
     every float equals the recursive builder's.
 
     Returns flat arrays (feature, threshold, left, right, value, roots),
@@ -225,117 +280,135 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
     n_trees, nb = boots.shape
     width = d + 1
     lo = max(min_leaf, 1)  # smallest child a cut may leave
-    boot = boots.ravel()  # bootstrap position -> row of xt and y
-    goes_left = np.empty(boot.size, dtype=bool)  # per position, at its tree's current split
-    stacks = [[] for _ in range(n_trees)]
-    sets = np.empty((n_trees, _FEATURE_SETS, mtry), dtype=np.int64)  # drawn ahead, per tree
-    used = np.full(n_trees, _FEATURE_SETS)  # sets of `sets` taken, per tree
+    y_of = np.tile(y, n_trees)  # per sample id
+    goes_left = np.empty(n_trees * n, dtype=bool)  # per sample id, at its node's last split
+    # drawn ahead, per tree: a tree pops one node at every step until it is
+    # done, so at step s it takes set s % _FEATURE_SETS
+    sets = np.empty((n_trees, _FEATURE_SETS, mtry), dtype=np.int64)
     n_nodes = np.ones(n_trees, dtype=np.int64)
     made = []    # per batch of new nodes: trees, local ids, values
     splits = []  # per batch of split nodes: trees, local ids, features, thresholds, left ids
 
-    def open_nodes(trees, ids, depths, own, m, block):
-        """Record new nodes' values and push the ones that may split.
-
-        `own` holds each node's positions in bootstrap order, node after
-        node; `block(i, a, b)` returns the block of node i, which owns
-        own[a:b].
-        """
-        ends = np.cumsum(m)
-        starts = ends - m
-        ys = y.take(boot.take(own.astype(np.intp, copy=False)))
-        del own  # freed early: at the roots it spans every tree's sample
-        bounds = list(zip(starts.tolist(), ends.tolist()))
-        totals = np.array([np.add.reduce(ys[a:b]) for a, b in bounds])
-        made.append((trees, ids, totals / m))
-        # a node varies if y changes between two of its positions
-        changes = np.zeros(ys.size, dtype=bool)
-        np.not_equal(ys[1:], ys[:-1], out=changes[1:])
-        changes = np.cumsum(changes, dtype=np.int32)
-        varies = changes[ends - 1] > changes[np.minimum(starts, ys.size - 1)]
-        # (at least two positions, so an empty node never reads a neighbour's count)
-        grows = (depths < max_depth) & (m >= max(2 * min_leaf, 2)) & varies
-        grows = np.flatnonzero(grows).tolist()
-        if not grows:
-            return
-        sq = np.multiply(ys, ys, out=ys)
-        trees, ids, depths, totals = trees.tolist(), ids.tolist(), depths.tolist(), totals.tolist()
-        for i in grows:
-            a, b = bounds[i]
-            stacks[trees[i]].append(
-                (ids[i], depths[i], block(i, a, b), b - a, totals[i], np.add.reduce(sq[a:b])))
-
-    def open_children(parts):
-        """Partition the split nodes of `parts`; number, record and open their children."""
-        trees, ids, depths, feature, threshold, m, pool = (np.concatenate(c) for c in zip(*parts))
-        m_left, m_right, left_own, right_own, left_pool, right_pool = _partition(
-            pool, m, feature, threshold, xt, boot, goes_left)
-        del pool
-        left = n_nodes[trees]
-        n_nodes[trees] += 2
-        splits.append((trees, ids, feature, threshold, left))
-        # right children come first, so each tree pushes its right child before
-        # its left one and builds its left subtree first; right children wait
-        # on the stack, so they copy their blocks out of the pool
-        k, skip = trees.size, right_own.size
-
-        def block(i, a, b):
-            if i < k:
-                return right_pool[width * a : width * b].copy()
-            return left_pool[width * (a - skip) : width * (b - skip)]
-
-        open_nodes(np.tile(trees, 2), np.concatenate((left + 1, left)), np.tile(depths + 1, 2),
-                   np.concatenate((right_own, left_own)), np.concatenate((m_right, m_left)), block)
-
     # each feature's dense ranks: a stable sort of a tree's ranks orders its
-    # positions as a stable sort of the values would, and small integers let
-    # it run as a radix sort
+    # rows as a stable sort of the values would, and small integers let it
+    # run as a radix sort
     ranks = np.empty((d, n), dtype=np.min_scalar_type(n))
     for f in range(d):
         ranks[f] = np.unique(xt[f], return_inverse=True)[1]
+    flat = np.empty(n_trees * width * nb, dtype=np.int32)
+    arena = flat.reshape(n_trees, width, nb)
+    for t, boot in enumerate(boots):  # one tree's sort at a time keeps the temporaries small
+        arena[t, :d] = boot.take(np.argsort(ranks[:, boot], axis=1, kind="stable"))
+        arena[t, d] = boot
+        arena[t] += t * n
+    del ranks, arena
+    # row i of `lists` is flat[i : i + nb]: indexing it reads only the rows
+    # asked for (`take` would copy the whole view first)
+    lists = np.ndarray((flat.size - nb + 1, nb), flat.dtype, flat, 0, (flat.itemsize,) * 2)
+    left_n = np.arange(lo, nb + 1, dtype=np.float64)  # a cut's left size, from lo up
 
-    def root(t, a, b):
-        block = np.empty((width, nb), dtype=np.int32)
-        block[:d] = np.argsort(ranks[:, boots[t]], axis=1, kind="stable")
-        block[:d] += a
-        block[d] = np.arange(a, b)
-        return block.ravel()
+    # only a node shallower than max_depth is pushed, none is deeper than
+    # nb - 1, and a stack holds at most one waiting right child per depth
+    slots = max(min(max_depth, nb), 0) + 2
+    # id, depth, offset, size (all exact in float64), sum of y, sum of y * y
+    stack = np.empty((n_trees, slots, 6))
+    top = np.zeros(n_trees, dtype=np.int64)  # stack pointers
+
+    def open_nodes(trees, ids, depths, offsets, m, ys, pairs):
+        """Record new nodes' values, push the ones that may split, say which.
+
+        `ys` holds the nodes' y values, node after node, each in bootstrap
+        order. With `pairs`, the first half are right children and the
+        second half their left siblings, in the same tree order: a tree
+        pushes its right child first, so it builds its left subtree first.
+        """
+        sums = _segment_sums(ys, m)
+        made.append((trees, ids, sums[0] / m))
+        # a node varies if y changes between two of its positions; the flag of
+        # a node's first position, and one past the last node, stay unset
+        starts = m.cumsum() - m
+        changes = np.zeros(ys.size + 1, dtype=bool)
+        np.not_equal(ys[1:], ys[:-1], out=changes[1:-1])
+        changes[starts] = False
+        grows = np.logical_or.reduceat(changes, starts)
+        grows &= (depths < max_depth) & (m >= max(2 * min_leaf, 2))
+        slot = top[trees]
+        if pairs:
+            half = trees.size // 2
+            slot[half:] += grows[:half]
+        at = np.flatnonzero(grows)
+        stack[trees[at], slot[at]] = np.array((ids, depths, offsets, m, *sums)).T[at]
+        top[:] += np.bincount(trees[at], minlength=n_trees)
+        return grows
 
     zeros = np.zeros(n_trees, dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):  # padded cuts; empty children
-        open_nodes(np.arange(n_trees), zeros, zeros, np.arange(boot.size), np.full(n_trees, nb), root)
+        open_nodes(np.arange(n_trees), zeros, zeros, zeros, np.full(n_trees, nb),
+                   y.take(boots.ravel()), pairs=False)
 
-        while True:
-            live = [t for t in range(n_trees) if stacks[t]]
-            if not live:
+        for step in itertools.count():
+            live = np.flatnonzero(top)
+            if not live.size:
                 break
-            live.sort(key=lambda t: stacks[t][-1][3], reverse=True)  # widest node first
-            ids, depths, blocks, sizes, total, total_sq = (
-                list(c) for c in zip(*[stacks[t].pop() for t in live]))
-            live, ids, depths, m = np.array(live), np.array(ids), np.array(depths), np.array(sizes)
-            for t in live[used[live] == _FEATURE_SETS].tolist():
-                sets[t] = _feature_sets(rngs[t], d, mtry, _FEATURE_SETS)
-                used[t] = 0
-            feats = sets[live, used[live]]
-            used[live] += 1
-            total, total_sq = np.array(total), np.array(total_sq)
-            parts, held = [], 0
-            for i, j in _blocks(sizes, mtry):
-                pool = np.concatenate(blocks[i:j])
-                blocks[i:j] = [None] * (j - i)  # free each parent once it is pooled
-                split, feature, threshold = _best_splits(
-                    pool, m[i:j], feats[i:j], total[i:j], total_sq[i:j], xt, y, boot, lo)
-                if split.size:
-                    if split.size < j - i:
-                        keep = np.zeros(j - i, dtype=bool)
-                        keep[split] = True
-                        pool = np.compress(np.repeat(keep, width * m[i:j]), pool)
-                    at = i + split
-                    parts.append((live[at], ids[at], depths[at], feature, threshold, m[at], pool))
-                    held += pool.size
-                if parts and (held >= _BLOCK_VALUES or j == len(sizes)):
-                    open_children(parts)
-                    parts, held = [], 0
+            slot = top[live] - 1
+            top[live] = slot
+            popped = stack[live, slot]
+            order = (-popped[:, 3]).argsort(kind="stable")  # widest node first
+            live, popped = live[order], popped[order].T
+            (ids, depths, offsets, m), (total, total_sq) = popped[:4].astype(np.int64), popped[4:]
+            if step % _FEATURE_SETS == 0:
+                for t in live.tolist():
+                    sets[t] = _feature_sets(rngs[t], d, mtry, _FEATURE_SETS)
+            feats = sets[live, step % _FEATURE_SETS]
+            base = live * (width * nb) + offsets  # of each node's first list
+            # one row per candidate: a node and one of its features
+            start = (feats * nb + base[:, None]).ravel()
+            last = m.repeat(mtry) - lo
+            mf = m.astype(np.float64)
+            stats = np.array((mf, total, total_sq, total_sq - total * total / mf)).T
+            stats = stats.repeat(mtry, axis=0)
+            shift = ((feats - live[:, None]) * n).ravel()  # id -> index in xt
+            scored = [
+                _best_splits(lists, start[i:j], last[i:j], stats[i:j], shift[i:j], xt, y_of,
+                             left_n)
+                for i, j in _blocks(m, mtry)]
+            gains, below, above = (np.concatenate(c) for c in zip(*scored))
+            best = gains.reshape(-1, mtry)
+            at = (best.max(axis=1) > 0.0).nonzero()[0]
+            if not at.size:
+                continue
+            # the first candidate whose gain beats every earlier one, at its first best cut
+            row = at * mtry + best[at].argmax(axis=1)
+            feature, threshold = feats.ravel()[row], 0.5 * (below[row] + above[row])
+            trees, base, m, offsets = live[at], base[at], m[at], offsets[at]
+            left = n_nodes[trees]
+            n_nodes[trees] += 2
+            splits.append((trees, ids[at], feature, threshold, left))
+            # each split node's rows in bootstrap order, its last list, go left
+            # or right by value
+            own = flat.take(_ranges(base + d * nb, m))
+            go = xt.ravel().take(own + ((feature - trees) * n).repeat(m)) <= threshold.repeat(m)
+            goes_left[own] = go
+            m_left = np.add.reduceat(go, m.cumsum() - m, dtype=np.int64)  # (m >= 2 each)
+            # the children's y in bootstrap order, right children first
+            ys = y_of.take(own)
+            del own
+            ys = np.concatenate((ys.compress(~go), ys.compress(go)))
+            depths = depths[at] + 1
+            grows = open_nodes(
+                np.concatenate((trees, trees)), np.concatenate((left + 1, left)),
+                np.concatenate((depths, depths)), np.concatenate((offsets + m_left, offsets)),
+                np.concatenate((m - m_left, m_left)), ys, pairs=True)
+            del ys, go
+            # only the lists of a node with a child that may split are kept up
+            # to date, in pools of about `_BLOCK_VALUES` entries
+            k = m.size
+            keep = np.flatnonzero(grows[:k] | grows[k:])
+            for i, j in _pools((width - 1) * m[keep]):
+                part = keep[i:j]
+                _partition(flat, nb, width, base[part], m[part], feature[part], m_left[part],
+                           goes_left)
+    del flat, lists, y_of
 
     first = np.cumsum(n_nodes) - n_nodes
     total_nodes = int(n_nodes.sum())
@@ -394,7 +467,7 @@ def fit_forest(
     n = y.size
     mtry = max(1, int(np.sqrt(len(features))))
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
-    boots = np.empty((n_trees, n), dtype=np.intp)
+    boots = np.empty((n_trees, n), dtype=np.int32)
     for boot, rng in zip(boots, rngs):
         boot[:] = rng.integers(0, n, size=n)
 

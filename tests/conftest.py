@@ -29,6 +29,15 @@ def no_thread_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
 
 
+# The 10-node world of the acceptance suite (criteria 04 and 05), also the
+# benchmark's `assemble` world
+WORLD_NODES = tuple(f"f{i}" for i in range(1, 10)) + ("y",)
+WORLD_EDGES = (
+    ("f1", "f2", 0.8), ("f1", "f3", 0.6), ("f2", "f4", 0.7), ("f3", "f4", -0.5),
+    ("f2", "f5", 0.5), ("f6", "f5", 0.6), ("f6", "f7", -0.7), ("f7", "f8", 0.6),
+    ("f4", "y", 0.9), ("f5", "y", -0.7), ("f3", "y", 0.4), ("f8", "y", 0.5),
+)
+
 # 1000 copies of either value have a sample standard deviation of about
 # 1e-17, not 0, because their mean rounds (ROADMAP H)
 ROUNDED_CONSTANTS = (-0.49994593130499265, 0.1)

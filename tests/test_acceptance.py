@@ -18,7 +18,7 @@ from causal_al.dataio import FeatureTable
 from causal_al.graphdist import spectral_distance
 from causal_al.intervene import plan_interventions, predict_target_sem, total_effects
 from causal_al.synth import SemSpec, make_heterogeneous_world, sample_sem
-from tests.conftest import make_table
+from tests.conftest import WORLD_EDGES, WORLD_NODES, make_table
 
 
 def _verdict(num: int, name: str, parts: dict) -> None:
@@ -159,12 +159,6 @@ def test_criterion_03_spectral_axioms():
 # 4 + 5. the paired active-learning experiment
 # ---------------------------------------------------------------------------
 
-WORLD_NODES = tuple(f"f{i}" for i in range(1, 10)) + ("y",)
-WORLD_EDGES = (
-    ("f1", "f2", 0.8), ("f1", "f3", 0.6), ("f2", "f4", 0.7), ("f3", "f4", -0.5),
-    ("f2", "f5", 0.5), ("f6", "f5", 0.6), ("f6", "f7", -0.7), ("f7", "f8", 0.6),
-    ("f4", "y", 0.9), ("f5", "y", -0.7), ("f3", "y", 0.4), ("f8", "y", 0.5),
-)
 WORLD_SPEC = SemSpec(
     WORLD_NODES, WORLD_EDGES, tuple(("uniform", 0.5) for _ in WORLD_NODES), seed=0
 )

@@ -56,6 +56,21 @@ def degenerate(run, subset_sizes):
     return inf - exhausted(run, subset_sizes)
 
 
+def assert_scored_once(rec, degenerate_subsets):
+    """A random-baseline record: only the committed candidate was discovered.
+
+    Its loss is finite, a degenerate candidate's is +inf, and every other
+    sampled candidate was not scored, which records NaN.
+    """
+    for k, loss in enumerate(rec.losses):
+        if k == rec.chosen:
+            assert np.isfinite(loss), (rec, k)
+        elif k in degenerate_subsets:
+            assert loss == float("inf"), (rec, k)
+        else:
+            assert np.isnan(loss), (rec, k)
+
+
 def with_column(sub, name, column):
     """`sub` with the values of column `name` replaced by `column`."""
     values = sub.values.copy()
@@ -142,7 +157,10 @@ def test_constant_column_subset_scores_inf_without_aborting():
         run = loop(subsets, dag, "y", m=30, n_iter=3, seed=seed)
         first = run.records[0]
         assert first.losses[2] == float("inf")
-        assert np.isfinite(first.losses[:2]).all()
+        if loop is active_learn:
+            assert np.isfinite(first.losses[:2]).all()
+        else:
+            assert_scored_once(first, {2})
         assert len(run.records) == 3
         for rec in run.records:  # a degenerate candidate is never committed
             assert np.isfinite(rec.loss)
@@ -161,7 +179,11 @@ def test_overflowing_column_subset_scores_inf_without_aborting(loop):
     subsets[2] = with_column(subsets[2], "f2", f2)
     run = loop(subsets, dag, "y", m=30, n_iter=3, seed=0)
     assert all(rec.losses[2] == float("inf") for rec in run.records)
-    assert all(np.isfinite(rec.losses[:2]).all() for rec in run.records)
+    for rec in run.records:
+        if loop is active_learn:
+            assert np.isfinite(rec.losses[:2]).all()
+        else:
+            assert_scored_once(rec, {2})
     assert degenerate(run, [200, 200, 200]) == 3
 
 
@@ -180,6 +202,48 @@ def test_candidate_with_a_non_finite_graph_scores_inf():
         assert first.losses[2] == float("inf")
         assert np.isfinite(first.losses[:2]).all()
         assert all(np.isfinite(rec.loss) for rec in run.records)
+
+
+def test_random_baseline_discovers_only_the_drawn_candidate(monkeypatch):
+    # every candidate is fine, so each iteration discovers one candidate, the
+    # committed one, and the choices are those recorded above
+    stacks = []
+
+    def counting(x, *args):
+        stacks.append(len(x))
+        return discover(x, *args)
+
+    discover = active._discover
+    monkeypatch.setattr(active, "_discover", counting)
+    subsets, _, dag = small_world()
+    run = random_baseline(subsets, dag, "y", m=20, n_iter=8, seed=11)
+    assert [rec.chosen for rec in run.records] == CHOSEN_RANDOM_SEED_11
+    assert stacks == [1] * 8
+    for rec in run.records:
+        assert_scored_once(rec, set())
+    assert degenerate(run, [400, 400, 400]) == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_choice_moves_only_through_an_undrawn_non_finite_graph(seed):
+    # subset 2's graph is not finite (f1 scaled by 1e-158, y by 1e152) but its
+    # columns are not degenerate: the draw is over all three candidates, as
+    # integers(3) from the iteration's stream. Drawn, subset 2 scores +inf and
+    # every candidate is scored, then the draw is over the finite ones as
+    # before, from the same stream; undrawn, it is not scored, and the choice
+    # can differ from the earlier rule's, which drew from the finite two.
+    subsets, _, dag = small_world()
+    sub = subsets[2]
+    subsets[2] = with_column(with_column(sub, "f1", sub.column("f1") * 1e-158),
+                             "y", sub.column("y") * 1e152)
+    first = random_baseline(subsets, dag, "y", m=30, n_iter=1, seed=seed).records[0]
+    drawn = int(active._substream(seed, 0, 3).integers(3))
+    if drawn == 2:
+        assert first.chosen == int(active._substream(seed, 0, 3).integers(2))
+        assert np.isfinite(first.losses[:2]).all() and first.losses[2] == float("inf")
+    else:
+        assert first.chosen == drawn
+        assert_scored_once(first, set())
 
 
 @pytest.mark.parametrize("features, top_n", [

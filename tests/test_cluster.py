@@ -304,3 +304,21 @@ def test_pivot_features_are_known_and_named_once(pivots, match):
     model = fit_gmm(table, ("p",), n_components=2, seed=7)
     with pytest.raises(MissingColumn, match=match):
         responsibilities(dataclasses.replace(model, pivot_features=pivots), table)
+
+
+@pytest.mark.parametrize("key, at, value, match", [
+    ("weights", (1,), np.nan, r"^weights: component 1 is not finite \(nan\)$"),
+    ("means", (1, 0), np.inf, r"^means: component 1 is not finite \(inf\)$"),
+    ("covariances", (0, 1, 1), np.nan, r"^covariances: component 0 is not finite \(nan\)$"),
+    ("pivot_means", (1,), -np.inf, r"^pivot_means: 'q' is not finite \(-inf\)$"),
+    ("pivot_stds", (0,), np.nan, r"^pivot_stds: 'p' is not finite \(nan\)$"),
+])
+def test_model_refuses_non_finite_parameters(key, at, value, match):
+    # no stage may write a mixture holding a value that is not finite
+    rng = np.random.default_rng(5)
+    table = make_table(rng.normal(size=(200, 2)), ("p", "q"))
+    model = fit_gmm(table, ("p", "q"), n_components=2, seed=1)
+    bad = getattr(model, key).copy()
+    bad[at] = value
+    with pytest.raises(SchemaError, match=match):
+        dataclasses.replace(model, **{key: bad})

@@ -1,10 +1,16 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from causal_al import regress
+from causal_al.active import active_learn, random_baseline
+from causal_al.dataio import concat_tables
 from causal_al.errors import ConfigError, DegenerateTarget, EmptyTable, MissingColumn
 from causal_al.regress import accuracy_trace, fit_forest, predict, r2, tree_predictions
-from tests.conftest import make_table
+from causal_al.synth import SemSpec, make_heterogeneous_world
+from tests.conftest import WORLD_EDGES, WORLD_NODES, make_table
 
 
 def line_table(n=500, slope=3.0, seed=12, noise=0.0):
@@ -452,3 +458,113 @@ def test_feature_set_chunk_does_not_change_the_forest(monkeypatch, n_sets):
 def test_forest_columns_are_known_and_named_once(features, target, match):
     with pytest.raises(MissingColumn, match=f"^features and target: {match}$"):
         fit_forest(line_table(60), features, target, n_trees=2)
+
+
+# ---------------------------------------------------------------------------
+# batched node sums vs one `np.add.reduce` per segment
+# ---------------------------------------------------------------------------
+
+# lengths on both sides of numpy's 8-value lanes, its 128-value blocks and
+# its halving points
+SUM_LENGTHS = (*range(0, 300), 511, 512, 513, 999, 1000, 1001, 2047, 3000, 5000, 9000, 17_000)
+
+
+def reduced(a, lengths):
+    """One 1-D `np.add.reduce` per segment, the segments one after another."""
+    ends = np.cumsum(lengths)
+    return np.array([np.add.reduce(a[e - k : e]) for e, k in zip(ends, lengths)])
+
+
+def assert_sums_bit_equal(a, lengths):
+    with np.errstate(all="ignore"):
+        want = np.array([reduced(a, lengths), reduced(a * a, lengths)])
+        assert regress._segment_sums(a, lengths).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_segment_sums_equal_numpy_reductions_bit_for_bit(seed):
+    # magnitudes from about 1e-26 to 1e26, so that the order of the additions shows
+    rng = np.random.default_rng(seed)
+    lengths = rng.permutation(np.array(SUM_LENGTHS))
+    a = rng.normal(size=lengths.sum()) * np.exp(rng.normal(scale=20, size=lengths.sum()))
+    assert_sums_bit_equal(a, lengths)
+
+
+@pytest.mark.parametrize("values", [
+    (-0.0,),
+    (-0.0, 0.0, 1.0),
+    (np.inf, -np.inf, 1.0, -0.0),
+    (np.nan, 2.0, -0.0),
+    (np.nan, -np.nan, np.inf, -np.inf, 3.0),
+    (5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -0.0),
+    (1e300, -1e300, 1e-300, -1e-300, 1e308),
+])
+def test_segment_sums_of_special_values(values):
+    rng = np.random.default_rng(len(values))
+    for _ in range(20):
+        lengths = rng.choice(np.array(SUM_LENGTHS[:300] + (511, 512, 1000, 1001)), size=24)
+        a = np.array(values)[rng.integers(0, len(values), size=lengths.sum())]
+        assert_sums_bit_equal(a, lengths)
+
+
+def test_segment_sums_of_empty_segments_and_negative_zero():
+    # a reduction of -0.0 alone is +0.0, as is one of no values
+    got = regress._segment_sums(np.array([-0.0, 2.0]), np.array([0, 1, 0, 1, 0]))
+    want = np.array([[0.0, 0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 4.0, 0.0]])
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's `assemble` forests, pinned
+# ---------------------------------------------------------------------------
+
+ASSEMBLE_FOREST = dict(n_trees=60, max_depth=10, min_leaf=2, seed=123)
+# sha256 of (feature, threshold, left, right, value, roots) of the forest on
+# each run's final dataset, recorded from the builder this one replaced
+ASSEMBLE_FOREST_SHA256 = {
+    "active": "1f3e0332769e1e3d8ef034a4efa660a9e4177593c9c59a81e81168e59f70995a",
+    "random": "a1cc6cec8c0e47a5208250a3f81fa7c5146faf98f51405054bf27afd4ea01405",
+}
+# tracemalloc peak of `fit_forest` on the active run's 1000 rows: 5 254 378 B
+# for the builder this one replaced, plus 10 %
+ASSEMBLE_FOREST_PEAK_BYTES = 5_779_815
+
+
+@pytest.fixture(scope="module")
+def assemble_datasets():
+    """Each loop's final dataset, built as the benchmark's `assemble` builds it."""
+    spec = SemSpec(WORLD_NODES, WORLD_EDGES, tuple(("uniform", 0.5) for _ in WORLD_NODES))
+    subsets, _, dag = make_heterogeneous_world(
+        3, spec, (0.3, 1.0, 1.8), seed=11, n_rows=1000, target="y")
+    pool = concat_tables(subsets)
+    return {
+        run.mode: pool.select_by_ids(run.selected_row_ids)
+        for run in (loop(subsets, dag, "y", m=50, n_iter=20, seed=11)
+                    for loop in (active_learn, random_baseline))
+    }
+
+
+def forest_sha256(model):
+    h = hashlib.sha256()
+    for name in ("feature", "threshold", "left", "right", "value", "roots"):
+        h.update(np.ascontiguousarray(getattr(model, name)).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["active", "random"])
+def test_assemble_forests_are_the_recorded_ones(assemble_datasets, mode):
+    model = fit_forest(assemble_datasets[mode], WORLD_NODES[:-1], "y", **ASSEMBLE_FOREST)
+    assert forest_sha256(model) == ASSEMBLE_FOREST_SHA256[mode]
+
+
+def test_assemble_forest_peak_memory(assemble_datasets):
+    table = assemble_datasets["active"]
+    assert table.n_rows == 1000
+    fit_forest(table, WORLD_NODES[:-1], "y", **ASSEMBLE_FOREST)  # imports and caches first
+    tracemalloc.start()
+    try:
+        fit_forest(table, WORLD_NODES[:-1], "y", **ASSEMBLE_FOREST)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ASSEMBLE_FOREST_PEAK_BYTES
