@@ -58,10 +58,6 @@ class ActiveLearningRun:
     selected_row_ids: tuple[str, ...]
     records: tuple[IterationRecord, ...]
 
-    def snapshot_ids(self, iteration: int) -> tuple[str, ...]:
-        """Committed row ids after the given iteration (0-based)."""
-        return self.selected_row_ids[: (iteration + 1) * self.m_per_iter]
-
     def final_loss(self) -> float:
         return self.records[-1].loss
 

@@ -416,12 +416,14 @@ DAG_HEADER = ("child", "parent", "weight")
 def save_dag(path, dag: WeightedDag) -> None:
     """Edge list `child,parent,weight` after the node order and column scales."""
     names = dag.node_names
+    order = list(dag.causal_order)
+    # `load_dag` reads the statistics in the file's node order, the causal order
     meta = [
-        ("causal_order", [names[i] for i in dag.causal_order]),
+        ("causal_order", [names[i] for i in order]),
         ("target", dag.target),
         ("standardized", int(dag.standardized)),
-        ("node_means", dag.node_means),
-        ("node_stds", dag.node_stds),
+        ("node_means", None if dag.node_means is None else np.asarray(dag.node_means)[order]),
+        ("node_stds", None if dag.node_stds is None else np.asarray(dag.node_stds)[order]),
     ]
     rows = [
         (child, parent, dag.B[i, j])

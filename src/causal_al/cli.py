@@ -416,7 +416,8 @@ def cmd_report(cfg: Config, outdir: Path):
             matched_ids = {nr.neighbor_ids[0] for nr in neighbors}
             present = [r for r in ref_fps.row_ids if r in matched_ids]
             if present:
-                bits = np.array([ref_fps.row(r) for r in present])
+                rows = ref_fps.packed[[ref_fps.index(r) for r in present]]
+                bits = np.unpackbits(rows, axis=1, count=ref_fps.width)
                 projected = match.project_onto(proj, bits)
                 coords += [(rid, p1, p2, "matched") for rid, (p1, p2) in zip(present, projected)]
         files["pca_coords.csv"] = partial(

@@ -524,6 +524,11 @@ def load_neighbors(path) -> list[NeighborResult]:
         grouped.setdefault(qid, []).append(entry)
     results = []
     for qid, entries in grouped.items():
-        _, ids, distances, targets = zip(*sorted(entries))
+        ranks, ids, distances, targets = zip(*sorted(entries))
+        if ranks != tuple(range(1, len(ranks) + 1)):
+            raise SchemaError(
+                f"{path}: query {qid!r} has ranks {','.join(map(str, ranks))}, "
+                f"expected 1..{len(ranks)}"
+            )
         results.append(NeighborResult(qid, ids, distances, None if None in targets else targets))
     return results

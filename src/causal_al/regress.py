@@ -429,13 +429,6 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
     return feature, threshold, left, right, value, first
 
 
-def _build_tree(x, y, max_depth, min_leaf, mtry, rng) -> _TreeNode:
-    """Grow one CART tree on the bootstrap rows `x`, `y` (see `_grow`)."""
-    xt = np.ascontiguousarray(x.T, dtype=np.float64)
-    flat = _grow(xt, y, np.arange(y.size)[None], max_depth, min_leaf, mtry, [rng])
-    return _linked(*flat)[0]
-
-
 def fit_forest(
     train: FeatureTable,
     features,
@@ -529,29 +522,3 @@ def r2_of(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
     return 1.0 - ss_res / ss_tot
 
-
-def accuracy_trace(
-    run,
-    pool: FeatureTable,
-    test: FeatureTable,
-    features,
-    target: str,
-    n_trees: int = DEFAULT_N_TREES,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    min_leaf: int = DEFAULT_MIN_LEAF,
-    seed: int = 0,
-) -> tuple[list[float], float]:
-    """Refit on each committed-dataset snapshot and score a fixed test set.
-
-    Returns (per-iteration R2 list, all-data reference R2), the reference
-    being a forest fit on the whole pool.
-    """
-    def score(train: FeatureTable) -> float:
-        model = fit_forest(
-            train, features, target,
-            n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf, seed=seed,
-        )
-        return r2(model, test)
-
-    trace = [score(pool.select_by_ids(run.snapshot_ids(it))) for it in range(run.n_iter)]
-    return trace, score(pool)

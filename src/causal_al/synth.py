@@ -114,21 +114,6 @@ def sample_sem(
     )
 
 
-def analytic_covariance(spec: SemSpec) -> np.ndarray:
-    """Model covariance (I-B)^-1 D (I-B)^-T with D the noise variances."""
-    # imported here, so the synth stage does not load the planner
-    from .intervene import total_effects
-
-    var = []
-    for family, scale in spec.noises:
-        if family == "uniform":
-            var.append(scale**2 / 3.0)
-        else:  # laplace: 2 s^2, gaussian: s^2
-            var.append(2.0 * scale**2 if family == "laplace" else scale**2)
-    inv = np.eye(len(spec.node_names)) + total_effects(spec.true_dag())
-    return inv @ np.diag(var) @ inv.T
-
-
 def perturb_spec(spec: SemSpec, factor: float, seed: int) -> SemSpec:
     """Scale every edge weight by `factor`."""
     factor = float(factor)

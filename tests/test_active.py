@@ -260,7 +260,8 @@ def test_committed_loss_is_the_spectral_distance_of_its_candidate(features, top_
     for loop in (active_learn, random_baseline):
         run = loop(subsets, dag, "y", features=features, m=20, n_iter=4, seed=5, top_n=top_n)
         for rec in run.records:
-            table = pool.select_by_ids(run.snapshot_ids(rec.iteration)).select_columns(names)
+            ids = run.selected_row_ids[:(rec.iteration + 1) * run.m_per_iter]
+            table = pool.select_by_ids(ids).select_columns(names)
             graph = discover_lingam(table, "y", destandardize=True)
             assert rec.loss == spectral_distance(graph, dag, n=top_n)
 
@@ -309,13 +310,6 @@ def test_run_record_shape_and_growth():
         assert rec.chosen == int(np.argmin(rec.losses))
     assert len(run.selected_row_ids) == 125
     assert len(set(run.selected_row_ids)) == 125  # without replacement
-
-
-def test_snapshot_ids_prefixes():
-    subsets, _, dag = small_world()
-    run = active_learn(subsets, dag, "y", m=20, n_iter=3, seed=1)
-    assert run.snapshot_ids(0) == run.selected_row_ids[:20]
-    assert run.snapshot_ids(2) == run.selected_row_ids
 
 
 def test_determinism_bit_identical():

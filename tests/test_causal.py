@@ -451,6 +451,31 @@ def test_dag_round_trip(tmp_path):
     )
 
 
+def test_dag_round_trip_keeps_each_nodes_column_stats_when_the_order_is_not_the_identity(
+    tmp_path,
+):
+    # the file lists nodes in causal order (b, a, y); the statistics used to
+    # be written in node order, so b was read back with a's mean and std
+    dag = WeightedDag(
+        node_names=("a", "b", "y"),
+        B=np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [1.5, 0.0, 0.0]]),
+        causal_order=(1, 0, 2),
+        target="y",
+        node_means=np.array([-0.008, 48.6, 3.0]),
+        node_stds=np.array([0.25, 7.0, 1.5]),
+        standardized=False,
+    )
+    causal.save_dag(tmp_path / "dag.csv", dag)
+    loaded = causal.load_dag(tmp_path / "dag.csv")
+    assert loaded.node_names == ("b", "a", "y")
+    for name in dag.node_names:
+        assert loaded.node_means[loaded.index(name)] == dag.node_means[dag.index(name)], name
+        assert loaded.node_stds[loaded.index(name)] == dag.node_stds[dag.index(name)], name
+        for parent in dag.node_names:
+            want = dag.B[dag.index(name), dag.index(parent)]
+            assert loaded.B[loaded.index(name), loaded.index(parent)] == want
+
+
 def test_adjacency_csv(tmp_path):
     dag = chain_dag()
     p = tmp_path / "adj.csv"

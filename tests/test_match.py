@@ -881,3 +881,19 @@ def test_neighbors_file_repeating_a_rank_is_refused_naming_the_file(tmp_path):
     )
     with pytest.raises(SchemaError, match=f"^{re.escape(str(p))}: 'a rank 1' is named twice$"):
         match.load_neighbors(p)
+
+
+@pytest.mark.parametrize("ranks", [(2, 3), (1, 3), (0, 1), (-1,)])
+def test_neighbors_file_whose_ranks_are_not_one_to_k_is_refused_naming_the_query(
+    tmp_path, ranks
+):
+    # ranks 2 and 3 alone used to load, and `report` took the rank-2 row as the best match
+    p = tmp_path / "nn.csv"
+    rows = "".join(f"q1,{r},r{r + 5},0.{r + 5},\n" for r in ranks)
+    p.write_text(f"query_id,rank,ref_id,distance,ref_target\nq0,1,r0,0.1,\n{rows}",
+                 encoding="utf-8")
+    listed = ",".join(map(str, ranks))
+    with pytest.raises(SchemaError, match=(
+        f"^{re.escape(str(p))}: query 'q1' has ranks {listed}, expected 1..{len(ranks)}$"
+    )):
+        match.load_neighbors(p)

@@ -8,7 +8,7 @@ from causal_al import regress
 from causal_al.active import active_learn, random_baseline
 from causal_al.dataio import concat_tables
 from causal_al.errors import ConfigError, DegenerateTarget, EmptyTable, MissingColumn
-from causal_al.regress import accuracy_trace, fit_forest, predict, r2, tree_predictions
+from causal_al.regress import fit_forest, predict, r2, tree_predictions
 from causal_al.synth import SemSpec, make_heterogeneous_world
 from tests.conftest import WORLD_EDGES, WORLD_NODES, make_table
 
@@ -109,28 +109,6 @@ def test_r2_empty_test():
         r2(model, table.select_rows([]))
 
 
-def test_accuracy_trace_lengths_and_reference():
-    from causal_al.active import ActiveLearningRun, IterationRecord
-
-    table = line_table(n=120, noise=0.4, seed=4)
-    # a fake 3-iteration run committing 40 rows per iteration covers the pool
-    records = tuple(
-        IterationRecord(iteration=i, losses=(0.0,), chosen=0, loss=0.0, size=(i + 1) * 40)
-        for i in range(3)
-    )
-    run = ActiveLearningRun(
-        mode="active", seed=0, m_per_iter=40, n_iter=3, n_subsets=1,
-        selected_row_ids=table.row_ids, records=records,
-    )
-    test = line_table(n=60, noise=0.4, seed=99)
-    trace, reference = accuracy_trace(
-        run, table, test, ("x",), "y", n_trees=15, seed=1
-    )
-    assert len(trace) == 3
-    # final snapshot is the whole pool, so it matches the all-data reference
-    assert trace[-1] == pytest.approx(reference, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # presorted builder vs the recursive per-node-sorting CART it replaced
 # ---------------------------------------------------------------------------
@@ -203,10 +181,17 @@ def _preorder(node):
     return out
 
 
+def _build_tree(x, y, max_depth, min_leaf, mtry, rng):
+    """Grow one tree with the forest's builder on the rows `x`, `y`, as linked nodes."""
+    xt = np.ascontiguousarray(x.T, dtype=np.float64)
+    flat = regress._grow(xt, y, np.arange(y.size)[None], max_depth, min_leaf, mtry, [rng])
+    return regress._linked(*flat)[0]
+
+
 def assert_same_tree(x, y, max_depth, min_leaf, mtry, seed):
     expected = _reference_build_tree(
         x, y, 0, max_depth, min_leaf, mtry, np.random.default_rng(seed))
-    got = regress._build_tree(x, y, max_depth, min_leaf, mtry, np.random.default_rng(seed))
+    got = _build_tree(x, y, max_depth, min_leaf, mtry, np.random.default_rng(seed))
     assert _preorder(got) == _preorder(expected)
 
 
@@ -238,7 +223,7 @@ def test_builder_matches_reference_on_constant_columns_and_target():
     y = x[:, 1] ** 2
     for mtry in (1, 2, 3):
         assert_same_tree(x, y, 8, 2, mtry, mtry)
-    flat = regress._build_tree(x, np.full(80, 4.0), 8, 2, 3, np.random.default_rng(0))
+    flat = _build_tree(x, np.full(80, 4.0), 8, 2, 3, np.random.default_rng(0))
     assert _preorder(flat) == [(-1, 0.0, 4.0)]
     # only constant columns: the node draws its features but has no cut
     only_const = x[:, [0, 2]]
@@ -253,7 +238,7 @@ def test_builder_matches_reference_at_small_depths(max_depth, mtry):
     y = x[:, 0] - 2 * x[:, 3] + 0.1 * rng.normal(size=90)
     assert_same_tree(x, y, max_depth, 2, mtry, 5)
     if max_depth == 0:
-        root = regress._build_tree(x, y, 0, 2, mtry, np.random.default_rng(5))
+        root = _build_tree(x, y, 0, 2, mtry, np.random.default_rng(5))
         assert root.feature == -1 and root.value == float(y.mean())
 
 

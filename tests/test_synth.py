@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from causal_al.errors import ConfigError, CyclicGraph, NodeMismatch
-from causal_al.synth import (
-    SemSpec,
-    analytic_covariance,
-    make_heterogeneous_world,
-    perturb_spec,
-    sample_sem,
-)
+from causal_al.intervene import total_effects
+from causal_al.synth import SemSpec, make_heterogeneous_world, perturb_spec, sample_sem
 from tests.conftest import modules_after
 
 CHAIN = SemSpec(
@@ -58,6 +53,18 @@ def test_zero_edge_spec_has_uncorrelated_columns():
     corr = np.corrcoef(table.values, rowvar=False)
     off_diag = corr[~np.eye(3, dtype=bool)]
     assert np.all(np.abs(off_diag) < 0.1)
+
+
+def analytic_covariance(spec: SemSpec) -> np.ndarray:
+    """Model covariance (I-B)^-1 D (I-B)^-T with D the noise variances."""
+    var = []
+    for family, scale in spec.noises:
+        if family == "uniform":
+            var.append(scale**2 / 3.0)
+        else:  # laplace: 2 s^2, gaussian: s^2
+            var.append(2.0 * scale**2 if family == "laplace" else scale**2)
+    inv = np.eye(len(spec.node_names)) + total_effects(spec.true_dag())
+    return inv @ np.diag(var) @ inv.T
 
 
 def test_chain_sample_covariance_matches_analytic():
@@ -110,7 +117,7 @@ def test_wrong_perturbation_count():
 
 
 def test_synth_import_leaves_the_planner_unloaded():
-    # analytic_covariance imports total_effects where it is called
+    # the synth stage only samples; the planner is loaded by the stages that plan
     assert "causal_al.intervene" not in modules_after("import causal_al.synth")
 
 
