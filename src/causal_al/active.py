@@ -76,7 +76,6 @@ def _run(
     seed: int,
     prune_threshold: float,
     top_n: int | None,
-    destandardize: bool,
     mode: str,
 ) -> ActiveLearningRun:
     subsets = list(subsets)
@@ -110,7 +109,7 @@ def _run(
 
     def score(x, mean, std):
         """Graph losses of a stack of candidates; +inf where an adjacency is not finite."""
-        b, _ = _discover(x, mean, std, t_idx, prune_threshold, destandardize)
+        b, _ = _discover(x, mean, std, t_idx, prune_threshold, True)  # raw-scale weights
         finite = np.isfinite(b).all(axis=(1, 2))
         out = np.full(len(x), np.inf)
         out[finite] = np.sqrt(np.sum((spectrum(b[finite], n) - ref) ** 2, axis=-1))
@@ -207,7 +206,6 @@ def active_learn(
     seed: int = 0,
     prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
     top_n: int | None = None,
-    destandardize: bool = True,
     jobs: int = 1,
 ) -> ActiveLearningRun:
     """Grow a minimal dataset by greedy graph-loss selection over subsets.
@@ -216,7 +214,7 @@ def active_learn(
     """
     return _run(
         subsets, global_graph, target, features, m, n_iter, seed,
-        prune_threshold, top_n, destandardize, mode="active",
+        prune_threshold, top_n, mode="active",
     )
 
 
@@ -230,7 +228,6 @@ def random_baseline(
     seed: int = 0,
     prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
     top_n: int | None = None,
-    destandardize: bool = True,
     jobs: int = 1,
 ) -> ActiveLearningRun:
     """Same loop, but the committed subset is drawn uniformly at random.
@@ -239,7 +236,7 @@ def random_baseline(
     """
     return _run(
         subsets, global_graph, target, features, m, n_iter, seed,
-        prune_threshold, top_n, destandardize, mode="random",
+        prune_threshold, top_n, mode="random",
     )
 
 

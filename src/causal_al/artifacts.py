@@ -8,9 +8,10 @@ are `str`, `int`, or floats written with 17 significant digits (`fmt`),
 so save/load round trips are bit identical. The writer streams lines into
 a temporary file beside the target and renames it over the target only
 once every line is written, so a failed write leaves no partial artifact.
-A text cell may not hold `,`, `"`, CR or LF: the writer refuses one, so no
-artifact is written that cannot be read back. The reader checks the
-header and each row's cell count and names the file and line at fault.
+A text cell may not hold `,`, `"`, CR or LF, and a row of one cell may not
+be empty: the writer refuses one, so no artifact is written that cannot be
+read back. The reader checks the header and each row's cell count and
+names the file and line at fault.
 Artifacts raise SchemaError; configs and schemas pass ConfigError.
 """
 
@@ -61,6 +62,13 @@ def _cell(value, path) -> str:
     return fmt(value)
 
 
+def _line(row, path) -> str:
+    line = ",".join([_cell(v, path) for v in row])
+    if not line:  # a reader skips a blank line, so the row would vanish
+        raise SchemaError(f"{path}: cannot write a row whose one cell is empty")
+    return line + "\n"
+
+
 def _value(value, path) -> str:
     """A `key = value` value: text as is, a number, or a sequence of cells."""
     if isinstance(value, str):
@@ -82,8 +90,8 @@ def write(path, *, meta=(), header=None, rows=()) -> None:
     prefix = "" if header is None else "# "
     lines = itertools.chain(
         (f"{prefix}{k} = {_value(v, path)}\n" for k, v in meta if v is not None),
-        () if header is None else (",".join([_cell(h, path) for h in header]) + "\n",),
-        (",".join([_cell(v, path) for v in row]) + "\n" for row in rows),
+        () if header is None else (_line(header, path),),
+        (_line(row, path) for row in rows),
     )
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:

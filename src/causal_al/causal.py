@@ -83,6 +83,8 @@ class WeightedDag:
             raise SchemaError(msg)
         for key in ("node_means", "node_stds"):
             values = getattr(self, key)
+            if values is not None and len(values) != d:
+                raise SchemaError(f"{key} has {len(values)} values for {d} nodes")
             if values is not None and not np.isfinite(values).all():
                 i = int(np.argmin(np.isfinite(values)))
                 raise SchemaError(f"{key}: {names[i]!r} is not finite ({values[i]})")

@@ -51,7 +51,6 @@ _DEFAULTS: dict[str, str] = {
     "k_features": "9",
     "prune_threshold": "0.05",
     "top_n": "",
-    "destandardize": "1",
     "m_per_iter": "50",
     "n_iter": "20",
     "n_realizations": "1",
@@ -61,12 +60,9 @@ _DEFAULTS: dict[str, str] = {
     "interventable": "",
     "jobs": "1",
     "synth_features": "9",
-    "synth_subsets": "3",
     "synth_rows": "1000",
     "synth_reference_rows": "2000",
     "synth_fp_width": "64",
-    "synth_spread": "0.7",
-    "synth_noise_scale": "0.5",
 }
 
 
@@ -144,14 +140,6 @@ class Config:
         if not math.isfinite(v):
             raise ConfigError(f"{key} must be a finite number, got {self.values[key]!r}")
         return self._used(key, v)
-
-    def bool(self, key: str) -> bool:
-        value = self.values[key].lower()
-        if value in ("1", "true", "yes"):
-            return self._used(key, True)
-        if value in ("0", "false", "no"):
-            return self._used(key, False)
-        raise ConfigError(f"{key} must be a boolean, got {self.values[key]!r}")
 
     def list(self, key: str, allowed) -> tuple[str, ...]:
         """The names under `key`, each once and each one of `allowed`."""
@@ -243,7 +231,7 @@ def cmd_discover(cfg: Config, outdir: Path):
     dag = causal.discover_lingam(
         table.select_columns(columns), target,
         prune_threshold=cfg.float("prune_threshold"),
-        destandardize=cfg.bool("destandardize"),
+        destandardize=True,
     )
     return {"target": target, "features": columns}, {}, {
         "global_graph.csv": partial(causal.save_dag, dag=dag),
@@ -272,7 +260,6 @@ def cmd_active_learn(cfg: Config, outdir: Path):
         n_iter=cfg.int("n_iter", 1),
         prune_threshold=cfg.float("prune_threshold"),
         top_n=cfg.opt_int("top_n"),
-        destandardize=cfg.bool("destandardize"),
     )
     active_runs, random_runs, files = [], [], {}
     for r in range(cfg.int("n_realizations", 1)):
@@ -318,7 +305,7 @@ def cmd_intervene(cfg: Config, outdir: Path):
     dag = causal.discover_lingam(
         dal_table, target,
         prune_threshold=cfg.float("prune_threshold"),
-        destandardize=cfg.bool("destandardize"),
+        destandardize=True,
     )
     plans = intervene.plan_interventions(
         dal_table, dag,
@@ -439,12 +426,9 @@ def cmd_synth(cfg: Config, outdir: Path):
 
     seed = cfg.int("seed")
     n_features = cfg.int("synth_features", 2)
-    n_subsets = cfg.int("synth_subsets", 1)
     rows = cfg.int("synth_rows", 10)
     ref_rows = cfg.int("synth_reference_rows", 1)
     fp_width = dataio.TableSchema.checked_width(cfg.int("synth_fp_width"), "synth_fp_width")
-    spread = cfg.float("synth_spread")
-    noise_scale = cfg.float("synth_noise_scale")
 
     rng = np.random.default_rng(seed)
     names = tuple(f"f{i + 1:02d}" for i in range(n_features)) + ("y",)
@@ -460,10 +444,11 @@ def cmd_synth(cfg: Config, outdir: Path):
     spec = synth.SemSpec(
         node_names=names,
         edges=tuple(edges),
-        noises=tuple(("uniform", noise_scale) for _ in names),
+        noises=tuple(("uniform", 0.5) for _ in names),
         seed=seed,
     )
 
+    n_subsets, spread = 3, 0.7  # edge weights scaled by 0.3, 1.0 and 1.7
     factors = list(np.linspace(1.0 - spread, 1.0 + spread, n_subsets))
     factors[n_subsets // 2] = 1.0
     subsets, reference, true_dag = synth.make_heterogeneous_world(

@@ -218,10 +218,10 @@ def load_feature_table(path, schema: TableSchema) -> tuple[FeatureTable, LoadRep
     return table, LoadReport(rows_loaded=len(kept), rows_dropped=len(ids) - len(kept))
 
 
-def save_feature_table(path, table: FeatureTable, id_column: str = "id") -> None:
+def save_feature_table(path, table: FeatureTable) -> None:
     artifacts.write(
         path,
-        header=(id_column, *table.feature_names),
+        header=("id", *table.feature_names),
         rows=((rid, *row.tolist()) for rid, row in zip(table.row_ids, table.values)),
     )
 
@@ -266,8 +266,7 @@ class FingerprintTable:
 
     The bits are held packed 8 to a byte, most significant bit first, in the
     read-only `packed` (rows x ceil(width / 8) uint8): 256 bytes a row at
-    width 2048. `bits` unpacks a full rows x width 0/1 copy on every access;
-    `row` unpacks one row.
+    width 2048. `bits` unpacks a full rows x width 0/1 copy on every access.
     """
 
     def __init__(self, row_ids, bits):
@@ -304,9 +303,6 @@ class FingerprintTable:
             return self._row_pos[row_id]
         except KeyError:
             raise SchemaError(f"no fingerprint for id {row_id!r}") from None
-
-    def row(self, row_id: str) -> np.ndarray:
-        return np.unpackbits(self.packed[self.index(row_id)], count=self.width)
 
 
 def load_fingerprints(path, width: int = 2048) -> FingerprintTable:

@@ -191,6 +191,20 @@ def test_refused_row_keeps_the_old_artifact_and_leaves_no_temporary_file(tmp_pat
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_empty_id_is_refused_rather_than_written_as_a_blank_line(tmp_path):
+    # a reader skips blank lines, so ('', 'b', 'c') used to read back as ('b', 'c')
+    path = tmp_path / "ids.txt"
+    artifacts.write_id_list(path, ("a",))
+    before = path.read_bytes()
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: .*empty"):
+        artifacts.write_id_list(path, ("", "b", "c"))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    # an empty cell among others still makes a non-blank line
+    artifacts.write(tmp_path / "t.csv", header=("id", "x"), rows=[("", 1)])
+    assert artifacts.read(tmp_path / "t.csv", ("id", "x")).rows == [["", "1"]]
+
+
 def test_table_is_written_without_holding_its_text(tmp_path):
     rng = np.random.default_rng(0)
     table = dataio.FeatureTable(

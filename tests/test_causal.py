@@ -167,6 +167,20 @@ def test_dag_refuses_non_finite_parameters():
             WeightedDag(("a", "b"), np.zeros((2, 2)), (0, 1), **{key: np.array([1.0, np.nan])})
 
 
+@pytest.mark.parametrize("key", ["node_means", "node_stds"])
+def test_dag_refuses_column_stats_of_the_wrong_length(tmp_path, key):
+    with pytest.raises(SchemaError, match=f"^{key} has 2 values for 3 nodes$"):
+        WeightedDag(("a", "b", "y"), np.zeros((3, 3)), (0, 1, 2), **{key: np.ones(2)})
+    # a graph file used to load, and `scale_for_rows` then returned ([1, 2], [1])
+    path = tmp_path / "g.csv"
+    path.write_text(
+        "# causal_order = a,b,y\n# node_means = 1.0,2.0\n# node_stds = 1.0\n"
+        "child,parent,weight\nb,a,0.5\n", encoding="utf-8")
+    with pytest.raises(SchemaError,
+                       match=f"^{re.escape(str(path))}: node_means has 2 values for 3 nodes$"):
+        causal.load_dag(path)
+
+
 def test_discovery_deterministic():
     table = sample_sem(CHAIN, 2000, target_names=("x3",))
     d1 = discover_lingam(table, "x3")

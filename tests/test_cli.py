@@ -1,3 +1,4 @@
+import itertools
 import shlex
 import shutil
 from pathlib import Path
@@ -100,6 +101,17 @@ def test_readme_quick_start_runs_at_defaults(tmp_path, monkeypatch):
     assert "count em_converged = 0" in manifest
 
 
+def test_readme_lists_every_config_key_with_its_default():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").split("### Config keys", 1)[1].splitlines()
+    start = lines.index("| key | default | read by |") + 2  # past the header and its rule
+    rows = [line.split("|")[1:3] for line in itertools.takewhile(
+        lambda line: line.startswith("|"), lines[start:])]
+    documented = {key.strip().strip("`"): default.strip().strip("`") for key, default in rows}
+    assert len(documented) == len(rows), "a key is listed twice"
+    assert documented == cli._DEFAULTS
+
+
 def test_rerun_is_byte_identical(tmp_path):
     w1, w2 = tmp_path / "a", tmp_path / "b"
     run_pipeline(w1, seed=5)
@@ -132,6 +144,17 @@ def test_unknown_config_key_is_E_CONFIG(tmp_path, capsys):
     code = run_cli(["cluster", "-o", str(tmp_path), "--set", "bogus=1"])
     assert code == 2
     assert capsys.readouterr().err.startswith("E_CONFIG")
+
+
+@pytest.mark.parametrize("key", ["destandardize", "synth_subsets", "synth_spread",
+                                 "synth_noise_scale"])
+def test_a_config_setting_a_removed_key_is_E_CONFIG_naming_the_file_and_key(
+        tmp_path, capsys, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+    assert run_cli(["synth", "-c", str(cfg), "-o", str(tmp_path / "w")]) == 2
+    assert capsys.readouterr().err.startswith(f"E_CONFIG: {cfg}: {key!r} is not one of ")
+    assert not (tmp_path / "w").exists()
 
 
 def test_bad_data_is_E_DATA(tmp_path, capsys):
@@ -206,7 +229,6 @@ def test_destandardized_weight_beyond_the_float_range_is_E_NUMERIC_and_writes_no
         "discover", "-o", str(out),
         "--set", f"features={tmp_path / 'features.csv'}",
         "--set", f"schema={tmp_path / 'schema.cfg'}",
-        "--set", "destandardize=1",
     ])
     assert code == 4
     assert capsys.readouterr().err == (
@@ -291,11 +313,10 @@ def test_manifest_records_inputs_and_params(tmp_path):
     assert "input = features.csv sha256=" in text
     assert "param n_components = 3" in text
     assert "duration_s = " in text
-    # the prune threshold and destandardize flag a stage uses are recorded
+    # the prune threshold and goal a stage uses are recorded
     lines = (work / "select_features.manifest").read_text().splitlines()
     assert "param prune_threshold = 0.05" in lines
     lines = (work / "intervene.manifest").read_text().splitlines()
-    assert "param destandardize = 1" in lines
     assert "param goal = 3.0" in lines
 
 
@@ -335,7 +356,38 @@ def test_manifest_lists_every_file_the_stage_reads(small_pipeline, stage):
         assert digest == file_sha256(small_pipeline / name), name
     params = {key: value for key, value in meta if key.startswith("param ")}
     assert "param seed" not in params
-    assert params.get("param destandardize", "1") == "1"
+
+
+def test_intermediate_target_ranks_the_other_plain_features_against_it(
+    small_pipeline, tmp_path, capsys
+):
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    argv = ["select-features", "-c", str(work / "pipeline.cfg")]
+    assert run_cli(argv + ["--set", "intermediate_target=f03"]) == 0
+    ranked = [f for f, _ in artifacts.read(work / "ranking.csv", ("feature", "strength")).rows]
+    assert sorted(ranked) == ["f01", "f02", "f04", "f05"]
+    lines = (work / "select_features.manifest").read_text(encoding="utf-8").splitlines()
+    assert "param intermediate_target = f03" in lines
+    before = state(work)
+    capsys.readouterr()
+    assert run_cli(argv + ["--set", "intermediate_target=nope"]) == 2
+    assert capsys.readouterr().err.startswith("E_CONFIG: intermediate_target: 'nope' ")
+    assert state(work) == before
+
+
+def test_unparsable_numeric_cell_drops_its_row_and_is_counted(small_pipeline, tmp_path):
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    lines = (work / "features.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = lines[2].split(",")
+    lines[2] = ",".join([cells[0], "abc", *cells[2:]])
+    (work / "features.csv").write_text("".join(lines), encoding="utf-8")
+    assert run_cli(["cluster", "-c", str(work / "pipeline.cfg")]) == 0
+    report = dict(artifacts.read(work / "load_report.txt").meta)
+    assert report == {"rows_loaded": str(len(lines) - 2), "rows_dropped": "1"}
+    labelled = [rid for rid, _ in artifacts.read(work / "subsets.csv", ("id", "subset")).rows]
+    assert len(labelled) == len(lines) - 2 and cells[0] not in labelled
 
 
 # once these ran (a repeated pivot, the target or a repeated lever) or stopped

@@ -253,16 +253,15 @@ def test_fingerprints_are_held_packed_eight_bits_a_byte(width):
     assert unpacked.dtype == np.uint8 and unpacked.shape == bits.shape
     assert np.array_equal(unpacked, bits)
     for i, rid in enumerate(ids):
-        row = fps.row(rid)
-        assert row.dtype == np.uint8 and np.array_equal(row, bits[i])
-        assert tanimoto(row, fps.row(ids[i - 1])) == tanimoto(kept[i], kept[i - 1])
-    # the storage is read-only; `bits` and `row` hand out copies, and the
-    # caller's array is not held
+        row = unpacked[fps.index(rid)]
+        assert np.array_equal(row, bits[i])
+        assert tanimoto(row, unpacked[fps.index(ids[i - 1])]) == tanimoto(kept[i], kept[i - 1])
+    # the storage is read-only; `bits` hands out copies, and the caller's
+    # array is not held
     assert not fps.packed.flags.writeable
     with pytest.raises(ValueError):
         fps.packed[0, 0] = 0xFF
     unpacked[:] = 1 - unpacked
-    fps.row(ids[0])[:] = 1 - kept[0]
     bits[:] = 0
     assert np.array_equal(fps.bits, kept)
 

@@ -834,14 +834,15 @@ def test_report_tanimoto_from_packed_rows_counts_the_unpacked_bits(width):
     neighbors = [NeighborResult(rid, (m,), (0.5,)) for rid, m in zip("abcdef", matched)]
     rep = intervention_report(plans, neighbors, {"r0": 1.0, "r1": 1.0, "r2": 1.0},
                               query_fps=qfps, reference_fps=rfps)
+    qbits, rbits = qfps.bits, rfps.bits
     want = []
     for rid, m in zip("abcdef", matched):
-        a, b = qfps.row(rid).astype(bool), rfps.row(m).astype(bool)
+        a, b = qbits[qfps.index(rid)].astype(bool), rbits[rfps.index(m)].astype(bool)
         union = int(np.count_nonzero(a | b))
         want.append(1.0 if union == 0 else float(np.count_nonzero(a & b)) / union)
     assert [p[1] for p in rep.pairs] == want
     assert rep.pairs[4][1] == 1.0
-    assert [p[1] for p in rep.pairs] == [tanimoto(qfps.row(r), rfps.row(m))
+    assert [p[1] for p in rep.pairs] == [tanimoto(qbits[qfps.index(r)], rbits[rfps.index(m)])
                                          for r, m in zip("abcdef", matched)]
 
 
