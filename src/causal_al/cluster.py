@@ -26,7 +26,8 @@ from .errors import (
 from .util import checked_names
 
 COVARIANCE_FLOOR = 1e-6
-DEFAULT_TOL = 1e-6  # EM stops once the summed log-likelihood gains less
+EM_MAX_ITER = 200  # EM iterations at most
+EM_TOL = 1e-6  # EM stops once the summed log-likelihood gains less
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class GmmModel:
     pivot_stds: np.ndarray
     seed: int
     log_likelihoods: tuple[float, ...]  # per-iteration trajectory (standardized space)
-    converged: bool  # EM stopped on its tolerance, not at max_iter
+    converged: bool  # EM stopped on EM_TOL, not at EM_MAX_ITER
 
     def __post_init__(self):
         # no stage may write a mixture that holds a value that is not finite
@@ -106,27 +107,17 @@ def _kmeanspp_centers(z: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return np.array(centers)
 
 
-def fit_gmm(
-    table: FeatureTable,
-    pivot_features,
-    n_components: int = 3,
-    seed: int = 0,
-    max_iter: int = 200,
-    tol: float = DEFAULT_TOL,
-) -> GmmModel:
+def fit_gmm(table: FeatureTable, pivot_features, n_components: int = 3, seed: int = 0) -> GmmModel:
     """Fit a full-covariance mixture by EM on standardized pivot columns.
 
-    The model records the per-iteration log-likelihood trajectory, which
-    is non-decreasing up to a small numerical slack, and whether EM stopped
-    on `tol` rather than at `max_iter`.
+    EM runs at most `EM_MAX_ITER` iterations. The model records the
+    per-iteration log-likelihood trajectory, which is non-decreasing up to
+    a small numerical slack, and whether EM stopped on `EM_TOL` rather than
+    at `EM_MAX_ITER`.
     """
     pivots = checked_names(pivot_features, table.feature_names, "pivot features", MissingColumn)
     if n_components < 1:
         raise ConfigError(f"n_components must be >= 1, got {n_components}")
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    if not (tol >= 0.0 and np.isfinite(tol)):
-        raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
     n = table.n_rows
     if n < n_components:
         raise InsufficientData(f"{n} rows cannot support {n_components} components")
@@ -150,14 +141,14 @@ def fit_gmm(
     trajectory: list[float] = []
     prev_ll = -np.inf
     converged = False
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         log_probs = _log_probs(zt, weights, means, covs)
         row_norm = _log_normalizer(log_probs)
         ll = float(np.sum(row_norm))
         if not np.isfinite(ll):
             raise DegenerateComponent("log-likelihood diverged")
         trajectory.append(ll)
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+        if ll - prev_ll < EM_TOL and np.isfinite(prev_ll):
             converged = True
             break
         prev_ll = ll

@@ -187,10 +187,8 @@ def plan_interventions(
     ]
 
 
-def feature_bounds(table: FeatureTable, features=None) -> dict[str, tuple[float, float]]:
-    """Observed (min, max) per feature, for clamping intervened values."""
-    if features is None:
-        features = table.feature_names
+def feature_bounds(table: FeatureTable, features) -> dict[str, tuple[float, float]]:
+    """Observed (min, max) per named feature, for clamping intervened values."""
     return {
         f: (float(table.column(f).min()), float(table.column(f).max()))
         for f in features

@@ -107,18 +107,12 @@ def nearest_in_reference(
 
     targets = reference.column(ref_target) if ref_target is not None else None
     order, dists = _knn(zq, zr, min(k, reference.n_rows), jobs)
-
-    results: list[NeighborResult] = []
-    for qid, idx, dist in zip(intervened.row_ids, order.tolist(), dists.tolist()):
-        results.append(
-            NeighborResult(
-                query_id=qid,
-                neighbor_ids=tuple(reference.row_ids[j] for j in idx),
-                distances=tuple(dist),
-                ref_targets=tuple(float(targets[j]) for j in idx) if targets is not None else None,
-            )
-        )
-    return results
+    ids = np.array(reference.row_ids, dtype=object)[order].tolist()
+    ref_targets = targets[order].tolist() if targets is not None else [None] * len(ids)
+    return [
+        NeighborResult(qid, tuple(nbrs), tuple(dist), None if t is None else tuple(t))
+        for qid, nbrs, dist, t in zip(intervened.row_ids, ids, dists.tolist(), ref_targets)
+    ]
 
 
 class _Reference(NamedTuple):
@@ -257,9 +251,9 @@ def _packed_tanimoto(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PcaProjection:
-    components: np.ndarray           # n_components x dim, orthonormal rows
+    components: np.ndarray           # 2 x dim, orthonormal rows
     explained_variances: np.ndarray  # nonincreasing
-    coordinates: np.ndarray          # rows x n_components
+    coordinates: np.ndarray          # rows x 2
     center: np.ndarray               # mean of the fitted rows
 
 
@@ -362,8 +356,9 @@ def _centred_rows(data, center: np.ndarray | None = None) -> tuple[np.ndarray, n
     return x, center
 
 
-def pca_project(data, n_components: int = 2) -> PcaProjection:
-    """Eigendecomposition PCA with a deterministic sign convention.
+def pca_project(data) -> PcaProjection:
+    """The top two principal components (the report's phi1 and phi2), by
+    eigendecomposition with a deterministic sign convention.
 
     With fewer rows than columns the n x n Gram matrix of the centred rows
     is decomposed instead of the d x d covariance: it has the same non-zero
@@ -379,24 +374,22 @@ def pca_project(data, n_components: int = 2) -> PcaProjection:
     """
     xc, center = _centred_rows(data)
     n, d = xc.shape
-    if n_components < 1:
-        raise ConfigError("n_components must be >= 1")
-    if n < 2 or n < n_components:
-        raise InsufficientData(f"{n} rows cannot support {n_components} components")
-    if d < n_components:
-        raise InsufficientData(f"{d} columns cannot support {n_components} components")
+    if n < 2:
+        raise InsufficientData(f"{n} rows cannot support 2 components")
+    if d < 2:
+        raise InsufficientData(f"{d} columns cannot support 2 components")
     variances = None
     if n < d:
         gram = xc @ xc.T
         del xc
-        lam, u = _top_eigenpairs(gram, n_components)
+        lam, u = _top_eigenpairs(gram, 2)
         del gram  # only the kept vectors outlive the rebuilt rows
         xc, _ = _centred_rows(data, center)
         if lam[-1] > _GRAM_RANK_TOL * lam[0]:
             variances = lam / (n - 1)
             comps = (xc.T @ (u / np.sqrt(lam))).T
     if variances is None:
-        variances, eigvecs = _top_eigenpairs(xc.T @ xc / (n - 1), n_components)
+        variances, eigvecs = _top_eigenpairs(xc.T @ xc / (n - 1), 2)
         comps = eigvecs.T.copy()
     for i in range(comps.shape[0]):
         j = int(np.argmax(np.abs(comps[i])))

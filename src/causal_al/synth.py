@@ -15,7 +15,7 @@ from .dataio import FeatureTable
 from .errors import ConfigError, CyclicGraph, NodeMismatch
 from .util import checked_names
 
-NOISE_FAMILIES = ("uniform", "laplace", "gaussian")
+NOISE_FAMILIES = ("uniform", "gaussian")
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,6 @@ class SemSpec:
 def _draw_noise(rng: np.random.Generator, family: str, scale: float, n: int) -> np.ndarray:
     if family == "uniform":
         return rng.uniform(-scale, scale, size=n)
-    if family == "laplace":
-        return rng.laplace(0.0, scale, size=n)
     return rng.normal(0.0, scale, size=n)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from causal_al import active, artifacts, causal, cluster, dataio, intervene, match
 from causal_al.cli import Config, run_cli
-from causal_al.errors import ConfigError, SchemaError
+from causal_al.errors import ConfigError, EmptyTable, SchemaError
 
 INF = float("inf")
 
@@ -250,6 +250,18 @@ def test_edge_naming_an_unknown_node_is_a_schema_error(tmp_path):
 def test_key_value_files_skip_comments_and_blank_lines(tmp_path):
     path = _write(tmp_path, "a.cfg", "# comment\n\nk = v = w\nk2=\n")
     assert artifacts.read(path).meta == [("k", "v = w"), ("k2", "")]
+
+
+def test_key_value_file_read_as_a_table_is_empty_naming_the_file(tmp_path):
+    path = _write(tmp_path, "kv.cfg", "# k = v\n\n# k2 = w\n")
+    with pytest.raises(EmptyTable, match=f"^{re.escape(str(path))}: no header row$"):
+        artifacts.read(path, ("id", "x"))
+
+
+def test_blank_lines_inside_a_table_body_are_skipped(tmp_path):
+    path = _write(tmp_path, "t.csv", "# k = v\nid,x\na,1\n\n\nb,2\n")
+    art = artifacts.read(path, ("id", "x"))
+    assert art.meta == [("k", "v")] and art.rows == [["a", "1"], ["b", "2"]]
 
 
 def test_config_and_schema_lines_raise_config_error(tmp_path, capsys):

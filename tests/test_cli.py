@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import shlex
 import shutil
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causal_al import artifacts, cli, dataio, intervene, match
+from causal_al import artifacts, cli, cluster, dataio, intervene, match
 from causal_al.cli import run_cli
 from causal_al.util import file_sha256
 from tests.conftest import make_table, modules_after
@@ -445,6 +446,51 @@ def test_dal_ids_naming_a_row_twice_is_E_DATA_naming_the_file_and_writes_nothing
     capsys.readouterr()
     assert run_cli(["intervene", "-c", str(work / "pipeline.cfg")]) == 3
     assert _one_data_error(capsys) == f"E_DATA: {dal}: {ids[0]!r} is named twice\n"
+    assert state(work) == before
+
+
+def test_active_learn_on_rows_without_subset_labels_is_E_DATA_and_writes_nothing(
+    small_pipeline, tmp_path, capsys
+):
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    labels = cluster.read_labels(work / "subsets.csv")
+    unlabelled = next(iter(labels))
+    del labels[unlabelled]
+    cluster.write_labels(work / "subsets.csv", labels.keys(), labels.values())
+    before = state(work)
+    capsys.readouterr()
+    assert run_cli(["active-learn", "-c", str(work / "pipeline.cfg")]) == 3
+    assert _one_data_error(capsys) == f"E_DATA: rows without subset labels, e.g. {[unlabelled]}\n"
+    assert state(work) == before
+
+
+def test_report_on_plans_with_two_goals_is_E_DATA_and_writes_nothing(
+    small_pipeline, tmp_path, capsys
+):
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    plans = intervene.load_plans(work / "plans.csv")
+    plans[0] = dataclasses.replace(plans[0], target_goal=plans[0].target_goal + 1.0)
+    intervene.save_plans(work / "plans.csv", plans)
+    before = state(work)
+    capsys.readouterr()
+    assert run_cli(["report", "-c", str(work / "pipeline.cfg")]) == 3
+    assert _one_data_error(capsys) == "E_DATA: plans.csv must hold one goal, found 2\n"
+    assert state(work) == before
+
+
+def test_discover_on_a_schema_without_targets_is_E_CONFIG_and_writes_nothing(
+    small_pipeline, tmp_path, capsys
+):
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    schema = dataio.read_schema(work / "schema.cfg")
+    dataio.write_schema(work / "schema.cfg", dataclasses.replace(schema, target_columns=()))
+    before = state(work)
+    capsys.readouterr()
+    assert run_cli(["discover", "-c", str(work / "pipeline.cfg")]) == 2
+    assert capsys.readouterr().err == "E_CONFIG: schema declares no target columns\n"
     assert state(work) == before
 
 

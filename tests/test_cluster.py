@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from causal_al import cluster
+from causal_al import cluster, dataio
+from causal_al.cli import run_cli
 from causal_al.cluster import assign_subsets, fit_gmm, responsibilities
 from causal_al.errors import (
-    ConfigError,
     DegenerateComponent,
     DegenerateFeature,
     InsufficientData,
@@ -21,6 +21,25 @@ def two_cluster_table():
     rng = np.random.default_rng(3)
     pts = np.concatenate([rng.normal(-10, 0.5, 200), rng.normal(10, 0.5, 200)])
     return make_table(pts[:, None], ("p",))
+
+
+def _three_cluster_fit():
+    """Converges after 41 iterations."""
+    rng = np.random.default_rng(5)
+    mix = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
+    x = np.concatenate([rng.normal(m, 1.0, (80, 3)) for m in (-3.0, 0.0, 4.0)]) @ mix
+    return fit_gmm(make_table(x, ("a", "b", "c")), ("a", "b", "c"), n_components=3, seed=2)
+
+
+@pytest.fixture(scope="module")
+def quick_start_fit(tmp_path_factory):
+    """The `cluster` stage's fit on the README quick start's world, which
+    runs to EM_MAX_ITER."""
+    work = tmp_path_factory.mktemp("work")
+    assert run_cli(["synth", "-o", str(work), "--seed", "7"]) == 0
+    table, _ = dataio.load_feature_table(work / "features.csv",
+                                         dataio.read_schema(work / "schema.cfg"))
+    return fit_gmm(table, table.plain_feature_names[:3], n_components=3, seed=7)
 
 
 def test_two_cluster_recovery():
@@ -57,20 +76,15 @@ def test_constant_pivot_degenerate():
         fit_gmm(table, ("p",), n_components=1)
 
 
-@pytest.mark.parametrize("setting", [
-    {"max_iter": 0}, {"max_iter": -3},
-    {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")},
-], ids=["max_iter=0", "max_iter=-3", "tol=nan", "tol=-1", "tol=inf"])
-def test_bad_em_settings_are_config_errors(setting):
-    # max_iter=0 used to return the k-means++ seeds as a fitted model, and a
-    # NaN or negative tol never stopped
-    with pytest.raises(ConfigError):
-        fit_gmm(two_cluster_table(), ("p",), n_components=2, seed=7, **setting)
-
-
-def test_zero_tol_runs_to_max_iter():
-    model = fit_gmm(two_cluster_table(), ("p",), n_components=2, seed=7, max_iter=5, tol=0.0)
-    assert len(model.log_likelihoods) == 5
+def test_fewer_distinct_rows_than_components_fits_and_labels_every_row():
+    # k-means++ runs out of rows at any distance and seeds the third
+    # component on a row already taken
+    table = make_table([[0.0, 1.0]] * 50 + [[3.0, -2.0]] * 50, ("p", "q"))
+    model = fit_gmm(table, ("p", "q"), n_components=3, seed=0)
+    assert model.weights.tolist() == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
+    labels = assign_subsets(model, table)
+    assert len(labels) == 100 and len(set(labels[:50])) == len(set(labels[50:])) == 1
+    assert labels[0] != labels[50]
 
 
 def test_log_likelihood_monotone():
@@ -80,25 +94,19 @@ def test_log_likelihood_monotone():
     assert np.all(np.diff(ll) >= -1e-8)
 
 
-def test_em_converged_tells_tolerance_stop_from_max_iter():
-    table = two_cluster_table()
-    stopped = fit_gmm(table, ("p",), n_components=2, seed=7)
-    assert len(stopped.log_likelihoods) < 200 and stopped.converged
-    capped = fit_gmm(table, ("p",), n_components=2, seed=7, max_iter=2)
-    assert len(capped.log_likelihoods) == 2 and not capped.converged
-    # the same two iterations under a looser tolerance do converge
-    loose = fit_gmm(table, ("p",), n_components=2, seed=7, max_iter=2, tol=1e3)
-    assert loose.log_likelihoods == capped.log_likelihoods and loose.converged
+def test_em_converged_tells_tolerance_stop_from_max_iter(quick_start_fit):
+    stopped = _three_cluster_fit()
+    assert len(stopped.log_likelihoods) == 41 and stopped.converged
+    assert len(quick_start_fit.log_likelihoods) == cluster.EM_MAX_ITER
+    assert not quick_start_fit.converged
 
 
-def test_converged_is_judged_by_the_fits_own_tolerance():
-    # two overlapping clusters gain about 0.01 per iteration for a while, so
-    # a fit at tol=1e-2 stops on it long before max_iter
-    rng = np.random.default_rng(5)
-    pts = np.concatenate([rng.normal(-1.0, 1.0, 300), rng.normal(1.0, 1.0, 300)])
-    table = make_table(pts[:, None], ("p",))
-    model = fit_gmm(table, ("p",), n_components=2, seed=7, tol=1e-2)
-    assert len(model.log_likelihoods) < 200 and model.converged
+def test_converged_is_judged_by_the_fits_own_tolerance(quick_start_fit):
+    # EM stops at the first gain below EM_TOL, and only there
+    for model in (_three_cluster_fit(), quick_start_fit):
+        gains = np.diff(model.log_likelihoods)
+        assert np.all(gains[:-1] >= cluster.EM_TOL)
+        assert model.converged == (gains[-1] < cluster.EM_TOL)
 
 
 def test_responsibilities_sum_to_one():
@@ -276,20 +284,17 @@ def test_log_normalizer_against_direct_formula_and_scipy():
 
 
 def test_fixed_fit_log_likelihood_trajectory_unchanged():
-    # recorded from the same fit with scipy.special.logsumexp and a solve per
-    # component; the batched kernel rounds differently in the last bits
-    rng = np.random.default_rng(5)
-    mix = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
-    x = np.concatenate([rng.normal(m, 1.0, (80, 3)) for m in (-3.0, 0.0, 4.0)]) @ mix
-    model = fit_gmm(make_table(x, ("a", "b", "c")), ("a", "b", "c"),
-                    n_components=3, seed=2, max_iter=12)
+    # the first 12 values, recorded from the same fit with
+    # scipy.special.logsumexp and a solve per component; the batched kernel
+    # rounds differently in the last bits
     recorded = [float.fromhex(h) for h in (
         "-0x1.f883b3b0c014bp+8", "-0x1.bbd99414bb0b8p+8", "-0x1.b6641d053a620p+8",
         "-0x1.b3e66855014b2p+8", "-0x1.b2a585efcd7d5p+8", "-0x1.b1b95d9401790p+8",
         "-0x1.b0a288c83829ap+8", "-0x1.aee73f28ad6b9p+8", "-0x1.ab99cf193b99bp+8",
         "-0x1.a43febe1ba9e2p+8", "-0x1.92be7ef9a628ep+8", "-0x1.81e41d885152dp+8",
     )]
-    np.testing.assert_allclose(model.log_likelihoods, recorded, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(_three_cluster_fit().log_likelihoods[:12], recorded,
+                               rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("pivots, match", [

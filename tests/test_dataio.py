@@ -46,6 +46,18 @@ def test_load_drops_nonfinite_rows(tmp_path):
     assert report.rows_dropped == 1
 
 
+@pytest.mark.parametrize("text, ids, dropped", [
+    ("id,f1,y\n,1,2\nb,3,4\nc,5,6\n", ("b", "c"), 1),
+    # two empty ids are two dropped rows, not one id named twice
+    ("id,f1,y\n,1,2\nb,3,4\n,5,6\n", ("b",), 2),
+    ("f1,id,y\n1,,2\n3,b,4\n", ("b",), 1),
+], ids=["one", "two", "id-not-first"])
+def test_load_drops_rows_with_an_empty_id(tmp_path, text, ids, dropped):
+    table, report = dataio.load_feature_table(write(tmp_path, text), SCHEMA)
+    assert table.row_ids == ids
+    assert report == dataio.LoadReport(rows_loaded=len(ids), rows_dropped=dropped)
+
+
 def test_load_duplicate_id(tmp_path):
     p = write(tmp_path, "id,f1,y\na,1,2\na,3,4\n")
     with pytest.raises(DuplicateRowId):

@@ -374,7 +374,7 @@ def test_a_rows_plan_does_not_depend_on_the_rows_planned_with_it():
         while not effects[dag.index(dag.target)].any():  # a graph with a lever
             dag, table = _random_case(rng, d, "float")
             effects = total_effects(dag)
-        bounds = intervene.feature_bounds(table)
+        bounds = intervene.feature_bounds(table, [n for n in dag.node_names if n != dag.target])
         batch = plan_interventions(table, dag, 1.5, bounds=bounds)
         one_by_one = [
             plan_interventions(table.select_rows([i]), dag, 1.5, bounds=bounds)[0]
@@ -444,6 +444,15 @@ def test_apply_interventions_zero_delta_identity():
     assert out.row_ids == ("r0::do",)
 
 
+def test_apply_interventions_leaves_unplanned_rows_untouched():
+    table = make_table([[2.0, 1.0], [0.5, 0.25], [4.0, 2.0]], ("x", "y"), target_names=("y",))
+    plans = [intervene.InterventionPlan("r1", "x", 0.5, 7.0, 0.25, 3.5, 3.5)]
+    out = apply_interventions(table, plans)
+    assert out.row_ids == ("r0", "r1::do", "r2")
+    assert out.values.tolist() == [[2.0, 1.0], [7.0, 0.25], [4.0, 2.0]]
+    assert table.values.tolist() == [[2.0, 1.0], [0.5, 0.25], [4.0, 2.0]]
+
+
 def test_apply_interventions_unknown_row():
     table = make_table([[1.0, 0.5]], ("x", "y"), target_names=("y",))
     dag = WeightedDag(("x", "y"), np.array([[0.0, 0.0], [0.5, 0.0]]), (0, 1), target="y")
@@ -484,8 +493,8 @@ def test_batch_row_count_preserved():
 
 def test_feature_bounds():
     table = make_table([[1.0, 9.0], [4.0, -2.0]], ("a", "b"))
-    bounds = feature_bounds(table)
-    assert bounds == {"a": (1.0, 4.0), "b": (-2.0, 9.0)}
+    assert feature_bounds(table, ("a", "b")) == {"a": (1.0, 4.0), "b": (-2.0, 9.0)}
+    assert feature_bounds(table, ("b",)) == {"b": (-2.0, 9.0)}
 
 
 # ---------------------------------------------------------------------------

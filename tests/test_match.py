@@ -471,7 +471,7 @@ def test_pca_line_data():
 def test_pca_reconstruction_error_equals_discarded_variance():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(100, 6))
-    proj = pca_project(x, n_components=2)
+    proj = pca_project(x)
     xc = x - x.mean(axis=0)
     recon = proj.coordinates @ proj.components
     resid = xc - recon
@@ -482,7 +482,7 @@ def test_pca_reconstruction_error_equals_discarded_variance():
 def test_pca_matches_independent_eigendecomposition():
     rng = np.random.default_rng(42)
     x = rng.normal(size=(100, 10)) @ np.diag(np.linspace(3, 0.5, 10))
-    proj = pca_project(x, n_components=2)
+    proj = pca_project(x)
     # independent oracle: full eigendecomposition of the covariance
     xc = x - x.mean(axis=0)
     vals, vecs = np.linalg.eig(np.cov(x, rowvar=False))
@@ -533,23 +533,23 @@ def test_pca_fewer_rows_than_columns_matches_covariance():
     # n < d takes the Gram-matrix path; the oracle decomposes the d x d covariance
     rng = np.random.default_rng(8)
     x = (rng.random((40, 120)) < 0.3).astype(np.float64)
-    proj = pca_project(x, n_components=3)
+    proj = pca_project(x)
     xc = x - x.mean(axis=0)
     vals, vecs = np.linalg.eigh(xc.T @ xc / 39)
-    order = np.argsort(vals)[::-1][:3]
+    order = np.argsort(vals)[::-1][:2]
     for i, k in enumerate(order):
         assert abs(vecs[:, k] @ proj.components[i]) == pytest.approx(1.0, abs=1e-10)
         assert proj.explained_variances[i] == pytest.approx(vals[k], rel=1e-12)
-    assert np.allclose(proj.components @ proj.components.T, np.eye(3), atol=1e-12)
+    assert np.allclose(proj.components @ proj.components.T, np.eye(2), atol=1e-12)
     assert np.allclose(proj.coordinates, xc @ proj.components.T, atol=1e-12)
     perm = rng.permutation(40)
-    again = pca_project(x[perm], n_components=3)
+    again = pca_project(x[perm])
     assert np.allclose(again.components, proj.components, atol=1e-10)
 
 
 def test_pca_two_distinct_rows_rank_deficient():
     bits = _two_distinct_rows()
-    proj = pca_project(FingerprintTable(("a", "b"), bits.astype(np.uint8)), n_components=2)
+    proj = pca_project(FingerprintTable(("a", "b"), bits.astype(np.uint8)))
     assert np.allclose(proj.components @ proj.components.T, np.eye(2), atol=1e-12)
     diff = bits[0] - bits[1]
     assert proj.explained_variances[0] == pytest.approx(diff @ diff / 2, rel=1e-12)
@@ -559,7 +559,7 @@ def test_pca_two_distinct_rows_rank_deficient():
 
 
 def test_pca_identical_rows_wider_than_tall():
-    proj = pca_project(np.ones((3, 8)), n_components=2)
+    proj = pca_project(np.ones((3, 8)))
     assert np.all(np.isfinite(proj.components))
     assert np.allclose(proj.components @ proj.components.T, np.eye(2), atol=1e-12)
     assert np.array_equal(proj.explained_variances, np.zeros(2))
@@ -638,9 +638,9 @@ def test_pca_outputs_are_bitwise_those_of_the_two_copy_version(make, bitwise):
 
 
 def test_pca_with_more_components_than_columns_is_refused():
-    x = np.random.default_rng(25).normal(size=(100, 3))
-    with pytest.raises(InsufficientData, match="^3 columns cannot support 5 components$"):
-        pca_project(x, n_components=5)
+    x = np.random.default_rng(25).normal(size=(100, 1))
+    with pytest.raises(InsufficientData, match="^1 columns cannot support 2 components$"):
+        pca_project(x)
 
 
 # ---------------------------------------------------------------------------
