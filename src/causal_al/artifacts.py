@@ -64,8 +64,8 @@ def _cell(value, path) -> str:
 
 def _line(row, path) -> str:
     line = ",".join([_cell(v, path) for v in row])
-    if not line:  # a reader skips a blank line, so the row would vanish
-        raise SchemaError(f"{path}: cannot write a row whose one cell is empty")
+    if not line.strip():  # a reader skips a blank line, so the row would vanish
+        raise SchemaError(f"{path}: cannot write a row whose one cell is empty or whitespace")
     return line + "\n"
 
 

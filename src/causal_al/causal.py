@@ -7,23 +7,24 @@ likelihood-ratio measure built from a differential-entropy approximation
 regressed out of the remaining columns. The kernel searches a stack of
 tables with the same shape at once: at each step every table has the same
 number of remaining columns, which are standardized once, and all pairs
-are scored together. Covariances, regression coefficients and pairwise
-residuals are formed as arrays in blocks of at most `_BLOCK_SAMPLES`
-residual values (one regressand at least), in a workspace allocated once
-per call, so memory stays bounded whatever the row count. The designated
-target is withheld from root selection until every feature is ordered,
-which forces it to be a sink by construction. Edge weights then come from
-sequential least squares over causal-order predecessors, followed by
-magnitude pruning.
+are scored together. One covariance product per step gives each pair's
+residual moments in closed form, so each standardized pair residual is one
+row of a matrix product, formed in blocks of at most `_BLOCK_SAMPLES`
+values (one pair at least) in a workspace allocated once per call: memory
+stays bounded whatever the row count. The designated target is withheld
+from root selection until every feature is ordered, which forces it to be
+a sink by construction. Edge weights then come from one Cholesky factor of
+each table's causally ordered Gram matrix (least squares per node where
+that factor is missing or near-singular), followed by magnitude pruning.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import artifacts
 from .dataio import FeatureTable, column_stats, degenerate_message
@@ -45,9 +46,16 @@ _K1 = 79.047
 _K2 = 7.4129
 _GAMMA = 0.37457
 
-# Residual values (regressand rows x samples) the root search holds per
-# block; a block always takes at least one regressand against all others.
+# Residual values (pairs x samples) the root search holds per block; a
+# block always takes at least one pair.
 _BLOCK_SAMPLES = 16_384
+# A pair residual is flat, all zeros, when its variance is at most this
+# fraction of its regressand's (`_pair_coefficients`).
+_FLAT = 1e-12
+# A table's weights come from least squares per node instead of its Gram
+# matrix's Cholesky factor where a squared pivot is below this fraction of
+# its diagonal entry (`_weights`).
+_PIVOT_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -205,27 +213,69 @@ def _residual(u, v, mean_u, mean_v, var_v, out: np.ndarray) -> None:
 
 
 def _block_shape(s: int, m: int, n: int) -> tuple[int, int]:
-    """(tables, regressands per table) of one pair block of the root search.
+    """(tables, pairs per table) of one pair block of the root search.
 
-    A block pairs each regressand with the m - 1 other remaining rows of its
-    table. It holds at most `_BLOCK_SAMPLES` residual values, or one
-    regressand's where that is more.
+    A table has m (m - 1) ordered pairs. A block holds at most
+    `_BLOCK_SAMPLES` residual values, or one pair's where that is more, and
+    takes several tables only when it holds all of their pairs.
     """
-    per = max(1, _BLOCK_SAMPLES // ((m - 1) * n))
-    return min(s, max(1, per // m)), min(per, m)
+    per = max(1, _BLOCK_SAMPLES // n)
+    pairs = m * (m - 1)
+    return min(s, max(1, per // pairs)), min(per, pairs)
 
 
 def _workspace(s: int, d: int, n: int) -> list[np.ndarray]:
     """Scratch of a root search over `s` tables of `d` columns and `n` rows.
 
     Four flat buffers: the first holds a group of tables' standardized rows
-    twice over, or the rows a residualization step regresses; the other
-    three hold one pair block each, or a group's rows.
+    and a row of ones, or the rows a residualization step regresses; the
+    other three hold one pair block each, or a group's rows.
     """
     steps = [(m, *_block_shape(s, m, n)) for m in range(3, d + 1)]
-    rows = max([(d - 1) * n] + [2 * k * m * n for m, k, _ in steps])
-    block = max([k * max(per * (m - 1), m) * n for m, k, per in steps], default=0)
+    rows = max([(d - 1) * n] + [k * (m + 1) * n for m, k, _ in steps])
+    block = max([k * max(per, m) * n for m, k, per in steps], default=0)
     return np.split(np.empty(rows + 3 * block), [rows, rows + block, rows + 2 * block])
+
+
+@functools.cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows i and columns j of the off-diagonal pairs (i, j) of m rows, row-major."""
+    return np.nonzero(~np.eye(m, dtype=bool))
+
+
+def _pair_coefficients(g: np.ndarray) -> np.ndarray:
+    """(α, β, γ) of each pair's standardized residual r_ij = α g_i + β g_j + γ.
+
+    `g` (k, m, n) holds standardized rows. Row p of the result (k, m (m - 1),
+    m + 1) belongs to pair p of `_pairs(m)` and holds α at column i, β at
+    column j and γ at column m, to multiply [g; 1]. The residual g_i - c g_j,
+    c = cov_ij / var_j, has mean mean_i - c mean_j and variance
+    var_i - 2 c cov_ij + c^2 var_j, all from one covariance product. On a
+    flat regressor (var_j < 1e-30: a row of zeros) the residual is g_i
+    itself. A pair whose residual variance is at most `_FLAT` times var_i
+    is flat: its coefficients are 0, so r_ij is all zeros.
+    """
+    k, m, n = g.shape
+    i, j = _pairs(m)
+    mean = _row_mean(g)
+    cov = np.matmul(g, g.transpose(0, 2, 1))
+    cov /= n
+    cov -= mean[:, :, None] * mean[:, None, :]
+    var = np.diagonal(cov, axis1=1, axis2=2)
+    var_i, var_j, cov_ij = var[:, i], var[:, j], cov[:, i, j]
+    flat_j = var_j < 1e-30
+    c = np.divide(cov_ij, var_j, out=np.zeros_like(cov_ij), where=~flat_j)
+    res_var = var_i - 2.0 * c * cov_ij + c * c * var_j
+    alpha = np.zeros_like(res_var)
+    kept = res_var > _FLAT * var_i
+    np.sqrt(res_var, out=alpha, where=kept)
+    np.divide(1.0, alpha, out=alpha, where=kept)
+    coef = np.zeros((k, i.size, m + 1))
+    pair = np.arange(i.size)
+    coef[:, pair, i] = np.where(flat_j, 1.0, alpha)
+    coef[:, pair, j] = -c * alpha
+    coef[:, :, m] = np.where(flat_j, 0.0, (c * mean[:, j] - mean[:, i]) * alpha)
+    return coef
 
 
 def _most_exogenous(w: np.ndarray, cand: np.ndarray, ws) -> np.ndarray:
@@ -236,75 +286,60 @@ def _most_exogenous(w: np.ndarray, cand: np.ndarray, ws) -> np.ndarray:
     For candidate i the score accumulates min(0, LR(i, j))^2 over the other
     remaining rows j, where LR compares the entropies of the two competing
     regression directions; the least-penalized candidate wins, lowest
-    position on ties. The pairwise residuals of a group of tables are formed
-    as arrays, a block of regressands at a time (`_block_shape`). LR(i, i)
-    is 0, so r_ii is not formed. Every reduction runs along a row, so each
-    LR(i, j) equals the one-pair-at-a-time formula bit for bit, whatever
-    the blocks and the stack.
+    position on ties. Each group of tables is standardized once; its pair
+    residuals, already standardized (`_pair_coefficients`), are one matrix
+    product of coefficients and [g; 1] per block (`_block_shape`). LR(i, i)
+    is 0, so r_ii is not formed.
     """
     s, m, n = w.shape
     k, per = _block_shape(s, m, n)
     rows, *block = ws
-    # each group's standardized rows twice over, so that window i + 1 of
-    # m - 1 rows holds the others of row i, j = (i + 1 + jj) mod m
-    g2 = rows[: 2 * k * m * n].reshape(k, 2 * m, n)
-    table, row, value = g2.strides
-    others = as_strided(g2[:, 1:], (k, m, m - 1, n), (table, row, row, value), writeable=False)
-    jj = (np.arange(m)[:, None] + np.arange(1, m)) % m
+    i, j = _pairs(m)
+    n_pairs = i.size
     ent_sums = np.empty((2, s, m))
-    pair_sums = np.empty((2, s, m, m - 1))  # [:, :, i, jj] for r_ij
+    pair_sums = np.empty((2, s, n_pairs))
     for s0 in range(0, s, k):
         kk = min(k, s - s0)
-        g = g2[:kk, :m]
-        np.copyto(g, w[s0 : s0 + k])
+        gb = rows[: kk * (m + 1) * n].reshape(kk, m + 1, n)
+        g = gb[:, :m]
+        np.copyto(g, w[s0 : s0 + kk])
+        gb[:, m] = 1.0
         t1, t2 = (buf[: g.size].reshape(g.shape) for buf in block[1:])
         _standardize(g, t1)
-        _entropy_sums(g, t1, t2, *ent_sums[:, s0 : s0 + k])
-        mean = _row_mean(g)
-        np.subtract(g, mean[..., None], out=t1)
-        t1 *= t1
-        var = _row_mean(t1)
-        g2[:kk, m:] = g
-        mean_o, var_o = mean[:, jj], var[:, jj]
-        for i0 in range(0, m, per):
-            i1 = min(m, i0 + per)
-            shape = (kk, i1 - i0, m - 1, n)
+        _entropy_sums(g, t1, t2, *ent_sums[:, s0 : s0 + kk])
+        coef = _pair_coefficients(g)
+        for p0 in range(0, n_pairs, per):
+            p1 = min(n_pairs, p0 + per)
+            shape = (kk, p1 - p0, n)
             r, t1, t2 = (buf[: math.prod(shape)].reshape(shape) for buf in block)
-            _residual(
-                g[:, i0:i1, None], others[:kk, i0:i1], mean[:, i0:i1, None],
-                mean_o[:, i0:i1], var_o[:, i0:i1], r,
-            )
-            _standardize(r, t1)
-            _entropy_sums(r, t1, t2, *pair_sums[:, s0 : s0 + k, i0:i1])
+            np.matmul(coef[:, p0:p1], gb, out=r)
+            _entropy_sums(r, t1, t2, *pair_sums[:, s0 : s0 + kk, p0:p1])
     ent = _entropy(*ent_sums, n)
     h = np.zeros((s, m, m))  # h[:, i, j] = entropy of the standardized r_ij
-    h[:, np.arange(m)[:, None], jj] = _entropy(*pair_sums, n)
+    h[:, i, j] = _entropy(*pair_sums, n)
     lr = (ent[:, None, :] + h) - (ent[:, :, None] + h.transpose(0, 2, 1))  # zero on the diagonal
     penalty = np.sum(np.minimum(0.0, lr) ** 2, axis=2)
     penalty[~cand] = np.inf
     return np.argmin(penalty, axis=1)
 
 
-def _causal_orders(x: np.ndarray, mean: np.ndarray, std: np.ndarray, target_idx: int):
-    """Causal orders (S, d) of the tables stacked in `x` (S, rows, columns).
+def _causal_orders(z: np.ndarray, target_idx: int):
+    """Causal orders (S, d) of S tables from their standardized rows.
 
-    All tables take their root search steps together; each keeps its own
-    remaining variables, in column order. The working rows and the
-    workspace are allocated once per call.
+    `z` (S, d, n), C-contiguous, holds one row of n per table and variable,
+    which the search residualizes in place as roots are taken. All tables
+    take their root search steps together; each keeps its own remaining
+    variables, in column order. The workspace is allocated once per call.
     """
-    s, n, d = x.shape
+    s, d, n = z.shape
+    w = z.reshape(-1)  # a view: the search refills its front
     tables = np.arange(s)
-    # one row per variable, residualized as roots are taken; the first
-    # S * m * n values hold the m remaining rows of each table
-    w = np.empty(s * d * n)
-    z = w.reshape(s, d, n)
-    np.subtract(x.transpose(0, 2, 1), mean[:, :, None], out=z)
-    z /= std[:, :, None]
     ws = _workspace(s, d, n)
     remaining = np.tile(np.arange(d), (s, 1))
     orders = np.empty((s, d), dtype=np.intp)
     for step in range(d):
         m = d - step
+        # the first S * m * n values of `w` hold the m remaining rows of each table
         wm = w[: s * m * n].reshape(s, m, n)
         cand = remaining != target_idx
         # with two rows left the one candidate is the root; with one, the target
@@ -327,9 +362,51 @@ def _causal_orders(x: np.ndarray, mean: np.ndarray, std: np.ndarray, target_idx:
             np.take(wm[grp].reshape(-1, n), others, axis=0, out=u.reshape(-1, n), mode="clip")
             root = wm[grp][np.arange(kk), pos[grp]]
             out = w[s0 * (m - 1) * n : (s0 + kk) * (m - 1) * n].reshape(kk, m - 1, n)
-            mean_root, var_root = _row_mean(root)[:, None], root.var(axis=-1)[:, None]
+            mean_root = _row_mean(root, keepdims=True)
+            root_dev = root - mean_root
+            var_root = _row_mean(np.multiply(root_dev, root_dev, out=root_dev), keepdims=True)
             _residual(u, root[:, None], _row_mean(u), mean_root, var_root, out)
     return orders
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of each matrix of the stack `a`; NaN for one that has none."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:  # some matrix is not positive definite: one at a time
+        if len(a) == 1:
+            return np.full_like(a, np.nan)
+        return np.concatenate([_cholesky(a[t : t + 1]) for t in range(len(a))])
+
+
+def _weights(gram: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares weights of each node on its causal-order predecessors.
+
+    `gram` (S, d, d) holds the Gram matrices of the tables' standardized
+    columns. Ordered causes-first, a table's Gram matrix is L L^T. With U
+    = L diag(L)^-1, unit lower triangular, the fits B (strictly lower
+    triangular) satisfy U (I - B) = I, so row p of B is
+    U[p, :p] - U[p, :p] B[:p, :p]: one factor gives all d fits, row by row.
+    Returns B (S, d, d) and whether each table was fitted: a table whose
+    ordered Gram matrix has no factor, or a pivot L_pp^2 below `_PIVOT_FLOOR`
+    times its diagonal entry (node p nearly a combination of its
+    predecessors), is not fitted and keeps zeros.
+    """
+    s, d, _ = gram.shape
+    rows, cols = orders[:, :, None], orders[:, None, :]
+    tables = np.arange(s)[:, None, None]
+    ordered = gram[tables, rows, cols]
+    factor = _cholesky(ordered)
+    pivot = np.diagonal(factor, axis1=1, axis2=2)
+    # a NaN pivot (no factor) fails the test
+    fitted = np.all(pivot * pivot >= _PIVOT_FLOOR * np.diagonal(ordered, axis1=1, axis2=2), axis=1)
+    unit = factor[fitted] / pivot[fitted, None, :]
+    fits = np.zeros_like(unit)
+    for p in range(1, d):
+        fits[:, p, :p] = unit[:, p, :p] - np.matmul(unit[:, p, None, :p], fits[:, :p, :p])[:, 0]
+    b = np.zeros((s, d, d))
+    b[tables[fitted], rows[fitted], cols[fitted]] = fits
+    return b, fitted
 
 
 def _discover(
@@ -344,18 +421,24 @@ def _discover(
 
     `mean` and `std` are the tables' `column_stats`, no table has a
     degenerate column, and each has at least d + `EXTRA_ROWS` rows. Returns
-    the pruned adjacencies B (S, d, d) and the causal orders (S, d). The
-    weights are one least-squares fit per node and table.
+    the pruned adjacencies B (S, d, d) and the causal orders (S, d). Each
+    table is standardized once: its Gram matrix is taken before the root
+    search residualizes the rows, and gives the weights (`_weights`). A
+    table that `_weights` does not fit takes one least-squares fit per node.
     """
-    s, _, d = x.shape
-    orders = _causal_orders(x, mean, std, target_idx)
-    b = np.zeros((s, d, d))
-    for t in range(s):
-        z = (x[t] - mean[t]) / std[t]
+    s, n, d = x.shape
+    z = np.empty((s, d, n))  # one standardized row per table and variable
+    np.subtract(x.transpose(0, 2, 1), mean[:, :, None], out=z)
+    z /= std[:, :, None]
+    gram = np.matmul(z, z.transpose(0, 2, 1))
+    orders = _causal_orders(z, target_idx)
+    b, fitted = _weights(gram, orders)
+    for t in np.flatnonzero(~fitted).tolist():
+        zt = (x[t] - mean[t]) / std[t]  # `z` now holds the search's residuals
         order = orders[t]
         for pos in range(1, d):
             preds = order[:pos]
-            b[t, order[pos], preds] = np.linalg.lstsq(z[:, preds], z[:, order[pos]], rcond=None)[0]
+            b[t, order[pos], preds] = np.linalg.lstsq(zt[:, preds], zt[:, order[pos]], rcond=None)[0]
     b[np.abs(b) < prune_threshold] = 0.0
     if destandardize:
         with np.errstate(over="ignore", invalid="ignore"):  # the callers test finiteness

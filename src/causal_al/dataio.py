@@ -178,8 +178,9 @@ def write_schema(path, schema: TableSchema) -> None:
 def load_feature_table(path, schema: TableSchema) -> tuple[FeatureTable, LoadReport]:
     """Load and validate a CSV feature table.
 
-    Rows with an empty id or containing non-finite (or unparsable) numeric
-    cells are dropped and counted in the returned report rather than imputed.
+    Rows with an empty id (or one of whitespace only) or containing
+    non-finite (or unparsable) numeric cells are dropped and counted in the
+    returned report rather than imputed.
     """
     id_pos = 0
 
@@ -193,18 +194,18 @@ def load_feature_table(path, schema: TableSchema) -> tuple[FeatureTable, LoadRep
         return found
 
     def parse(*cells: str) -> tuple[str, list[float] | None]:
-        """(id, values), with None for an empty id or values that are not all
-        finite numbers."""
+        """(id, values), with None for an id that strips to empty or values
+        that are not all finite numbers."""
         values = list(cells)
         rid = values.pop(id_pos)
         try:
             parsed = [float(c) for c in values]
         except ValueError:
             return rid, None
-        return rid, parsed if rid and all(map(math.isfinite, parsed)) else None
+        return rid, parsed if rid.strip() and all(map(math.isfinite, parsed)) else None
 
     art = artifacts.read(path, columns, parse)
-    ids = [rid for rid, _ in art.rows if rid]
+    ids = [rid for rid, _ in art.rows if rid.strip()]
     if len(set(ids)) < len(ids):
         checked_names(ids, where=f"{path}: row ids", error=DuplicateRowId)
     kept = {rid: values for rid, values in art.rows if values is not None}

@@ -102,8 +102,10 @@ def _blocks(sizes, mtry):
         i = j
 
 
-def _feature_sets(rng, d, mtry, k):
-    """k sorted draws of `rng.choice(d, mtry, replace=False)`, in one call.
+def _feature_sets(rngs, d, mtry, k):
+    """k sorted draws of `rng.choice(d, mtry, replace=False)` for each of
+    `rngs`, as (len(rngs), k, mtry): one call per generator, then one pass
+    over all the sets.
 
     For d <= 10 000, `Generator.choice` runs Floyd's algorithm: step s
     draws an integer in [0, d - mtry + s] and keeps it, or keeps
@@ -117,16 +119,17 @@ def _feature_sets(rng, d, mtry, k):
     sets are then still uniform draws, but from another stream. The
     forest's mtry = floor(sqrt(d)) never gets there.
     """
-    bounds = np.concatenate((np.arange(d - mtry, d), np.arange(mtry - 1, 0, -1)))
-    sets = rng.integers(0, np.tile(bounds, k), endpoint=True).reshape(k, -1)[:, :mtry]
-    rows = np.arange(k)
-    taken = np.zeros((k, d), dtype=bool)
+    bounds = np.tile(np.concatenate((np.arange(d - mtry, d), np.arange(mtry - 1, 0, -1))), k)
+    draws = np.stack([rng.integers(0, bounds, endpoint=True) for rng in rngs])
+    sets = draws.reshape(len(rngs) * k, -1)[:, :mtry]
+    rows = np.arange(len(sets))
+    taken = np.zeros((len(sets), d), dtype=bool)
     for s in range(mtry):
         pick = sets[:, s]  # a view: the draw is replaced by the value kept
         np.copyto(pick, d - mtry + s, where=taken[rows, pick])
         taken[rows, pick] = True
     sets.sort(axis=1)
-    return sets
+    return sets.reshape(len(rngs), k, mtry)
 
 
 def _ranges(starts, lengths):
@@ -283,7 +286,8 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
     y_of = np.tile(y, n_trees)  # per sample id
     goes_left = np.empty(n_trees * n, dtype=bool)  # per sample id, at its node's last split
     # drawn ahead, per tree: a tree pops one node at every step until it is
-    # done, so at step s it takes set s % _FEATURE_SETS
+    # done, so at step s it takes set s % _FEATURE_SETS, and the live trees
+    # refill together, in one `_feature_sets` call
     sets = np.empty((n_trees, _FEATURE_SETS, mtry), dtype=np.int64)
     n_nodes = np.ones(n_trees, dtype=np.int64)
     made = []    # per batch of new nodes: trees, local ids, values
@@ -357,8 +361,7 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
             live, popped = live[order], popped[order].T
             (ids, depths, offsets, m), (total, total_sq) = popped[:4].astype(np.int64), popped[4:]
             if step % _FEATURE_SETS == 0:
-                for t in live.tolist():
-                    sets[t] = _feature_sets(rngs[t], d, mtry, _FEATURE_SETS)
+                sets[live] = _feature_sets([rngs[t] for t in live.tolist()], d, mtry, _FEATURE_SETS)
             feats = sets[live, step % _FEATURE_SETS]
             base = live * (width * nb) + offsets  # of each node's first list
             # one row per candidate: a node and one of its features

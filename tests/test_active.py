@@ -1,3 +1,7 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +23,7 @@ from causal_al.errors import (
 )
 from causal_al.graphdist import spectral_distance
 from causal_al.synth import SemSpec, make_heterogeneous_world
-from tests.conftest import ROUNDED_CONSTANTS
+from tests.conftest import ROUNDED_CONSTANTS, WORLD_EDGES, WORLD_NODES
 
 NODES = ("f1", "f2", "f3", "y")
 EDGES = (("f1", "f2", 0.8), ("f2", "f3", 0.6), ("f3", "y", 0.7), ("f1", "y", -0.4))
@@ -335,6 +339,24 @@ def test_matching_subset_wins_majority():
         run = active_learn(subsets, dag, "y", m=30, n_iter=6, seed=seed)
         counts += selection_counts([run])
     assert counts[1] > counts.sum() / 2  # strict majority for the match
+
+
+def test_acceptance_world_commits_the_subsets_the_benchmark_records():
+    # the benchmark's `assemble` loops, m=50 and n_iter=20 on the acceptance
+    # world at its recorded seed: a kernel change that flips a committed
+    # subset or moves a final loss fails here, not only in the benchmark
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    recorded = json.loads(expected.read_text(encoding="utf-8"))["assemble"]
+    seed = recorded["seed"]
+    assert seed == 11
+    spec = SemSpec(WORLD_NODES, WORLD_EDGES, tuple(("uniform", 0.5) for _ in WORLD_NODES))
+    subsets, _, dag = make_heterogeneous_world(
+        3, spec, (0.3, 1.0, 1.8), seed=seed, n_rows=1000, target="y")
+    for loop in (active_learn, random_baseline):
+        run = loop(subsets, dag, "y", m=50, n_iter=20, seed=seed)
+        want = recorded["runs"][run.mode]
+        assert [rec.chosen for rec in run.records] == want["chosen"], run.mode
+        assert math.isclose(run.final_loss(), want["final_loss"], rel_tol=1e-9, abs_tol=0.0), run.mode
 
 
 def test_random_baseline_spreads_choices():

@@ -191,13 +191,15 @@ def test_refused_row_keeps_the_old_artifact_and_leaves_no_temporary_file(tmp_pat
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_empty_id_is_refused_rather_than_written_as_a_blank_line(tmp_path):
-    # a reader skips blank lines, so ('', 'b', 'c') used to read back as ('b', 'c')
+@pytest.mark.parametrize("blank", ["", " ", " \t "])
+def test_empty_id_is_refused_rather_than_written_as_a_blank_line(tmp_path, blank):
+    # a reader skips lines that strip to empty, so ('', 'b', 'c') used to read
+    # back as ('b', 'c'), and (' ', 'b', 'c') still did
     path = tmp_path / "ids.txt"
     artifacts.write_id_list(path, ("a",))
     before = path.read_bytes()
     with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: .*empty"):
-        artifacts.write_id_list(path, ("", "b", "c"))
+        artifacts.write_id_list(path, (blank, "b", "c"))
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
     # an empty cell among others still makes a non-blank line

@@ -51,7 +51,10 @@ def test_load_drops_nonfinite_rows(tmp_path):
     # two empty ids are two dropped rows, not one id named twice
     ("id,f1,y\n,1,2\nb,3,4\n,5,6\n", ("b",), 2),
     ("f1,id,y\n1,,2\n3,b,4\n", ("b",), 1),
-], ids=["one", "two", "id-not-first"])
+    # an id that strips to empty is an empty id: ' ' used to load as an id
+    ("id,f1,y\n ,1,2\nb,3,4\n", ("b",), 1),
+    ("id,f1,y\n \t,1,2\nb,3,4\n  ,5,6\n", ("b",), 2),
+], ids=["one", "two", "id-not-first", "space", "two-whitespace"])
 def test_load_drops_rows_with_an_empty_id(tmp_path, text, ids, dropped):
     table, report = dataio.load_feature_table(write(tmp_path, text), SCHEMA)
     assert table.row_ids == ids

@@ -395,19 +395,23 @@ def _next_draws(rng):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 10, 16, 50, 200, 1000])
 def test_feature_sets_equal_sequential_choice_calls(d):
-    # the same sets and the same stream after them, also when the stream
-    # starts mid-way through a 64-bit output (an odd number of 32-bit draws)
+    # each generator of a batch of one to four gets the sets and leaves the
+    # stream that k `choice` calls on it would, also when its stream starts
+    # mid-way through a 64-bit output (an odd number of 32-bit draws)
     for seed in range(50):
         for mtry in sorted({1, max(1, int(np.sqrt(d))), min(3, d), d}):
-            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for rng in (want_rng, got_rng):
-                rng.integers(0, 1000, size=2 * (seed % 3) + 1, dtype=np.uint32)
-            k = 1 + seed % 7
-            want = [np.sort(want_rng.choice(d, mtry, replace=False)) for _ in range(k)]
-            got = regress._feature_sets(got_rng, d, mtry, k)
-            assert got.shape == (k, mtry)
-            assert np.array_equal(got, want), (seed, mtry)
-            assert _next_draws(got_rng) == _next_draws(want_rng), (seed, mtry)
+            k, n_rngs = 1 + seed % 7, 1 + seed % 4
+            pairs = [(np.random.default_rng(seed + 1000 * g), np.random.default_rng(seed + 1000 * g))
+                     for g in range(n_rngs)]
+            for g, pair in enumerate(pairs):
+                for rng in pair:
+                    rng.integers(0, 1000, size=2 * ((seed + g) % 3) + 1, dtype=np.uint32)
+            got = regress._feature_sets([got_rng for _, got_rng in pairs], d, mtry, k)
+            assert got.shape == (n_rngs, k, mtry)
+            for g, (want_rng, got_rng) in enumerate(pairs):
+                want = [np.sort(want_rng.choice(d, mtry, replace=False)) for _ in range(k)]
+                assert np.array_equal(got[g], want), (seed, mtry, g)
+                assert _next_draws(got_rng) == _next_draws(want_rng), (seed, mtry, g)
 
 
 @pytest.mark.parametrize("mtry", [201, 10_001])
@@ -415,7 +419,7 @@ def test_feature_sets_stay_valid_past_floyds_range(mtry):
     # past d = 10 000 `choice` may shuffle a tail of range(d) instead, so only
     # the sets, not the stream, are checked: sorted, distinct and in range
     d = 10_001
-    sets = regress._feature_sets(np.random.default_rng(3), d, mtry, 4)
+    sets = regress._feature_sets([np.random.default_rng(3)], d, mtry, 4)[0]
     assert sets.shape == (4, mtry)
     assert np.all(np.diff(sets, axis=1) > 0)
     assert sets.min() >= 0 and sets.max() < d
