@@ -314,7 +314,8 @@ def cmd_intervene(cfg: Config, outdir: Path):
         bounds=intervene.feature_bounds(table, features),
     )
     intervened_table = intervene.apply_interventions(dal_table.select_columns(features), plans)
-    return {"interventable": interventable}, {}, {
+    counts = {"plans": len(plans), "plans_clamped": sum(p.clamped for p in plans)}
+    return {"interventable": interventable}, counts, {
         "dal_graph.csv": partial(causal.save_dag, dag=dag),
         "plans.csv": partial(intervene.save_plans, plans=plans),
         "intervened.csv": partial(dataio.save_feature_table, table=intervened_table),

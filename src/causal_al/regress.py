@@ -5,9 +5,10 @@ thresholds between sorted unique values, bootstrap rows and sqrt(d)
 feature subsampling per split. Everything is seeded, so refits are
 bit-identical. The trees of a forest grow together on one thread, one
 node per tree per step, each step a fixed number of array operations
-(`_grow`): the trees' presorted (SLIQ) lists share one arena that splits
-partition in place, and the new nodes' sums come from one call that
-matches numpy's own pairwise sums bit for bit (`_segment_sums`). A forest
+(`_grow`): each tree keeps one list of its rows that splits partition in
+place, a node's rows are sorted by a candidate feature when it is scored,
+and the new nodes' sums come from one call that matches numpy's own
+pairwise sums bit for bit (`_segment_sums`). A forest
 is stored as flat node arrays that all rows descend together, one level
 per step (`tree_predictions`).
 """
@@ -160,25 +161,34 @@ def _segment_sums(a, lengths):
     return np.stack((sums, np.add.reduceat(padded, at)))
 
 
-def _best_splits(lists, start, last, stats, shift, xt, y, left_n):
+def _best_splits(lists, start, last, stats, shift, ranks, xt, y, left_n):
     """Score every cut of a block of candidates at once; keep each one's best.
 
     A candidate is a node and one of its candidate features, widest node
-    first. Its sorted list starts at row start[r] of `lists`, a window
-    view of the arena, and holds last[r] + lo ids, lo being the smallest
-    child a cut may leave; stats[r] holds its node's size, sums of y and
-    y * y and sum of squared errors, and shift[r] turns an id into the
-    index of its value in `xt`. Row r of the padded arrays is candidate
-    r's y in sorted order, followed by whatever the arena holds next, up
-    to the block's widest node: ids of the same tree, since a candidate's
-    list is never its tree's last. `left_n` counts lo, lo + 1, ... as
-    floats.
+    first. Its node's rows start at row start[r] of `lists`, a window view
+    of the trees' row lists, and number last[r] + lo, lo being the
+    smallest child a cut may leave; stats[r] holds its node's size, sums of
+    y and y * y and sum of squared errors, and shift[r] turns a row into
+    the index of its feature's value in `xt` and of its dense rank in
+    `ranks`. Row r of the padded arrays is candidate r's window, as wide
+    as the block's widest node: its node's rows in bootstrap order, then
+    whatever the lists hold next. Every entry of the lists, and of their
+    zero tail, is a row of `xt`, so every gather stays in range. A stable
+    sort of the window's ranks, each position past the node's size keyed
+    n, above every rank, puts the node's rows in its feature's SLIQ order
+    (ties in bootstrap order) and keeps the rest behind them. `left_n`
+    counts lo, lo + 1, ... as floats.
     Returns each candidate's best gain, at its first best cut (-inf where
     no cut splits), and the values on either side of that cut.
     """
     lo = int(left_n[0])
     w = int(last[0]) + lo
     sample = lists[start, :w]
+    key = ranks.take(sample + shift[:, None])
+    np.putmask(key, np.arange(w) >= (last + lo)[:, None], xt.shape[1])
+    order = key.argsort(axis=1, kind="stable")
+    order += np.arange(0, order.size, w)[:, None]  # as indices into the flat rows
+    sample, key = sample.take(order), key.take(order)
     # y and y * y as the real and imaginary parts: one row-wise cumulative
     # sum adds both in order, each part as a 1-D cumsum of its own would
     z = np.empty(sample.shape, np.complex128)
@@ -199,52 +209,17 @@ def _best_splits(lists, start, last, stats, shift, xt, y, left_n):
     np.subtract(cum_sq, left, out=left)
     np.add(left, right, out=left)
     gains = np.subtract(stats[:, 3:], left, out=left)
-    # a cut is a split only where the value changes there, and where the
-    # right side keeps lo values or more
-    sample += shift[:, None]
-    vk = xt.ravel().take(sample)
-    cuts = vk[:, lo - 1 : w - lo] >= vk[:, lo : w - lo + 1]
+    # a cut is a split only where the value, so the rank, changes there,
+    # and where the right side keeps lo values or more
+    cuts = key[:, lo - 1 : w - lo] == key[:, lo : w - lo + 1]
     cuts |= left_n > last[:, None]
     np.putmask(gains, cuts, -np.inf)
     cut = gains.argmax(axis=1)
     rows = np.arange(cut.size)
     best = gains[rows, cut]
     cut += lo  # the first position right of the cut
-    return best, vk[rows, cut - 1], vk[rows, cut]
-
-
-def _pools(held):
-    """Runs (start, stop) of nodes holding `_BLOCK_VALUES` entries or more.
-
-    `held` lists each node's entries; a run closes at the first node that
-    brings it to `_BLOCK_VALUES`, or at the last node.
-    """
-    ends = held.cumsum()
-    i, k = 0, held.size
-    while i < k:
-        j = min(int(np.searchsorted(ends, ends[i] - held[i] + _BLOCK_VALUES)) + 1, k)
-        yield i, j
-        i = j
-
-
-def _partition(flat, stride, width, base, m, feature, m_left, goes_left):
-    """Split each node's lists in place into its children's, order kept.
-
-    Node i's `width` lists start at flat[base[i]], `stride` apart, m[i]
-    ids each, of which m_left[i] go left: those set in `goes_left`. Each
-    list's range then takes its left entries followed by its right ones,
-    each side in the order it had. The list of the feature a node splits
-    on already has that order, so it is left as it is.
-    """
-    moves = np.arange(width) != feature[:, None]
-    lists = (base[:, None] + stride * np.arange(width))[moves]
-    sizes = m.repeat(width - 1)
-    lefts = m_left.repeat(width - 1)
-    moved = flat.take(_ranges(lists, sizes))
-    go = goes_left.take(moved)
-    flat[_ranges(lists, lefts)] = moved.compress(go)
-    np.logical_not(go, out=go)
-    flat[_ranges(lists + lefts, sizes - lefts)] = moved.compress(go)
+    values = xt.ravel()
+    return best, values.take(sample[rows, cut - 1] + shift), values.take(sample[rows, cut] + shift)
 
 
 def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
@@ -260,31 +235,26 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
     array operations over the trees it pops from, whatever their nodes:
     it scores the nodes in blocks of similar size (`_best_splits`), at
     most `_BLOCK_VALUES` padded values per block, sums the children of
-    the split nodes (`_segment_sums`) and partitions the split nodes whose
-    children may split again (`_partition`).
+    the split nodes (`_segment_sums`) and partitions the split nodes' rows.
 
-    One int32 arena of shape (n_trees, d + 1, nb) holds every tree's SLIQ
-    lists of sample ids (row r of tree t is id t * n + r): per feature,
-    the ids sorted stably by that feature (ties in bootstrap order, sorted
-    once at the root), then the ids in bootstrap order. A node owns the
-    same range [offset, offset + m) of each of its tree's d + 1 lists,
-    and a split permutes that range in place into its left child's range
-    followed by its right child's, so every node's range lies inside its
-    parent's. The stacks are arrays too: per tree and stack slot, a
-    node's id, depth, offset and size and its sums of y and y * y. Node
-    sums are numpy's own pairwise sums of the node's y in bootstrap order,
-    all children of a step at once, and cumulative sums run along rows, so
-    every float equals the recursive builder's.
+    One int32 list per tree holds its bootstrap rows. A node owns a range
+    [offset, offset + m) of its tree's list, its rows in bootstrap order,
+    and a split reorders that range in place into its left child's rows
+    followed by its right child's, each side in the order it had, so every
+    node's range lies inside its parent's. A candidate's rows are sorted
+    when it is scored, by a stable sort of its feature's dense ranks. The
+    stacks are arrays too: per tree and stack slot, a node's id, depth,
+    offset and size and its sums of y and y * y. Node sums are numpy's own
+    pairwise sums of the node's y in bootstrap order, all children of a
+    step at once, and cumulative sums run along rows, so every float
+    equals the recursive builder's.
 
     Returns flat arrays (feature, threshold, left, right, value, roots),
     tree by tree, each tree's nodes numbered in the order they were made.
     """
     d, n = xt.shape
     n_trees, nb = boots.shape
-    width = d + 1
     lo = max(min_leaf, 1)  # smallest child a cut may leave
-    y_of = np.tile(y, n_trees)  # per sample id
-    goes_left = np.empty(n_trees * n, dtype=bool)  # per sample id, at its node's last split
     # drawn ahead, per tree: a tree pops one node at every step until it is
     # done, so at step s it takes set s % _FEATURE_SETS, and the live trees
     # refill together, in one `_feature_sets` call
@@ -293,22 +263,20 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
     made = []    # per batch of new nodes: trees, local ids, values
     splits = []  # per batch of split nodes: trees, local ids, features, thresholds, left ids
 
-    # each feature's dense ranks: a stable sort of a tree's ranks orders its
-    # rows as a stable sort of the values would, and small integers let it
-    # run as a radix sort
+    # each feature's dense ranks, in an integer type that also holds n, the
+    # key past a node's rows: a stable sort of small integers runs as a
+    # radix sort
     ranks = np.empty((d, n), dtype=np.min_scalar_type(n))
     for f in range(d):
         ranks[f] = np.unique(xt[f], return_inverse=True)[1]
-    flat = np.empty(n_trees * width * nb, dtype=np.int32)
-    arena = flat.reshape(n_trees, width, nb)
-    for t, boot in enumerate(boots):  # one tree's sort at a time keeps the temporaries small
-        arena[t, :d] = boot.take(np.argsort(ranks[:, boot], axis=1, kind="stable"))
-        arena[t, d] = boot
-        arena[t] += t * n
-    del ranks, arena
-    # row i of `lists` is flat[i : i + nb]: indexing it reads only the rows
-    # asked for (`take` would copy the whole view first)
-    lists = np.ndarray((flat.size - nb + 1, nb), flat.dtype, flat, 0, (flat.itemsize,) * 2)
+    ranks = ranks.ravel()
+    # the trees' lists one after another, then a zero tail for the windows
+    # that run past the last tree's list; row i of `lists` is
+    # flat[i : i + nb], and indexing it reads only the rows asked for
+    # (`take` would copy the whole view first)
+    flat = np.zeros(n_trees * nb + nb - 1, dtype=np.int32)
+    flat[: n_trees * nb] = boots.ravel()
+    lists = np.ndarray((n_trees * nb, nb), flat.dtype, flat, 0, (flat.itemsize,) * 2)
     left_n = np.arange(lo, nb + 1, dtype=np.float64)  # a cut's left size, from lo up
 
     # only a node shallower than max_depth is pushed, none is deeper than
@@ -319,7 +287,7 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
     top = np.zeros(n_trees, dtype=np.int64)  # stack pointers
 
     def open_nodes(trees, ids, depths, offsets, m, ys, pairs):
-        """Record new nodes' values, push the ones that may split, say which.
+        """Record new nodes' values and push the ones that may split.
 
         `ys` holds the nodes' y values, node after node, each in bootstrap
         order. With `pairs`, the first half are right children and the
@@ -343,7 +311,6 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
         at = np.flatnonzero(grows)
         stack[trees[at], slot[at]] = np.array((ids, depths, offsets, m, *sums)).T[at]
         top[:] += np.bincount(trees[at], minlength=n_trees)
-        return grows
 
     zeros = np.zeros(n_trees, dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):  # padded cuts; empty children
@@ -363,16 +330,16 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
             if step % _FEATURE_SETS == 0:
                 sets[live] = _feature_sets([rngs[t] for t in live.tolist()], d, mtry, _FEATURE_SETS)
             feats = sets[live, step % _FEATURE_SETS]
-            base = live * (width * nb) + offsets  # of each node's first list
+            base = live * nb + offsets  # of each node's first row in `flat`
             # one row per candidate: a node and one of its features
-            start = (feats * nb + base[:, None]).ravel()
+            start = base.repeat(mtry)
             last = m.repeat(mtry) - lo
             mf = m.astype(np.float64)
             stats = np.array((mf, total, total_sq, total_sq - total * total / mf)).T
             stats = stats.repeat(mtry, axis=0)
-            shift = ((feats - live[:, None]) * n).ravel()  # id -> index in xt
+            shift = (feats * n).ravel()  # row -> index in xt and ranks
             scored = [
-                _best_splits(lists, start[i:j], last[i:j], stats[i:j], shift[i:j], xt, y_of,
+                _best_splits(lists, start[i:j], last[i:j], stats[i:j], shift[i:j], ranks, xt, y,
                              left_n)
                 for i, j in _blocks(m, mtry)]
             gains, below, above = (np.concatenate(c) for c in zip(*scored))
@@ -387,31 +354,20 @@ def _grow(xt, y, boots, max_depth, min_leaf, mtry, rngs):
             left = n_nodes[trees]
             n_nodes[trees] += 2
             splits.append((trees, ids[at], feature, threshold, left))
-            # each split node's rows in bootstrap order, its last list, go left
-            # or right by value
-            own = flat.take(_ranges(base + d * nb, m))
-            go = xt.ravel().take(own + ((feature - trees) * n).repeat(m)) <= threshold.repeat(m)
-            goes_left[own] = go
+            # each split node's rows go left or right by value; the children's
+            # rows, right children first, each in bootstrap order, and each
+            # split node's range takes its left child's, then its right child's
+            own = flat.take(_ranges(base, m))
+            go = xt.ravel().take(own + (feature * n).repeat(m)) <= threshold.repeat(m)
             m_left = np.add.reduceat(go, m.cumsum() - m, dtype=np.int64)  # (m >= 2 each)
-            # the children's y in bootstrap order, right children first
-            ys = y_of.take(own)
-            del own
-            ys = np.concatenate((ys.compress(~go), ys.compress(go)))
+            rows = np.concatenate((own.compress(~go), own.compress(go)))
+            flat[np.concatenate((_ranges(base + m_left, m - m_left), _ranges(base, m_left)))] = rows
             depths = depths[at] + 1
-            grows = open_nodes(
+            open_nodes(
                 np.concatenate((trees, trees)), np.concatenate((left + 1, left)),
                 np.concatenate((depths, depths)), np.concatenate((offsets + m_left, offsets)),
-                np.concatenate((m - m_left, m_left)), ys, pairs=True)
-            del ys, go
-            # only the lists of a node with a child that may split are kept up
-            # to date, in pools of about `_BLOCK_VALUES` entries
-            k = m.size
-            keep = np.flatnonzero(grows[:k] | grows[k:])
-            for i, j in _pools((width - 1) * m[keep]):
-                part = keep[i:j]
-                _partition(flat, nb, width, base[part], m[part], feature[part], m_left[part],
-                           goes_left)
-    del flat, lists, y_of
+                np.concatenate((m - m_left, m_left)), y.take(rows), pairs=True)
+    del flat, lists, ranks
 
     first = np.cumsum(n_nodes) - n_nodes
     total_nodes = int(n_nodes.sum())

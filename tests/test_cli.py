@@ -319,6 +319,10 @@ def test_manifest_records_inputs_and_params(tmp_path):
     assert "param prune_threshold = 0.05" in lines
     lines = (work / "intervene.manifest").read_text().splitlines()
     assert "param goal = 3.0" in lines
+    # how many plans were made, and how many were clamped short of the goal
+    plans = intervene.load_plans(work / "plans.csv")
+    assert f"count plans = {len(plans)}" in lines
+    assert f"count plans_clamped = {sum(p.clamped for p in plans)}" in lines
 
 
 # the files each stage of the SMALL pipeline reads, by manifest name

@@ -110,7 +110,7 @@ def test_r2_empty_test():
 
 
 # ---------------------------------------------------------------------------
-# presorted builder vs the recursive per-node-sorting CART it replaced
+# lockstep builder vs a recursive CART that argsorts at every node
 # ---------------------------------------------------------------------------
 
 
@@ -205,12 +205,18 @@ def test_builder_matches_reference_on_continuous_data(n, d, seed):
     assert_same_tree(x, y, 10, 2, mtry, seed)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_builder_matches_reference_on_heavy_ties(seed):
+@pytest.mark.parametrize("seed, rows", [
+    *(pytest.param(seed, None, id=str(seed)) for seed in range(12)),
+    # the largest sample whose ranks and key past a node's rows (255) are
+    # uint8, and the smallest whose are uint16
+    pytest.param(12, 255, id="255-rows"),
+    pytest.param(13, 256, id="256-rows"),
+])
+def test_builder_matches_reference_on_heavy_ties(seed, rows):
     # few distinct values, duplicated columns and a small y alphabet: many
     # equal gains, so tie order and the strict gain comparison both matter
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(20, 300))
+    n = rows or int(rng.integers(20, 300))
     base = rng.integers(0, 4, size=(n, 3)).astype(np.float64)
     x = np.column_stack([base, base[:, ::-1], rng.integers(0, 2, size=n)])
     y = rng.integers(0, 3, size=n).astype(np.float64) + base[:, 0]
@@ -362,13 +368,43 @@ def test_linked_trees_have_one_node_per_flat_entry():
 
 @pytest.mark.parametrize("block_values", [1, 500, 2**40])
 def test_block_size_does_not_change_the_forest(monkeypatch, block_values):
-    # one node per padded block and per partition pool, mixed blocks, or one block a step
+    # one node per padded block, mixed blocks, or one block a step
     table, features = heavy_tie_table(11, n=300)
     want = fit_forest(table, features, "y", n_trees=12, max_depth=8, min_leaf=1, seed=6)
     monkeypatch.setattr(regress, "_BLOCK_VALUES", block_values)
     got = fit_forest(table, features, "y", n_trees=12, max_depth=8, min_leaf=1, seed=6)
     for name in ("feature", "threshold", "left", "right", "value", "roots"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_windows_past_the_end_of_a_tree_list_score_as_alone():
+    # one tree's list and its zero tail, laid out as `_grow` lays them out:
+    # the node at the end of the list, scored in a block behind a wider node,
+    # reads a window that runs past the list into the tail
+    rng = np.random.default_rng(3)
+    n, lo = 40, 2
+    xt = rng.integers(0, 6, size=(2, n)).astype(np.float64)
+    xt[:, 0] = -1.0  # the tail's row ranks first, so only its key keeps it out
+    y = rng.normal(size=n)
+    ranks = np.array([np.unique(row, return_inverse=True)[1] for row in xt], dtype=np.uint8)
+    flat = np.zeros(2 * n - 1, dtype=np.int32)
+    flat[:n] = rng.permutation(n)
+    lists = np.ndarray((n, n), flat.dtype, flat, 0, (flat.itemsize,) * 2)
+    left_n = np.arange(lo, n + 1, dtype=np.float64)
+
+    def score(starts, sizes, features):
+        starts, sizes = np.array(starts), np.array(sizes)
+        ys = [y[flat[a : a + m]] for a, m in zip(starts, sizes)]
+        sums = np.array([(v.sum(), (v * v).sum()) for v in ys])
+        stats = np.column_stack((sizes, sums, sums[:, 1] - sums[:, 0] ** 2 / sizes))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return regress._best_splits(lists, starts, sizes - lo, stats, np.array(features) * n,
+                                        ranks.ravel(), xt, y, left_n)
+
+    together = score([0, 30], [30, 10], [0, 1])
+    for i, alone in enumerate((score([0], [30], [0]), score([30], [10], [1]))):
+        assert [a[i] for a in together] == [a[0] for a in alone]
+    assert together[0][1] > -np.inf  # the end node has a cut to find
 
 
 def test_many_trees_of_different_shapes_match_reference_builder():
@@ -514,9 +550,9 @@ ASSEMBLE_FOREST_SHA256 = {
     "active": "1f3e0332769e1e3d8ef034a4efa660a9e4177593c9c59a81e81168e59f70995a",
     "random": "a1cc6cec8c0e47a5208250a3f81fa7c5146faf98f51405054bf27afd4ea01405",
 }
-# tracemalloc peak of `fit_forest` on the active run's 1000 rows: 5 254 378 B
-# for the builder this one replaced, plus 10 %
-ASSEMBLE_FOREST_PEAK_BYTES = 5_779_815
+# tracemalloc peak of `fit_forest` on the active run's 1000 rows: 4 769 149 B
+# for this builder, one row list per tree, plus 10 %
+ASSEMBLE_FOREST_PEAK_BYTES = 5_246_064
 
 
 @pytest.fixture(scope="module")
