@@ -3,15 +3,17 @@
 Discovery follows the direct iterative-root-selection scheme: at each step
 the most exogenous remaining variable is identified with a pairwise
 likelihood-ratio measure built from a differential-entropy approximation
-(log-cosh and Gaussian-moment terms), appended to the causal order, and
-regressed out of the remaining columns. The kernel searches a stack of
-tables with the same shape at once: at each step every table has the same
-number of remaining columns, which are standardized once, and all pairs
-are scored together. One covariance product per step gives each pair's
-residual moments in closed form, so each standardized pair residual is one
-row of a matrix product, formed in blocks of at most `_BLOCK_SAMPLES`
-values (one pair at least) in a workspace allocated once per call: memory
-stays bounded whatever the row count. The designated target is withheld
+(log-cosh and Gaussian-moment terms) and appended to the causal order.
+The kernel searches a stack of tables with the same shape at once: at
+each step every table has the same number of remaining columns, which are
+standardized once, and all pairs are scored together. One covariance
+product per step gives each pair's residual moments in closed form, so
+each standardized pair residual is one row of a matrix product, formed in
+blocks of at most `_BLOCK_SAMPLES` values (one pair at least) in a
+workspace allocated once per call: memory stays bounded whatever the row
+count. The other columns' pair residuals on the root are the next step's
+columns, so the root is regressed out once, and a residual is flat (all
+zeros) by one rule, `_FLAT`. The designated target is withheld
 from root selection until every feature is ordered, which forces it to be
 a sink by construction. Edge weights then come from one Cholesky factor of
 each table's causally ordered Gram matrix (least squares per node where
@@ -191,27 +193,6 @@ def _entropy(log_cosh: np.ndarray, moment: np.ndarray, n: int) -> np.ndarray:
     )
 
 
-def _residual(u, v, mean_u, mean_v, var_v, out: np.ndarray) -> None:
-    """Write into `out` the residual of each row of `u` regressed on the row of `v`.
-
-    That is u - (cov(u, v) / var(v)) v, or u - mean(u) where v has no
-    variance. `u` and `v` broadcast to `out` (..., n); the moments have
-    their shapes without the last axis.
-    """
-    np.multiply(u, v, out=out)
-    cov = _row_mean(out) - mean_u * mean_v
-    flat = var_v < 1e-30
-    if flat.any():
-        coef = np.where(flat, 0.0, cov / np.where(flat, 1.0, var_v))
-        shift = np.where(flat, mean_u, 0.0)[..., None]
-    else:  # the common case: no masks, and no pass subtracting zeros
-        coef, shift = cov / var_v, None
-    np.multiply(coef[..., None], v, out=out)
-    np.subtract(u, out, out=out)
-    if shift is not None:
-        out -= shift
-
-
 def _block_shape(s: int, m: int, n: int) -> tuple[int, int]:
     """(tables, pairs per table) of one pair block of the root search.
 
@@ -228,11 +209,11 @@ def _workspace(s: int, d: int, n: int) -> list[np.ndarray]:
     """Scratch of a root search over `s` tables of `d` columns and `n` rows.
 
     Four flat buffers: the first holds a group of tables' standardized rows
-    and a row of ones, or the rows a residualization step regresses; the
-    other three hold one pair block each, or a group's rows.
+    and a row of ones; the other three hold one pair block each, or a
+    group's rows.
     """
     steps = [(m, *_block_shape(s, m, n)) for m in range(3, d + 1)]
-    rows = max([(d - 1) * n] + [k * (m + 1) * n for m, k, _ in steps])
+    rows = max((k * (m + 1) * n for m, k, _ in steps), default=0)
     block = max([k * max(per, m) * n for m, k, per in steps], default=0)
     return np.split(np.empty(rows + 3 * block), [rows, rows + block, rows + 2 * block])
 
@@ -281,55 +262,68 @@ def _pair_coefficients(g: np.ndarray) -> np.ndarray:
 def _most_exogenous(w: np.ndarray, cand: np.ndarray, ws) -> np.ndarray:
     """Position of the most plausibly exogenous candidate row of each table.
 
-    `w` (S, m, n) holds each table's remaining working rows; `cand` (S, m)
-    marks the rows that may be chosen; `ws` is the kernel's `_workspace`.
-    For candidate i the score accumulates min(0, LR(i, j))^2 over the other
-    remaining rows j, where LR compares the entropies of the two competing
-    regression directions; the least-penalized candidate wins, lowest
-    position on ties. Each group of tables is standardized once; its pair
-    residuals, already standardized (`_pair_coefficients`), are one matrix
-    product of coefficients and [g; 1] per block (`_block_shape`). LR(i, i)
-    is 0, so r_ii is not formed.
+    `w` (S, m, n), C-contiguous, holds each table's remaining working rows;
+    `cand` (S, m) marks the rows that may be chosen; `ws` is the kernel's
+    `_workspace`. For candidate i the score accumulates min(0, LR(i, j))^2
+    over the other remaining rows j, where LR compares the entropies of the
+    two competing regression directions; the least-penalized candidate wins,
+    lowest position on ties. Each group of tables is standardized once; its
+    pair residuals, already standardized (`_pair_coefficients`), are one
+    matrix product of coefficients and [g; 1] per block (`_block_shape`).
+    LR(i, i) is 0, so r_ii is not formed. Once a group's roots are chosen,
+    each other row i's residual on the root, r_i,root, is that row's next
+    working row: the group's (m - 1) next rows per table, in row order, go
+    over the front of `w` (S (m - 1) n values). A group's new rows end
+    before the next group's old rows begin.
     """
     s, m, n = w.shape
     k, per = _block_shape(s, m, n)
     rows, *block = ws
     i, j = _pairs(m)
     n_pairs = i.size
-    ent_sums = np.empty((2, s, m))
-    pair_sums = np.empty((2, s, n_pairs))
+    pos = np.empty(s, dtype=np.intp)
     for s0 in range(0, s, k):
         kk = min(k, s - s0)
+        grp = slice(s0, s0 + kk)
         gb = rows[: kk * (m + 1) * n].reshape(kk, m + 1, n)
         g = gb[:, :m]
-        np.copyto(g, w[s0 : s0 + kk])
+        np.copyto(g, w[grp])
         gb[:, m] = 1.0
         t1, t2 = (buf[: g.size].reshape(g.shape) for buf in block[1:])
+        ent_sums = np.empty((2, kk, m))
+        pair_sums = np.empty((2, kk, n_pairs))
         _standardize(g, t1)
-        _entropy_sums(g, t1, t2, *ent_sums[:, s0 : s0 + kk])
+        _entropy_sums(g, t1, t2, *ent_sums)
         coef = _pair_coefficients(g)
         for p0 in range(0, n_pairs, per):
             p1 = min(n_pairs, p0 + per)
             shape = (kk, p1 - p0, n)
             r, t1, t2 = (buf[: math.prod(shape)].reshape(shape) for buf in block)
             np.matmul(coef[:, p0:p1], gb, out=r)
-            _entropy_sums(r, t1, t2, *pair_sums[:, s0 : s0 + kk, p0:p1])
-    ent = _entropy(*ent_sums, n)
-    h = np.zeros((s, m, m))  # h[:, i, j] = entropy of the standardized r_ij
-    h[:, i, j] = _entropy(*pair_sums, n)
-    lr = (ent[:, None, :] + h) - (ent[:, :, None] + h.transpose(0, 2, 1))  # zero on the diagonal
-    penalty = np.sum(np.minimum(0.0, lr) ** 2, axis=2)
-    penalty[~cand] = np.inf
-    return np.argmin(penalty, axis=1)
+            _entropy_sums(r, t1, t2, *pair_sums[:, :, p0:p1])
+        ent = _entropy(*ent_sums, n)
+        h = np.zeros((kk, m, m))  # h[:, i, j] = entropy of the standardized r_ij
+        h[:, i, j] = _entropy(*pair_sums, n)
+        lr = (ent[:, None, :] + h) - (ent[:, :, None] + h.transpose(0, 2, 1))  # zero on the diagonal
+        penalty = np.sum(np.minimum(0.0, lr) ** 2, axis=2)
+        penalty[~cand[grp]] = np.inf
+        root = pos[grp] = np.argmin(penalty, axis=1)
+        # each table's pairs (i, root), other rows i in order, give its next rows
+        nxt = w.reshape(-1)[s0 * (m - 1) * n : (s0 + kk) * (m - 1) * n].reshape(kk, m - 1, n)
+        np.matmul(coef[j == root[:, None]].reshape(kk, m - 1, m + 1), gb, out=nxt)
+    return pos
 
 
 def _causal_orders(z: np.ndarray, target_idx: int):
     """Causal orders (S, d) of S tables from their standardized rows.
 
-    `z` (S, d, n), C-contiguous, holds one row of n per table and variable,
-    which the search residualizes in place as roots are taken. All tables
-    take their root search steps together; each keeps its own remaining
-    variables, in column order. The workspace is allocated once per call.
+    `z` (S, d, n), C-contiguous, holds one row of n per table and variable.
+    All tables take their root search steps together; each keeps its own
+    remaining variables, in column order. A step's next rows are the other
+    rows' pair residuals on its root, which `_most_exogenous` writes over
+    the front of `z`. With two rows left the one candidate is the root, and
+    with one the target: those steps score and write nothing. The workspace
+    is allocated once per call.
     """
     s, d, n = z.shape
     w = z.reshape(-1)  # a view: the search refills its front
@@ -342,30 +336,11 @@ def _causal_orders(z: np.ndarray, target_idx: int):
         # the first S * m * n values of `w` hold the m remaining rows of each table
         wm = w[: s * m * n].reshape(s, m, n)
         cand = remaining != target_idx
-        # with two rows left the one candidate is the root; with one, the target
         pos = _most_exogenous(wm, cand, ws) if m > 2 else np.argmax(cand, axis=1)
         orders[:, step] = remaining[tables, pos]
-        if m == 1:
-            break
         keep = np.ones((s, m), dtype=bool)
         keep[tables, pos] = False
         remaining = remaining[keep].reshape(s, m - 1)
-        # Residualize the other rows on the root, a group of tables at a time,
-        # into the front of `w`: a group's new rows end before the next group's
-        # old rows begin.
-        k = len(ws[0]) // ((m - 1) * n)
-        for s0 in range(0, s, k):
-            grp, kk = slice(s0, s0 + k), min(k, s - s0)
-            u = ws[0][: kk * (m - 1) * n].reshape(kk, m - 1, n)
-            # mode="clip" writes straight into `u`; "raise" copies through a buffer
-            others = np.flatnonzero(keep[grp])
-            np.take(wm[grp].reshape(-1, n), others, axis=0, out=u.reshape(-1, n), mode="clip")
-            root = wm[grp][np.arange(kk), pos[grp]]
-            out = w[s0 * (m - 1) * n : (s0 + kk) * (m - 1) * n].reshape(kk, m - 1, n)
-            mean_root = _row_mean(root, keepdims=True)
-            root_dev = root - mean_root
-            var_root = _row_mean(np.multiply(root_dev, root_dev, out=root_dev), keepdims=True)
-            _residual(u, root[:, None], _row_mean(u), mean_root, var_root, out)
     return orders
 
 
@@ -423,8 +398,9 @@ def _discover(
     degenerate column, and each has at least d + `EXTRA_ROWS` rows. Returns
     the pruned adjacencies B (S, d, d) and the causal orders (S, d). Each
     table is standardized once: its Gram matrix is taken before the root
-    search residualizes the rows, and gives the weights (`_weights`). A
-    table that `_weights` does not fit takes one least-squares fit per node.
+    search writes pair residuals over the rows, and gives the weights
+    (`_weights`). A table that `_weights` does not fit takes one
+    least-squares fit per node.
     """
     s, n, d = x.shape
     z = np.empty((s, d, n))  # one standardized row per table and variable

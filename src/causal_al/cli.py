@@ -430,6 +430,14 @@ def cmd_synth(cfg: Config, outdir: Path):
     rows = cfg.int("synth_rows", 10)
     ref_rows = cfg.int("synth_reference_rows", 1)
     fp_width = dataio.TableSchema.checked_width(cfg.int("synth_fp_width"), "synth_fp_width")
+    k_features = min(cfg.int("k_features", 1), n_features)
+    # copied into pipeline.cfg as given, each checked as the stage that reads it checks it
+    copied = ("m_per_iter", "n_iter", "n_realizations", "goal", "knn_k", "prune_threshold")
+    for key in copied:
+        if key in ("goal", "prune_threshold"):
+            cfg.float(key)
+        else:
+            cfg.int(key, 1)
 
     rng = np.random.default_rng(seed)
     names = tuple(f"f{i + 1:02d}" for i in range(n_features)) + ("y",)
@@ -479,11 +487,9 @@ def cmd_synth(cfg: Config, outdir: Path):
         ("reference_fingerprints", "reference_fingerprints.csv"),
         ("output_dir", "."),
         ("pivot_features", names[: min(3, n_features)]),
-        ("k_features", min(cfg.int("k_features"), n_features)),
+        ("k_features", k_features),
         ("seed", seed),
-        *((key, cfg.raw(key)) for key in (
-            "m_per_iter", "n_iter", "n_realizations", "goal", "knn_k", "prune_threshold",
-        )),
+        *((key, cfg.raw(key)) for key in copied),
     ])
     return {}, {}, files
 
@@ -530,7 +536,7 @@ def _run_stage(command: str, cfg: Config) -> None:
     byte-identical across reruns.
     """
     t0 = time.monotonic()
-    seed = cfg.int("seed")
+    seed = cfg.int("seed", 0)  # numpy's generators take no negative seed
     outdir = cfg.path("output_dir")
     if outdir is None:
         raise ConfigError("config key 'output_dir' must not be empty")

@@ -399,6 +399,21 @@ def test_pair_coefficients_give_the_reference_residuals():
     assert not coef[1, (i == 2) & (j == 0)].any()
 
 
+def test_root_step_writes_the_roots_pair_residuals_as_the_next_rows():
+    rng = np.random.default_rng(38)
+    n = 200
+    w = rng.laplace(size=(1, 4, n))
+    w[0, 1] = 2.0 * w[0, 0] + 1e-7 * rng.uniform(-1, 1, n)  # flat residual on row 0
+    g = [_ref_standardize(row) for row in w[0]]
+    want = np.array([_ref_pair_residual(g[i], g[0]) for i in (1, 2, 3)])
+    cand = np.array([[True, False, False, False]])
+    pos = causal._most_exogenous(w, cand, causal._workspace(1, 4, n))
+    assert pos.tolist() == [0]
+    nxt = w.reshape(-1)[: 3 * n].reshape(3, n)
+    assert not want[0].any() and not nxt[0].any()
+    assert np.allclose(nxt, want, rtol=0.0, atol=1e-12)
+
+
 def test_weights_fall_back_to_least_squares_without_a_factor_or_below_the_pivot_floor():
     rng = np.random.default_rng(4)
     x = rng.laplace(size=(3, 200, 4))

@@ -100,6 +100,17 @@ def test_readme_quick_start_runs_at_defaults(tmp_path, monkeypatch):
     manifest = (tmp_path / "work" / "cluster.manifest").read_text(encoding="utf-8").splitlines()
     assert "count em_iterations = 200" in manifest
     assert "count em_converged = 0" in manifest
+    # the discovery decisions at the defaults: both causal orders and the
+    # rows the active loop committed
+    work = tmp_path / "work"
+    for name, order in [
+        ("global_graph.csv", "f08,f01,f02,f05,f04,f07,f09,f06,f03,y"),
+        ("dal_graph.csv", "f08,f01,f02,f05,f04,f07,f03,f09,f06,y"),
+    ]:
+        assert f"# causal_order = {order}\n" in (work / name).read_text(encoding="utf-8"), name
+    assert file_sha256(work / "dal_ids.txt") == (
+        "4a2aeea4d87a61dcb8211d5a6e7f7c358806603a826fc3c42be9abcb19c8da86"
+    )
 
 
 def test_readme_lists_every_config_key_with_its_default():
@@ -270,9 +281,17 @@ def test_seed_env_var_and_flag_precedence(tmp_path, monkeypatch):
     assert "seed = 5" in (w_bad_env / "synth.manifest").read_text().splitlines()
 
 
-@pytest.mark.parametrize("source", ["config", "set", "env"])
+BAD_SEEDS = [
+    pytest.param(source, seed, error, id=source + suffix)
+    for seed, error, suffix in (("abc", "seed must be an integer, got 'abc'", ""),
+                                ("-1", "seed must be >= 0, got -1", "-negative"))
+    for source in ("config", "set", "env")
+]
+
+
+@pytest.mark.parametrize("source,seed,error", BAD_SEEDS)
 def test_bad_seed_from_any_source_is_E_CONFIG_and_writes_nothing(
-    small_pipeline, tmp_path, monkeypatch, capsys, source
+    small_pipeline, tmp_path, monkeypatch, capsys, source, seed, error
 ):
     # from the config file or --set it used to be refused only when the
     # manifest was written, after the stage had rewritten its artifacts
@@ -284,16 +303,29 @@ def test_bad_seed_from_any_source_is_E_CONFIG_and_writes_nothing(
     if source == "config":
         text = cfg.read_text(encoding="utf-8")
         assert "\nseed = 3\n" in text
-        cfg.write_text(text.replace("\nseed = 3\n", "\nseed = abc\n"), encoding="utf-8")
+        cfg.write_text(text.replace("\nseed = 3\n", f"\nseed = {seed}\n"), encoding="utf-8")
     elif source == "set":
-        argv += ["--set", "seed=abc"]
+        argv += ["--set", f"seed={seed}"]
     else:
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+        monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
     (work / "ranking.csv").unlink()  # a rerun would rewrite it byte for byte
     before = state(work)
     capsys.readouterr()
     assert run_cli(argv) == 2
-    assert capsys.readouterr().err == "E_CONFIG: seed must be an integer, got 'abc'\n"
+    assert capsys.readouterr().err == f"E_CONFIG: {error}\n"
+    assert state(work) == before
+
+
+def test_negative_seed_stops_a_stage_that_draws(small_pipeline, tmp_path, monkeypatch, capsys):
+    # numpy's generators refuse a negative seed; the stage refuses it before it draws
+    work = tmp_path / "w"
+    shutil.copytree(small_pipeline, work)
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    (work / "subsets.csv").unlink()
+    before = state(work)
+    capsys.readouterr()
+    assert run_cli(["cluster", "-c", str(work / "pipeline.cfg"), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "E_CONFIG: seed must be >= 0, got -1\n"
     assert state(work) == before
 
 
@@ -538,6 +570,24 @@ def test_synth_fingerprint_width_off_the_byte_grid_is_E_CONFIG_and_writes_nothin
     assert capsys.readouterr().err == (
         f"E_CONFIG: synth_fp_width must be a positive multiple of 8, got {width}\n"
     )
+    assert not work.exists()
+
+
+@pytest.mark.parametrize("key,value,error", [
+    ("k_features", "0", "k_features must be >= 1, got 0"),
+    ("m_per_iter", "-4", "m_per_iter must be >= 1, got -4"),
+    ("n_iter", "0", "n_iter must be >= 1, got 0"),
+    ("n_realizations", "0", "n_realizations must be >= 1, got 0"),
+    ("knn_k", "0", "knn_k must be >= 1, got 0"),
+    ("goal", "nan", "goal must be a finite number, got 'nan'"),
+    ("prune_threshold", "abc", "prune_threshold must be a number, got 'abc'"),
+])
+def test_synth_refuses_a_value_its_pipeline_cfg_would_carry_to_a_stage_that_refuses_it(
+    tmp_path, capsys, key, value, error
+):
+    work = tmp_path / "w"
+    assert run_cli(["synth", "-o", str(work), "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == f"E_CONFIG: {error}\n"
     assert not work.exists()
 
 
